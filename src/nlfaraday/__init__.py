@@ -22,7 +22,6 @@ from .exceptions import (
     NonConvergence,
     FitError,
     DegenerateDesign,
-    NoConvergence,
     IllConditioned,
     NegativeVariance,
     InsufficientPoints,
@@ -64,7 +63,6 @@ from .dynamics import (
     rotation_angle_model,
     pt_linear_coefficient,
     extract_effective_coefficients,
-    scan_effective_coefficients,
     locate_crossing,
     integrate_two_level,
     damped_rabi_reference,
@@ -115,7 +113,7 @@ __all__ = [
     "NlfaradayError", "InvalidConfig", "DataIntegrityError",
     "IntegrationError", "StepFailure", "PositivityViolation",
     "QuadratureNotConverged", "NonConvergence", "FitError",
-    "DegenerateDesign", "NoConvergence", "IllConditioned",
+    "DegenerateDesign", "IllConditioned",
     "NegativeVariance", "InsufficientPoints", "NoCrossover",
     # atom
     "LineData", "load_line_data", "LevelScheme", "build_level_scheme",
@@ -130,8 +128,8 @@ __all__ = [
     # dynamics
     "drive_scale", "Trajectory", "integrate_node", "StokesResult",
     "detected_stokes", "rotation_angle_model", "pt_linear_coefficient",
-    "extract_effective_coefficients", "scan_effective_coefficients",
-    "locate_crossing", "integrate_two_level", "damped_rabi_reference",
+    "extract_effective_coefficients", "locate_crossing",
+    "integrate_two_level", "damped_rabi_reference",
     # experiment
     "PolarimeterModel", "ResponseModel", "SimulatedResponse",
     "StokesRecord", "SequenceResult", "run_sequence", "CampaignResult",

@@ -27,7 +27,7 @@ from .exceptions import (
     InsufficientPoints,
     InvalidConfig,
     NegativeVariance,
-    NoConvergence,
+    NonConvergence,
     NoCrossover,
 )
 
@@ -223,7 +223,7 @@ def fit_saturation(
         max_nfev=2000,
     )
     if not sol.success:
-        raise NoConvergence(f"saturation fit failed: {sol.message}")
+        raise NonConvergence(f"saturation fit failed: {sol.message}")
     b_hat, ns_hat = sol.x
 
     if ns_hat > 50.0 * np.max(n):

@@ -393,17 +393,13 @@ class EffectiveCoefficients:
     alpha1/alpha2 are the vector and tensor parts of the second-order
     (linear in intensity) response; beta1 is the fourth-order vector term.
     Units: alpha1 in rad per atom (rotation slope versus atom number at
-    vanishing pulse energy), beta1 in rad per atom per photon.  The
-    remaining slots have no anchored values and default to None.
+    vanishing pulse energy), beta1 in rad per atom per photon.
     """
 
     detuning: float
     alpha1: float
     alpha2: float
     beta1: float
-    beta_j0: float | None = None
-    beta_n0: float | None = None
-    beta2: float | None = None
 
 
 def perturbative_path_weights(

@@ -77,6 +77,12 @@ DEFAULTS = {
     "grid_points": 12,
     "seed": 12345,
 }
+# keys a manifest carries besides DEFAULTS, so a manifest is a valid --config
+_MANIFEST_KEYS = ("ideal", "no_saturation", "package_version")
+_INT_KEYS = (
+    "samples", "controls", "nodes_radial", "nodes_long", "scan_nodes_radial",
+    "scan_nodes_long", "scan_points", "grid_points", "seed", "train_count",
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,10 +126,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _checked_file_config(path) -> dict:
+    """Load a --config file; reject unknown keys and ill-typed values."""
+    loaded = load_config(path)
+    for key, value in loaded.items():
+        if key not in DEFAULTS and key not in _MANIFEST_KEYS:
+            raise InvalidConfig(f"{path}: unknown key {key!r}")
+        if key == "package_version" or isinstance(DEFAULTS.get(key), str):
+            continue
+        if not isinstance(value, (int, float)):
+            raise InvalidConfig(f"{path}: {key} = {value!r} is not a number")
+        if key in _INT_KEYS:
+            if not float(value).is_integer():
+                raise InvalidConfig(f"{path}: {key} = {value!r} is not an integer")
+            loaded[key] = int(value)
+    loaded.pop("package_version", None)
+    return loaded
+
+
 def _resolve_config(args) -> dict:
     cfg = dict(DEFAULTS)
     if args.config is not None:
-        cfg.update(load_config(args.config))
+        cfg.update(_checked_file_config(args.config))
+    # mode flags are set on the command line; a config file (a manifest)
+    # may only repeat them
+    for key in ("ideal", "no_saturation"):
+        flag = int(getattr(args, key))
+        if cfg.get(key, flag) != flag:
+            raise InvalidConfig(
+                f"{args.config}: {key} = {cfg[key]} does not match the "
+                f"--{key.replace('_', '-')} flag"
+            )
+        cfg[key] = flag
     if args.seed is not None:
         cfg["seed"] = args.seed
     if args.nodes_radial is not None:
@@ -144,10 +178,6 @@ def _resolve_config(args) -> dict:
         cfg["scan_points"] = args.scan_points
     if getattr(args, "points", None) is not None:
         cfg["grid_points"] = args.points
-    cfg["ideal"] = int(getattr(args, "ideal", False))
-    cfg["no_saturation"] = int(getattr(args, "no_saturation", False))
-    for key in ("samples", "controls", "nodes_radial", "nodes_long", "scan_points", "grid_points", "seed", "train_count"):
-        cfg[key] = int(cfg[key])
     return cfg
 
 
@@ -155,10 +185,6 @@ def _prepare_out(args, command: str, cfg: dict) -> Path:
     out = args.out or Path(f"nlfaraday-{command}")
     out.mkdir(parents=True, exist_ok=True)
     root = logging.getLogger("nlfaraday")
-    for h in list(root.handlers):
-        if isinstance(h, logging.FileHandler):
-            h.close()
-            root.removeHandler(h)
     handler = logging.FileHandler(out / "run.log", mode="w")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     root.setLevel(logging.INFO)
@@ -560,8 +586,8 @@ def cmd_scan(args) -> int:
     out = _prepare_out(args, "coefficients-scan", cfg)
     ops = _atomic_model()
     _, beam, cloud = _scenario(cfg)
-    n_rad = args.nodes_radial if args.nodes_radial is not None else int(cfg["scan_nodes_radial"])
-    n_lng = args.nodes_longitudinal if args.nodes_longitudinal is not None else int(cfg["scan_nodes_long"])
+    n_rad = args.nodes_radial if args.nodes_radial is not None else cfg["scan_nodes_radial"]
+    n_lng = args.nodes_longitudinal if args.nodes_longitudinal is not None else cfg["scan_nodes_long"]
     detunings = list(np.linspace(cfg["scan_lo"], cfg["scan_hi"], cfg["scan_points"]))
     detunings.append(_TWO_PI * 1.5e9)  # the far-detuned linear-probe marker
     rows = []
@@ -617,6 +643,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # the run's run.log handler and log level are undone on return, so
+    # later library calls in the same process do not write into it
+    root = logging.getLogger("nlfaraday")
+    handlers, level = list(root.handlers), root.level
     try:
         return _HANDLERS[args.command](args)
     except (InvalidConfig, DataIntegrityError) as exc:
@@ -625,6 +655,12 @@ def main(argv=None) -> int:
     except NlfaradayError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        for h in list(root.handlers):
+            if h not in handlers:
+                h.close()
+                root.removeHandler(h)
+        root.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -11,12 +11,15 @@ envelope T(t) produces the local Rabi amplitude
 
     Omega(x, t) = omega0 * T(t) * M(r, z),   omega0 = sqrt(12 pi N Gamma) / k,
 
-in rad/s, with every other electromagnetic constant cancelling.  The
-polarization-plane rotation of the x-polarized input follows from the
-same bookkeeping as
+in rad/s, with every other electromagnetic constant cancelling.  M is
+the real envelope |M|: a Gouy or wave-front phase on the local drive is
+removed by a gauge transformation of the node's excited states, which
+moves that phase onto J below, where conj(M) cancels it, so each node's
+w * conj(M) * J depends only on |M|.  The polarization-plane rotation
+of the x-polarized input follows from the same bookkeeping as
 
     phi + i*epsilon = i * (6 pi Gamma / (k^2 omega0)) * I,
-    I = N_A * sum_nodes w * conj(M) * J,
+    I = N_A * sum_nodes w * |M| * J,
     J = integral dt T(t) Tr[rho(t) d_y_lowering],
 
 where epsilon is the output ellipticity.  The prefactor is fixed by the
@@ -60,6 +63,11 @@ log = logging.getLogger(__name__)
 _N_GROUND = 8
 _POSITIVITY_ABORT = 1e-6
 _TRACE_ABORT = 1e-6
+# one integrator for every cloud and node solve (the two-level oracle
+# keeps its own tighter RK45 settings)
+_METHOD = "DOP853"
+_RTOL = 1e-6
+_ATOL = 1e-9
 
 
 def drive_scale(n_photons: float, gamma: float, wavenumber: float) -> float:
@@ -80,20 +88,22 @@ class _Generator:
     size: int
 
 
-def _build_generator(
-    ops: OperatorSet,
-    detuning: float,
-    full_coupling: bool = False,
-    gamma=None,
-) -> _Generator:
+def _build_generator(ops: OperatorSet, detuning: float) -> _Generator:
+    """Generator of the production model.
+
+    Emission channels are split by destination ground manifold and the
+    probe drives only ground F=1, so no coherence ever forms between the
+    two ground manifolds and the gaps of a pulse train have an exact
+    elementwise propagator (``_free_evolve``).
+    """
     scheme = ops.scheme
-    gamma = scheme.gamma if gamma is None else gamma
+    gamma = scheme.gamma
     diag = scheme.static_offsets - detuning * scheme.excited_mask
     pe = scheme.excited_mask.astype(float)
 
     # Anticommutator part of the dissipator is gamma * P_excited for this
     # line (verified below); it folds into the elementwise static term.
-    jumps = jump_operators(ops, gamma, split_ground_manifolds=not full_coupling)
+    jumps = jump_operators(ops, gamma, split_ground_manifolds=True)
     anti = sum(l.conj().T @ l for l in jumps)
     if not np.allclose(anti, np.diag(gamma * pe), atol=1e-10 * gamma):
         raise AssertionError("dissipator anticommutator is not gamma * P_e")
@@ -101,8 +111,7 @@ def _build_generator(
     g = -1j * (diag[:, None] - diag[None, :]) - 0.5 * gamma * (pe[:, None] + pe[None, :])
 
     p_e = excited_projector(scheme)
-    p_g = ground_projector(scheme) if full_coupling else ground_projector(scheme, f=1)
-    raising = (p_e @ ops.d_x @ p_g).real.astype(float)
+    raising = (p_e @ ops.d_x @ ground_projector(scheme, f=1)).real.astype(float)
 
     dest = slice(0, _N_GROUND)
     src = slice(_N_GROUND, _atom.N_STATES)
@@ -134,7 +143,9 @@ def _make_rhs(gen: _Generator, amplitudes: np.ndarray, omega0: float, envelope):
     """Vector field over the stacked node states plus overlap accumulators.
 
     State layout: [all rho matrices as complex, one complex accumulator per
-    node].  The accumulator integrates T(t) * Tr[rho d_detect].
+    node].  The accumulator integrates T(t) * Tr[rho d_detect].  Drive
+    amplitudes are real (see the module docstring for why a mode phase
+    would cancel).
     """
     n_nodes = amplitudes.shape[0]
     ns = gen.size
@@ -142,7 +153,6 @@ def _make_rhs(gen: _Generator, amplitudes: np.ndarray, omega0: float, envelope):
     ne = gen.src.stop - gen.src.start
     nr = n_nodes * ns * ns * 2  # floats holding the density matrices
     coeff = -0.5 * omega0 * amplitudes  # per-node drive coefficient / T(t)
-    coeff_c = np.conj(coeff)
     raising = gen.raising
     g = gen.g
     recycle_t = _recycle_map(gen)
@@ -150,7 +160,6 @@ def _make_rhs(gen: _Generator, amplitudes: np.ndarray, omega0: float, envelope):
     det_block = None
     if gen.detect is not None:
         det_block = np.ascontiguousarray(gen.detect.T[gen.src, gen.dest])
-    real_drive = np.all(np.isreal(coeff)) and np.isrealobj(raising)
 
     def rhs(t, y):
         rho = y[:nr].view(np.complex128).reshape(n_nodes, ns, ns)
@@ -162,14 +171,8 @@ def _make_rhs(gen: _Generator, amplitudes: np.ndarray, omega0: float, envelope):
         if tt != 0.0:
             u = raising @ rho          # R rho, batched over nodes
             u -= rho @ raising
-            if real_drive:
-                u -= u.conj().transpose(0, 2, 1)
-                u *= (-1j * tt) * coeff.real[:, None, None]
-            else:
-                uh = u.conj().transpose(0, 2, 1)
-                u *= coeff[:, None, None]
-                u -= coeff_c[:, None, None] * uh
-                u *= -1j * tt
+            u -= u.conj().transpose(0, 2, 1)
+            u *= (-1j * tt) * coeff[:, None, None]
             drho += u
 
         ree = np.ascontiguousarray(rho[:, gen.src, gen.src]).reshape(n_nodes, ne * ne)
@@ -238,14 +241,12 @@ def _solve_batch(
     amplitudes: np.ndarray,
     omega0: float,
     pulse: PulseSpec,
-    t_eval=None,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    method: str = "DOP853",
+    t_eval,
 ):
     """Integrate all nodes over the pulse windows; free decay is exact.
 
-    Returns (times, states (n_t, nodes, ns, ns), overlaps (nodes,)).
+    Returns (times, states (n_t, nodes, ns, ns), overlaps (nodes,)), with
+    states stored at the ``t_eval`` times that fall inside a segment.
     For flat trains the gaps between segments are advanced with the exact
     elementwise free-evolution map instead of stepping the solver through
     megahertz-scale dead time.
@@ -259,36 +260,28 @@ def _solve_batch(
         envelope = lambda t: height
 
     segments = pulse.segment_windows()
-    if len(segments) > 1 and len(gen.recycle) != 6:
-        # the exact gap propagator assumes emission never builds coherence
-        # between the two ground manifolds, true only with split channels
-        raise InvalidConfig("pulse trains require the manifold-resolved model")
     rho = np.broadcast_to(rho0, (n_nodes, ns, ns)).astype(complex).copy()
     acc = np.zeros(n_nodes, dtype=complex)
 
     rhs, nr = _make_rhs(gen, amplitudes, omega0, envelope)
-    want_eval = t_eval is not None
     times_out, states_out = [], []
 
     for si, (t0, t1) in enumerate(segments):
         y0 = np.concatenate([np.ascontiguousarray(rho).ravel().view(float), acc.view(float)])
-        inside = [t for t in (t_eval if want_eval else []) if t0 <= t <= t1]
-        seg_eval = sorted(set(inside) | {t1}) if want_eval else None
+        inside = {t for t in t_eval if t0 <= t <= t1}
         sol = solve_ivp(
             rhs,
             (t0, t1),
             y0,
-            method=method,
-            rtol=rtol,
-            atol=atol,
-            t_eval=seg_eval,
-            dense_output=False,
+            method=_METHOD,
+            rtol=_RTOL,
+            atol=_ATOL,
+            t_eval=sorted(inside | {t1}),
         )
         if not sol.success:
             raise StepFailure(f"integrator failed in segment {si}: {sol.message}")
-        inside_set = set(inside)
         for k, tk in enumerate(sol.t):
-            if tk in inside_set:
+            if tk in inside:
                 states_k = np.ascontiguousarray(sol.y[:nr, k]).view(np.complex128)
                 times_out.append(float(tk))
                 states_out.append(states_k.reshape(n_nodes, ns, ns).copy())
@@ -348,10 +341,6 @@ def integrate_node(
     beam: BeamGeometry = None,
     t_eval=None,
     n_stored: int = 200,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    method: str = "DOP853",
-    full_coupling: bool = False,
 ) -> Trajectory:
     """Integrate one spatial node through a pulse and store its history.
 
@@ -363,7 +352,7 @@ def integrate_node(
         raise InvalidConfig("local_intensity_scale must lie in [0, 1]")
     beam = beam or BeamGeometry(wavelength=model.scheme.wavelength)
     scheme = model.scheme
-    gen = _build_generator(model, pulse.detuning, full_coupling=full_coupling)
+    gen = _build_generator(model, pulse.detuning)
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
     m_focus = math.sqrt(2.0 / math.pi) / beam.waist
     amp = np.array([m_focus * math.sqrt(local_intensity_scale)])
@@ -371,9 +360,7 @@ def integrate_node(
     t0, t1 = pulse.window()
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_stored)
-    times, states, acc = _solve_batch(
-        gen, rho0, amp, omega0, pulse, t_eval=list(t_eval), rtol=rtol, atol=atol, method=method
-    )
+    times, states, acc = _solve_batch(gen, rho0, amp, omega0, pulse, list(t_eval))
     states = states[:, 0]
     max_dev, min_eig = _check_states(states)
     return Trajectory(
@@ -418,14 +405,8 @@ def detected_stokes(
     initial=None,
     n_radial: int = 9,
     n_long: int = 9,
-    include_mode_phase: bool = True,
     verify_quadrature: bool = False,
     quadrature_rtol: float = 5e-3,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    method: str = "DOP853",
-    full_coupling: bool = False,
-    n_check_times: int = 5,
 ) -> StokesResult:
     """Drive every cloud node through the pulse and assemble (S_x, S_y).
 
@@ -438,16 +419,12 @@ def detected_stokes(
     doubling both node counts moves S_y by more than ``quadrature_rtol``
     relatively (with an absolute floor tied to integration tolerance).
     """
-    out = _detected_stokes_once(
-        pulse, beam, cloud, model, initial, n_radial, n_long,
-        include_mode_phase, rtol, atol, method, full_coupling, n_check_times,
-    )
+    out = _detected_stokes_once(pulse, beam, cloud, model, initial, n_radial, n_long)
     if verify_quadrature:
         fine = _detected_stokes_once(
-            pulse, beam, cloud, model, initial, 2 * n_radial, 2 * n_long,
-            include_mode_phase, rtol, atol, method, full_coupling, 2,
+            pulse, beam, cloud, model, initial, 2 * n_radial, 2 * n_long, n_snapshots=2,
         )
-        scale = max(abs(out.s_y), abs(fine.s_y), atol * max(out.s_x, 1.0))
+        scale = max(abs(out.s_y), abs(fine.s_y), _ATOL * max(out.s_x, 1.0))
         if abs(out.s_y - fine.s_y) > quadrature_rtol * scale:
             raise QuadratureNotConverged(
                 f"S_y moved {out.s_y:.6e} -> {fine.s_y:.6e} on node doubling"
@@ -456,29 +433,24 @@ def detected_stokes(
 
 
 def _detected_stokes_once(
-    pulse, beam, cloud, model, initial, n_radial, n_long,
-    include_mode_phase, rtol, atol, method, full_coupling, n_check_times,
+    pulse, beam, cloud, model, initial, n_radial, n_long, n_snapshots=5,
 ):
     scheme = model.scheme
     if initial is None:
         initial = initial_state(scheme, 1, 1)
     grid = cloud_quadrature(cloud, n_radial=n_radial, n_long=n_long)
-    gen = _build_generator(model, pulse.detuning, full_coupling=full_coupling)
+    gen = _build_generator(model, pulse.detuning)
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
-    amps = beam.mode_amplitude(grid.r, grid.z, include_phase=include_mode_phase)
-    amps = np.asarray(amps, dtype=complex)
+    amps = beam.mode_amplitude(grid.r, grid.z)
 
     t0, t1 = pulse.window()
-    t_eval = list(np.linspace(t0, t1, max(2, n_check_times)))
-    times, states, acc = _solve_batch(
-        gen, initial, amps, omega0, pulse,
-        t_eval=t_eval, rtol=rtol, atol=atol, method=method,
-    )
+    t_eval = list(np.linspace(t0, t1, n_snapshots))
+    times, states, acc = _solve_batch(gen, initial, amps, omega0, pulse, t_eval)
     max_dev, min_eig = _check_states(states)
 
     k = scheme.line.wavenumber
     gamma = scheme.gamma
-    overlap = np.sum(grid.weight * np.conj(amps) * acc)
+    overlap = np.sum(grid.weight * amps * acc)
     # polarimeter sign convention: a spin-up stretched sample probed far
     # blue of every line rotates toward positive S_y (matches the
     # perturbative weight difference, so both response coefficients of
@@ -492,7 +464,7 @@ def _detected_stokes_once(
     fz_end = np.real(np.einsum("nij,ji->n", end, model.f_z))
     if abs(fz0) > 1e-12:
         loss = 1.0 - fz_end / fz0
-        w_mode = grid.weight * np.abs(amps) ** 2
+        w_mode = grid.weight * amps**2
         damage_mean = float(np.sum(grid.weight * loss))
         damage_detected = float(np.sum(w_mode * loss) / np.sum(w_mode))
     else:
@@ -584,9 +556,6 @@ def extract_effective_coefficients(
     photon_ladder=(2.5e5, 1e6, 4e6),
     n_radial: int = 9,
     n_long: int = 9,
-    rtol: float = 1e-6,
-    atol: float = 1e-9,
-    method: str = "DOP853",
 ) -> EffectiveCoefficients:
     """Extract linear and leading nonlinear response at one detuning.
 
@@ -618,11 +587,7 @@ def extract_effective_coefficients(
         pulse = PulseSpec(
             shape=pulse_shape, fwhm=pulse_fwhm, n_photons=float(n), detuning=detuning
         )
-        res = detected_stokes(
-            pulse, beam, cloud, model,
-            n_radial=n_radial, n_long=n_long,
-            rtol=rtol, atol=atol, method=method,
-        )
+        res = detected_stokes(pulse, beam, cloud, model, n_radial=n_radial, n_long=n_long)
         phis.append(res.rotation_per_atom)
     phis = np.asarray(phis)
 
@@ -631,7 +596,7 @@ def extract_effective_coefficients(
     alpha1, beta1 = float(coef[0]), float(coef[1])
     fitted = design @ coef
     resid = float(np.max(np.abs(phis - fitted)))
-    scale = max(np.max(np.abs(phis)), 1e3 * atol)
+    scale = max(np.max(np.abs(phis)), 1e3 * _ATOL)
     if rank < 3 or resid > 1e-3 * scale:
         raise NonConvergence(
             f"photon ladder not in the quadratic regime (residual {resid:.3g})"
@@ -657,7 +622,7 @@ def locate_crossing(
     lo: float = 2 * np.pi * 430e6,
     hi: float = 2 * np.pi * 500e6,
     xtol: float = 2 * np.pi * 5e4,
-    **solver,
+    **stokes_kwargs,
 ) -> float:
     """Zero of the simulated low-energy rotation versus detuning.
 
@@ -671,21 +636,12 @@ def locate_crossing(
 
     def rot(delta):
         pulse = PulseSpec(fwhm=pulse_fwhm, n_photons=n_photons, detuning=delta)
-        return detected_stokes(pulse, beam, cloud, model, **solver).rotation_per_atom
+        return detected_stokes(pulse, beam, cloud, model, **stokes_kwargs).rotation_per_atom
 
     flo, fhi = rot(lo), rot(hi)
     if flo * fhi > 0:
         raise NonConvergence("rotation does not change sign across the window")
     return float(brentq(rot, lo, hi, xtol=xtol))
-
-
-def scan_effective_coefficients(
-    model: OperatorSet,
-    detunings,
-    **kwargs,
-) -> list:
-    """extract_effective_coefficients over a detuning grid."""
-    return [extract_effective_coefficients(model, d, **kwargs) for d in detunings]
 
 
 def damped_rabi_reference(omega: float, gamma: float, t) -> np.ndarray:
@@ -736,7 +692,7 @@ def integrate_two_level(
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     t_eval = list(np.linspace(0.0, t_final, n_stored))
     # constant unit envelope and unit mode amplitude: drive = omega exactly
-    amps = np.array([1.0 + 0.0j])
+    amps = np.array([1.0])
     rhs, nr = _make_rhs(gen, amps, omega, lambda t: 1.0)
     y0 = np.concatenate([rho0.ravel().view(float), np.zeros(2)])
     sol = solve_ivp(rhs, (0.0, t_final), y0, method=method, rtol=rtol, atol=atol, t_eval=t_eval)

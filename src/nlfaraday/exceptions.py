@@ -35,7 +35,7 @@ class QuadratureNotConverged(NlfaradayError):
 
 
 class NonConvergence(NlfaradayError):
-    """An iterative extraction (coefficients, root location) failed."""
+    """An iterative extraction, root search or nonlinear fit did not converge."""
 
 
 class FitError(NlfaradayError):
@@ -44,10 +44,6 @@ class FitError(NlfaradayError):
 
 class DegenerateDesign(FitError):
     """Regression design matrix is rank-deficient (e.g. all x equal)."""
-
-
-class NoConvergence(FitError):
-    """Nonlinear least squares did not converge."""
 
 
 class IllConditioned(FitError):

@@ -502,16 +502,22 @@ def write_campaign_csv(path, campaign: CampaignResult, noise: PolarimeterModel =
 
 
 def read_campaign_csv(path):
-    """Load a campaign CSV; returns (records, metadata dict)."""
+    """Load a campaign CSV; returns (records, metadata dict).
+
+    Raises InvalidConfig for an unreadable file, unexpected columns, a
+    missing or different ``schema_version``, and for a row with the wrong
+    number of cells or a non-numeric cell (naming the file and line).
+    """
     meta = {}
     records = []
     try:
         fh = open(path)
     except OSError as exc:
         raise InvalidConfig(f"cannot read campaign CSV {path}: {exc}") from None
+    expected = ["probe_tag", "n_photons", "s_x", "s_y", "phi", "n_atoms", "sample_index"]
     with fh:
         header = None
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -521,15 +527,22 @@ def read_campaign_csv(path):
                 continue
             if header is None:
                 header = line.split(",")
-                expected = [
-                    "probe_tag", "n_photons", "s_x", "s_y", "phi", "n_atoms", "sample_index",
-                ]
                 if header != expected:
                     raise InvalidConfig(f"unexpected campaign CSV columns: {header}")
+                version = meta.get("schema_version")
+                if version != str(CSV_SCHEMA_VERSION):
+                    raise InvalidConfig(
+                        f"{path}: schema_version {version} is not {CSV_SCHEMA_VERSION}"
+                    )
                 continue
-            tag, n, sx, sy, phi, na, idx = line.split(",")
-            records.append(
-                StokesRecord(
+            cells = line.split(",")
+            if len(cells) != len(expected):
+                raise InvalidConfig(
+                    f"{path}, line {lineno}: {len(cells)} cells, expected {len(expected)}"
+                )
+            tag, n, sx, sy, phi, na, idx = cells
+            try:
+                record = StokesRecord(
                     probe_tag=tag,
                     n_photons=float(n),
                     s_x=float(sx),
@@ -538,5 +551,7 @@ def read_campaign_csv(path):
                     n_atoms=float(na),
                     sample_index=int(idx),
                 )
-            )
+            except (ValueError, InvalidConfig) as exc:
+                raise InvalidConfig(f"{path}, line {lineno}: {exc}") from None
+            records.append(record)
     return records, meta

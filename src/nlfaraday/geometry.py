@@ -103,38 +103,25 @@ class BeamGeometry:
     def effective_area(self) -> float:
         return np.pi * self.waist**2 / 2.0
 
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * np.pi / self.wavelength
-
     def width(self, z):
         zr = self.rayleigh_range
         return self.waist * np.sqrt(1.0 + (np.asarray(z, dtype=float) / zr) ** 2)
 
-    def mode_amplitude(self, r, z, include_phase: bool = True):
-        """Normalized fundamental mode M(r, z); integral |M|^2 dx dy = 1.
+    def mode_amplitude(self, r, z):
+        """Real envelope |M(r, z)| of the fundamental mode; integral |M|^2 dx dy = 1.
 
-        With ``include_phase`` the Gouy and wave-front curvature phases of
-        the envelope are kept (carrier exp(ikz) excluded).  The detected
-        overlap is phase-insensitive to first order in atom number, so the
-        flag exists to make that cancellation testable rather than assumed.
+        The Gouy and wave-front curvature phases are left out: a phase on
+        the local drive is removed by a gauge transformation of the excited
+        states, so the detected signal depends on |M| alone (see
+        ``dynamics``).
         """
         r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
         w = self.width(z)
-        amp = np.sqrt(2.0 / np.pi) / w * np.exp(-(r**2) / w**2)
-        if not include_phase:
-            return amp
-        zr = self.rayleigh_range
-        gouy = np.arctan2(z, zr)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_radius = z / (z**2 + zr**2)
-        phase = self.wavenumber * r**2 * inv_radius / 2.0 - gouy
-        return amp * np.exp(1j * phase)
+        return np.sqrt(2.0 / np.pi) / w * np.exp(-(r**2) / w**2)
 
     def local_intensity_scale(self, r, z):
         """A0 |M|^2, dimensionless in (0, 1]; 1 on axis at the focus."""
-        return self.effective_area * self.mode_amplitude(r, z, include_phase=False) ** 2
+        return self.effective_area * self.mode_amplitude(r, z) ** 2
 
 
 @dataclass(frozen=True)
@@ -212,6 +199,6 @@ def peak_intensity(pulse: PulseSpec, beam: BeamGeometry) -> float:
     flux_density = (
         pulse.n_photons
         * float(pulse.envelope(t_peak)) ** 2
-        * float(beam.mode_amplitude(0.0, 0.0, include_phase=False)) ** 2
+        * float(beam.mode_amplitude(0.0, 0.0)) ** 2
     )
     return hbar * omega * flux_density

@@ -1,4 +1,5 @@
 """End-to-end command-line checks: exit codes, file outputs, determinism."""
+import logging
 import subprocess
 import sys
 
@@ -17,6 +18,14 @@ def test_version_subprocess():
     )
     assert proc.returncode == 0
     assert "nlfaraday" in proc.stdout
+
+
+def test_every_exported_name_resolves():
+    import nlfaraday
+
+    assert len(set(nlfaraday.__all__)) == len(nlfaraday.__all__)
+    missing = [name for name in nlfaraday.__all__ if not hasattr(nlfaraday, name)]
+    assert missing == []
 
 
 def test_missing_config_file_is_config_error(tmp_path, capsys):
@@ -43,6 +52,97 @@ def test_config_file_overrides_feed_validation(tmp_path):
         "campaign", "--config", str(cfg), "--out", str(tmp_path / "out"),
     ])
     assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("text", [
+    "n_photon = 1e6\n",             # misspelled key
+    "samples = abc\n",              # non-numeric count
+    "n_linear = abc\n",             # non-numeric float
+    "samples = 12.7\n",             # non-integral count
+    "ideal = 1\n",                  # mode the flags do not select
+])
+def test_bad_config_value_is_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    rc = cli.main([
+        "campaign", "--config", str(cfg), "--out", str(tmp_path / "out"),
+    ])
+    assert rc == cli.EXIT_CONFIG
+    assert str(cfg) in capsys.readouterr().err
+
+
+def test_integral_float_count_is_accepted(tmp_path):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("samples = 1.2e1\n")
+    out = tmp_path / "out"
+    assert cli.main(["campaign", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    manifest = parse_config_text((out / "manifest.txt").read_text())
+    assert manifest["samples"] == 12 and isinstance(manifest["samples"], int)
+
+
+def test_manifest_fed_back_as_config_reproduces_it(tmp_path):
+    flags = ["--seed", "5", "--samples", "12", "--no-saturation"]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["campaign", *flags, "--out", str(first)]) == cli.EXIT_OK
+    rc = cli.main([
+        "campaign", "--config", str(first / "manifest.txt"), *flags, "--out", str(second),
+    ])
+    assert rc == cli.EXIT_OK
+    assert (second / "manifest.txt").read_text() == (first / "manifest.txt").read_text()
+    assert (second / "campaign.csv").read_bytes() == (first / "campaign.csv").read_bytes()
+
+
+def test_run_log_handler_removed_after_main(tmp_path):
+    out = tmp_path / "ctl"
+    assert cli.main(["control-run", "--seed", "1", "--out", str(out)]) == cli.EXIT_OK
+    root = logging.getLogger("nlfaraday")
+    assert not any(isinstance(h, logging.FileHandler) for h in root.handlers)
+    logging.getLogger("nlfaraday.dynamics").warning("line logged after the run")
+    assert "after the run" not in (out / "run.log").read_text()
+    assert "control-run" in (out / "run.log").read_text()
+
+
+def _campaign_lines(schema="1"):
+    lines = [] if schema is None else [f"# schema_version = {schema}"]
+    lines += ["# n_nonlinear = 1e7", "probe_tag,n_photons,s_x,s_y,phi,n_atoms,sample_index"]
+    for i in range(4):
+        phi_l, phi_nl = 3e-3 + i * 1e-4, 3e-4 + i * 2e-5
+        lines.append(f"L1,4e6,4e6,{phi_l * 4e6},{phi_l},2e5,{i}")
+        lines.append(f"NL,1e7,1e7,{phi_nl * 1e7},{phi_nl},2e5,{i}")
+    return lines
+
+
+@pytest.mark.parametrize("case, match", [
+    ("short_row", "line 4: 6 cells"),
+    ("long_row", "line 4: 8 cells"),
+    ("text_cell", "line 4"),
+    ("fractional_index", "line 4"),
+    ("no_schema", "schema_version None"),
+    ("future_schema", "schema_version 99"),
+])
+def test_analyze_malformed_campaign_is_config_error(tmp_path, capsys, case, match):
+    lines = _campaign_lines(schema={"no_schema": None, "future_schema": "99"}.get(case, "1"))
+    if case == "short_row":
+        lines[3] = lines[3].rsplit(",", 1)[0]
+    elif case == "long_row":
+        lines[3] += ",7"
+    elif case == "text_cell":
+        lines[3] = lines[3].replace("4e6,4e6", "4e6,many", 1)
+    elif case == "fractional_index":
+        lines[3] = lines[3][: lines[3].rindex(",")] + ",0.5"
+    path = tmp_path / "campaign.csv"
+    path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["analyze", "--data", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and match in err
+
+
+def test_analyze_well_formed_hand_written_campaign(tmp_path):
+    path = tmp_path / "campaign.csv"
+    path.write_text("\n".join(_campaign_lines()) + "\n")
+    rc = cli.main(["analyze", "--data", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_OK
 
 
 def test_analyze_underdetermined_campaign_is_numerical_error(tmp_path):

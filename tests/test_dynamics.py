@@ -75,11 +75,6 @@ def test_integrate_node_validation(scheme, ops):
     pulse = PulseSpec(fwhm=54e-9, n_photons=1e4)
     with pytest.raises(InvalidConfig):
         dyn.integrate_node(initial_state(scheme), pulse, 1.5, ops)
-    train = PulseSpec(
-        shape="flat-train", fwhm=1e-6, n_photons=1e4, train_count=2, train_period=3e-6
-    )
-    with pytest.raises(InvalidConfig):
-        dyn.integrate_node(initial_state(scheme), train, 1.0, ops, full_coupling=True)
 
 
 def test_flat_train_gap_propagation(scheme, ops):

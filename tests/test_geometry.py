@@ -79,13 +79,12 @@ def test_beam_geometry_identities(beam):
 
 
 def test_mode_phase_structure(beam):
+    # the mode carries no phase: it is the real, positive Gaussian envelope
     zr = beam.rayleigh_range
-    # phase flag does not touch the magnitude
-    amp = np.abs(beam.mode_amplitude(15e-6, zr))
-    assert amp == pytest.approx(beam.mode_amplitude(15e-6, zr, include_phase=False))
-    # on-axis envelope phase is the Gouy phase alone
-    assert np.angle(beam.mode_amplitude(0.0, zr)) == pytest.approx(-np.pi / 4)
-    assert np.angle(beam.mode_amplitude(0.0, 0.0)) == 0.0
+    amp = beam.mode_amplitude(15e-6, zr)
+    assert np.isrealobj(amp) and amp > 0
+    w = np.sqrt(2) * beam.waist
+    assert amp == pytest.approx(np.sqrt(2 / np.pi) / w * np.exp(-((15e-6 / w) ** 2)), rel=1e-14)
 
 
 def test_cloud_density_and_validation():
