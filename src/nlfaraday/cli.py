@@ -117,7 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs.choices["campaign"].add_argument("--n-nonlinear", type=float, default=None)
     subs.choices["campaign"].add_argument("--samples", type=int, default=None)
     subs.choices["analyze"].add_argument("--data", type=Path, nargs="+", required=True, help="campaign CSV files or directories")
-    subs.choices["reproduce-fig2"].add_argument("--points", type=int, default=10)
+    subs.choices["reproduce-fig2"].add_argument("--points", type=int, default=None)
     subs.choices["reproduce-fig2"].add_argument("--samples", type=int, default=None)
     subs.choices["reproduce-fig3"].add_argument("--points", type=int, default=None)
     subs.choices["reproduce-fig3"].add_argument("--samples", type=int, default=None)

@@ -6,6 +6,19 @@ independent density matrix driven by the local field, and the detected
 signal is the mode-matched overlap of the first-order dipole polarization
 with the input mode, accumulated in time alongside the state itself.
 
+Of the 24 levels, a node integrates only two blocks.  The coherent
+12x12 block holds ground F=1 and the excited levels the x-polarized
+drive reaches from it, F'=0, 1, 2; the drive, the level energies, the
+excited-state decay, the recycling into F=1 and the detection act on it
+alone.  The 5x5 ground F=2 block has no drive and only accumulates decay
+from the excited levels.  Everything else stays exactly zero for any
+initial state with zeros there: F'=3 is two units of F away from F=1,
+so the drive cannot reach it and nothing else feeds it; with the
+emission channels split by destination ground manifold, decay never
+builds an F=1-F=2 coherence; and since F=2 is not driven, no
+excited-F=2 coherence forms either.  Full 24x24 matrices are rebuilt
+from the blocks only at the stored times.
+
 Drive normalization: a pulse of N photons in beam mode M(r, z) with
 envelope T(t) produces the local Rabi amplitude
 
@@ -60,7 +73,6 @@ from .geometry import BeamGeometry, CloudGeometry, PulseSpec, QuadratureGrid, cl
 
 log = logging.getLogger(__name__)
 
-_N_GROUND = 8
 _POSITIVITY_ABORT = 1e-6
 _TRACE_ABORT = 1e-6
 # one integrator for every cloud and node solve (the two-level oracle
@@ -77,24 +89,36 @@ def drive_scale(n_photons: float, gamma: float, wavenumber: float) -> float:
 
 @dataclass(frozen=True)
 class _Generator:
-    """Precomputed pieces of the batched master-equation right-hand side."""
+    """Precomputed pieces of the batched right-hand side on the two blocks.
 
-    g: np.ndarray          # elementwise static term: -i(w_i - w_j) - decay
-    raising: np.ndarray    # drive raising operator (full size)
-    recycle: tuple         # emission blocks W_k mapping src -> dest
-    dest: slice
-    src: slice
-    detect: np.ndarray     # lowering detection operator, or None
-    size: int
+    The coherent block lists its ground levels first, then the excited
+    levels the drive reaches; ``coherent`` and ``decay_only`` give the
+    full-basis indices of the two blocks (``decay_only`` may be empty).
+    """
+
+    g: np.ndarray          # coherent block, elementwise: -i(w_i - w_j) - decay
+    raising: np.ndarray    # drive raising operator on the coherent block
+    gain: np.ndarray       # flat rho_ee (ne*ne,) -> flat gain (ng*ng + nd*nd,), transposed
+    n_ground: int          # ground levels of the coherent block
+    detect: np.ndarray     # excited-ground detection block (ne, ng), or None
+    coherent: np.ndarray
+    decay_only: np.ndarray
+    size: int              # levels of the full basis
 
 
 def _build_generator(ops: OperatorSet, detuning: float) -> _Generator:
-    """Generator of the production model.
+    """Generator of the production model, restricted to the levels it fills.
 
-    Emission channels are split by destination ground manifold and the
-    probe drives only ground F=1, so no coherence ever forms between the
-    two ground manifolds and the gaps of a pulse train have an exact
-    elementwise propagator (``_free_evolve``).
+    The probe drives only ground F=1, and by the dipole selection rules
+    an x-polarized field reaches only F'=0, 1, 2 from it.  Those twelve
+    levels form the coherent block.  Emission channels are split by
+    destination ground manifold, so decay feeds ground F=2 populations and
+    coherences but never a coherence between F=2 and any other level; with
+    no drive and no frequency spread inside F=2, that 5x5 block only
+    accumulates decay.  Nothing couples anything into F'=3, into an
+    F=1-F=2 coherence or into an excited-F=2 coherence, so these stay
+    exact zeros and are not integrated.  The gaps of a pulse train then
+    have an exact elementwise propagator (``_free_evolve``).
     """
     scheme = ops.scheme
     gamma = scheme.gamma
@@ -108,86 +132,144 @@ def _build_generator(ops: OperatorSet, detuning: float) -> _Generator:
     if not np.allclose(anti, np.diag(gamma * pe), atol=1e-10 * gamma):
         raise AssertionError("dissipator anticommutator is not gamma * P_e")
 
+    raising = (excited_projector(scheme) @ ops.d_x @ ground_projector(scheme, f=1)).real
+    ground = scheme.manifold_indices(1)
+    excited = np.flatnonzero(np.any(raising != 0.0, axis=1))
+    coherent = np.concatenate([ground, excited])
+    decay_only = scheme.manifold_indices(2)
+
     g = -1j * (diag[:, None] - diag[None, :]) - 0.5 * gamma * (pe[:, None] + pe[None, :])
-
-    p_e = excited_projector(scheme)
-    raising = (p_e @ ops.d_x @ ground_projector(scheme, f=1)).real.astype(float)
-
-    dest = slice(0, _N_GROUND)
-    src = slice(_N_GROUND, _atom.N_STATES)
-    recycle = tuple(np.ascontiguousarray(l[dest, src]) for l in jumps)
     detect = ground_projector(scheme) @ ops.d_y @ excited_projector(scheme)
     return _Generator(
-        g=g,
-        raising=raising,
-        recycle=recycle,
-        dest=dest,
-        src=src,
-        detect=detect,
+        g=g[np.ix_(coherent, coherent)],
+        raising=raising[np.ix_(coherent, coherent)],
+        gain=_gain_map([[l[np.ix_(dest, excited)] for l in jumps] for dest in (ground, decay_only)]),
+        n_ground=ground.size,
+        detect=np.ascontiguousarray(detect.T[np.ix_(excited, ground)]),
+        coherent=coherent,
+        decay_only=decay_only,
         size=_atom.N_STATES,
     )
 
 
-def _recycle_map(gen: _Generator) -> np.ndarray:
-    """Vectorized emission map: flat rho_ee (ne*ne,) -> flat gain (ng*ng,)."""
-    ng = gen.dest.stop - gen.dest.start
-    ne = gen.src.stop - gen.src.start
-    m = np.zeros((ng * ng, ne * ne))
-    for w in gen.recycle:
-        # out[a,b] = sum_cd W[a,c] rho[c,d] W[b,d]
-        m += np.einsum("ac,bd->abcd", w, w).reshape(ng * ng, ne * ne)
-    return m.T.astype(complex)  # stored transposed for row-vector matmul
+def _gain_map(channels) -> np.ndarray:
+    """Vectorized emission map into each destination block, side by side.
+
+    ``channels[b]`` holds the emission blocks W (dest_b x excited) of
+    destination b; the map sends flat rho_ee to the flat gains
+    sum_W W rho_ee W^T of every destination, concatenated.
+    """
+    cols = []
+    for blocks in channels:
+        nd, ne = blocks[0].shape
+        m = np.zeros((nd * nd, ne * ne))
+        for w in blocks:
+            # out[a,b] = sum_cd W[a,c] rho[c,d] W[b,d]
+            m += np.einsum("ac,bd->abcd", w, w).reshape(nd * nd, ne * ne)
+        cols.append(m)
+    return np.concatenate(cols).T.astype(complex)  # transposed for row-vector matmul
+
+
+def _pack(coh: np.ndarray, dec: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Solver state: [coherent blocks, decay-only blocks, accumulators] as floats."""
+    return np.concatenate([coh.ravel(), dec.ravel(), acc]).view(float)
+
+
+def _unpack(gen: _Generator, y: np.ndarray, n_nodes: int):
+    """Views (coherent (n, nc, nc), decay-only (n, nd, nd), accumulators (n,)) of ``y``."""
+    z = y.view(np.complex128)
+    nc, nd = gen.coherent.size, gen.decay_only.size
+    a = n_nodes * nc * nc
+    b = a + n_nodes * nd * nd
+    return z[:a].reshape(n_nodes, nc, nc), z[a:b].reshape(n_nodes, nd, nd), z[b:]
+
+
+def _from_blocks(gen: _Generator, coh: np.ndarray, dec: np.ndarray) -> np.ndarray:
+    """Full density matrices from the two blocks; every other element is zero."""
+    out = np.zeros(coh.shape[:-2] + (gen.size, gen.size), dtype=complex)
+    out[..., gen.coherent[:, None], gen.coherent] = coh
+    out[..., gen.decay_only[:, None], gen.decay_only] = dec
+    return out
+
+
+def _to_blocks(gen: _Generator, rho) -> tuple:
+    """Split a full initial density matrix into the two integrated blocks.
+
+    Raises InvalidConfig, before anything is integrated, for a matrix of
+    the wrong shape, non-finite, non-Hermitian, off unit trace, negative
+    beyond the positivity guard, or nonzero where the blocks cannot hold
+    it (F'=3, F=1-F=2 and excited-F=2 elements).
+    """
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"initial state is not a numeric matrix: {exc}") from exc
+    n = gen.size
+    if rho.shape != (n, n):
+        raise InvalidConfig(f"initial state must be {n}x{n}, got shape {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise InvalidConfig("initial state has non-finite elements")
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        raise InvalidConfig("initial state is not Hermitian")
+    trace = np.trace(rho).real
+    if abs(trace - 1.0) > _TRACE_ABORT:
+        raise InvalidConfig(f"initial state has trace {trace:.6g}, not 1")
+    min_eig = float(np.min(np.linalg.eigvalsh(rho)))
+    if min_eig < -_POSITIVITY_ABORT:
+        raise InvalidConfig(f"initial state has eigenvalue {min_eig:.3e}")
+    coh = rho[np.ix_(gen.coherent, gen.coherent)]
+    dec = rho[np.ix_(gen.decay_only, gen.decay_only)]
+    if not np.array_equal(_from_blocks(gen, coh, dec), rho):
+        raise InvalidConfig(
+            "initial state is nonzero outside the driven levels and ground F=2 "
+            "(an F'=3 element, or an F=1-F=2 or excited-F=2 coherence)"
+        )
+    return coh, dec
 
 
 def _make_rhs(gen: _Generator, amplitudes: np.ndarray, omega0: float, envelope):
-    """Vector field over the stacked node states plus overlap accumulators.
+    """Vector field over the stacked node blocks plus overlap accumulators.
 
-    State layout: [all rho matrices as complex, one complex accumulator per
-    node].  The accumulator integrates T(t) * Tr[rho d_detect].  Drive
-    amplitudes are real (see the module docstring for why a mode phase
-    would cancel).
+    State layout: see ``_pack``.  The accumulator integrates
+    T(t) * Tr[rho d_detect].  Drive amplitudes are real (see the module
+    docstring for why a mode phase would cancel).
     """
     n_nodes = amplitudes.shape[0]
-    ns = gen.size
-    ng = gen.dest.stop - gen.dest.start
-    ne = gen.src.stop - gen.src.start
-    nr = n_nodes * ns * ns * 2  # floats holding the density matrices
-    coeff = -0.5 * omega0 * amplitudes  # per-node drive coefficient / T(t)
-    raising = gen.raising
+    ng = gen.n_ground
+    nc = gen.coherent.size
+    ne = nc - ng
+    # H_drive = -(Omega/2) S with S = R + R^T, so -i[H, rho] = (i Omega/2)[S, rho]
+    # and [S, rho] = (rho S)^H - rho S for Hermitian rho
+    s = (gen.raising + gen.raising.T).astype(complex)
+    drive = 0.5j * omega0 * amplitudes[:, None, None]
     g = gen.g
-    recycle_t = _recycle_map(gen)
-    # detection overlap only sees the ground-excited coherence block
-    det_block = None
-    if gen.detect is not None:
-        det_block = np.ascontiguousarray(gen.detect.T[gen.src, gen.dest])
+    gain_t = gen.gain
 
     def rhs(t, y):
-        rho = y[:nr].view(np.complex128).reshape(n_nodes, ns, ns)
+        rho, _, _ = _unpack(gen, y, n_nodes)
         tt = envelope(t)
         out = np.empty_like(y)
-        drho = out[:nr].view(np.complex128).reshape(n_nodes, ns, ns)
+        drho, ddec, dacc = _unpack(gen, out, n_nodes)
 
         np.multiply(g, rho, out=drho)
         if tt != 0.0:
-            u = raising @ rho          # R rho, batched over nodes
-            u -= rho @ raising
-            u -= u.conj().transpose(0, 2, 1)
-            u *= (-1j * tt) * coeff[:, None, None]
+            c = (rho.reshape(-1, nc) @ s).reshape(n_nodes, nc, nc)
+            u = c.conj().transpose(0, 2, 1) - c
+            u *= tt * drive
             drho += u
 
-        ree = np.ascontiguousarray(rho[:, gen.src, gen.src]).reshape(n_nodes, ne * ne)
-        gain = (ree @ recycle_t).reshape(n_nodes, ng, ng)
-        drho[:, gen.dest, gen.dest] += gain
+        gain = rho[:, ng:, ng:].reshape(n_nodes, ne * ne) @ gain_t
+        drho[:, :ng, :ng] += gain[:, : ng * ng].reshape(n_nodes, ng, ng)
+        ddec[:] = gain[:, ng * ng :].reshape(ddec.shape)
 
-        dacc = out[nr:].view(np.complex128)
-        if det_block is not None and tt != 0.0:
-            np.einsum("nij,ij->n", rho[:, gen.src, gen.dest], det_block, out=dacc)
+        if gen.detect is not None and tt != 0.0:
+            np.einsum("nij,ij->n", rho[:, ng:, :ng], gen.detect, out=dacc)
             dacc *= tt
         else:
             dacc[:] = 0.0
         return out
 
-    return rhs, nr
+    return rhs
 
 
 @dataclass
@@ -245,14 +327,15 @@ def _solve_batch(
 ):
     """Integrate all nodes over the pulse windows; free decay is exact.
 
-    Returns (times, states (n_t, nodes, ns, ns), overlaps (nodes,)), with
-    states stored at the ``t_eval`` times that fall inside a segment.
-    For flat trains the gaps between segments are advanced with the exact
-    elementwise free-evolution map instead of stepping the solver through
+    Returns (times, states (n_t, nodes, size, size), overlaps (nodes,)),
+    with the full density matrices rebuilt from the two blocks only at the
+    ``t_eval`` times that fall inside a segment.  For flat trains the gaps
+    between segments are advanced with the exact elementwise
+    free-evolution map instead of stepping the solver through
     megahertz-scale dead time.
     """
     n_nodes = amplitudes.shape[0]
-    ns = gen.size
+    coh, dec = _to_blocks(gen, rho0)
     if pulse.shape == "gaussian":
         envelope = _gaussian_envelope(pulse)
     else:
@@ -260,19 +343,20 @@ def _solve_batch(
         envelope = lambda t: height
 
     segments = pulse.segment_windows()
-    rho = np.broadcast_to(rho0, (n_nodes, ns, ns)).astype(complex).copy()
-    acc = np.zeros(n_nodes, dtype=complex)
-
-    rhs, nr = _make_rhs(gen, amplitudes, omega0, envelope)
-    times_out, states_out = [], []
+    y = _pack(
+        np.broadcast_to(coh, (n_nodes,) + coh.shape),
+        np.broadcast_to(dec, (n_nodes,) + dec.shape),
+        np.zeros(n_nodes, dtype=complex),
+    )
+    rhs = _make_rhs(gen, amplitudes, omega0, envelope)
+    times_out, stored = [], []
 
     for si, (t0, t1) in enumerate(segments):
-        y0 = np.concatenate([np.ascontiguousarray(rho).ravel().view(float), acc.view(float)])
         inside = {t for t in t_eval if t0 <= t <= t1}
         sol = solve_ivp(
             rhs,
             (t0, t1),
-            y0,
+            y,
             method=_METHOD,
             rtol=_RTOL,
             atol=_ATOL,
@@ -282,23 +366,19 @@ def _solve_batch(
             raise StepFailure(f"integrator failed in segment {si}: {sol.message}")
         for k, tk in enumerate(sol.t):
             if tk in inside:
-                states_k = np.ascontiguousarray(sol.y[:nr, k]).view(np.complex128)
                 times_out.append(float(tk))
-                states_out.append(states_k.reshape(n_nodes, ns, ns).copy())
-        yf = np.ascontiguousarray(sol.y[:, -1])
-        rho = yf[:nr].view(np.complex128).reshape(n_nodes, ns, ns).copy()
-        acc = yf[nr:].view(np.complex128).copy()
+                stored.append(np.ascontiguousarray(sol.y[:, k]))
+        y = np.ascontiguousarray(sol.y[:, -1])
 
         if si + 1 < len(segments):
             gap = segments[si + 1][0] - t1
-            rho = _free_evolve(gen, rho, gap)
+            y = _free_evolve(gen, y, n_nodes, gap)
 
     if not times_out:
         times_out = [segments[-1][1]]
-        states_out = [rho]
-    times = np.asarray(times_out)
-    states = np.stack(states_out)
-    return times, states, acc
+        stored = [y]
+    states = np.stack([_from_blocks(gen, *_unpack(gen, yk, n_nodes)[:2]) for yk in stored])
+    return np.asarray(times_out), states, _unpack(gen, y, n_nodes)[2].copy()
 
 
 def _gaussian_envelope(pulse: PulseSpec):
@@ -312,25 +392,18 @@ def _gaussian_envelope(pulse: PulseSpec):
     return envelope
 
 
-def _free_evolve(gen: _Generator, rho: np.ndarray, dt: float) -> np.ndarray:
+def _free_evolve(gen: _Generator, y: np.ndarray, n_nodes: int, dt: float) -> np.ndarray:
     """Exact drive-free propagation: elementwise decay plus recycle integral."""
-    if dt <= 0:
-        return rho
-    ns = gen.size
-    phase = np.exp(gen.g * dt)
-    out = rho * phase
-    # population recycled into the destination block during the gap:
-    # integral_0^dt exp(g s) ds applied elementwise to the source block.
-    gee = gen.g[gen.src, gen.src]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        integ = np.where(np.abs(gee) > 0, (np.exp(gee * dt) - 1.0) / gee, dt)
-    src_int = rho[:, gen.src, gen.src] * integ
-    add = None
-    for w in gen.recycle:
-        term = w @ src_int @ w.T
-        add = term if add is None else add + term
-    out[:, gen.dest, gen.dest] += add
-    return out
+    ng = gen.n_ground
+    coh, dec, acc = _unpack(gen, y, n_nodes)
+    # population recycled during the gap: integral_0^dt exp(g s) ds applied
+    # elementwise to the excited block (every element there decays, so g != 0)
+    gee = gen.g[ng:, ng:]
+    ree = coh[:, ng:, ng:] * (np.expm1(gee * dt) / gee)
+    gain = ree.reshape(n_nodes, -1) @ gen.gain
+    coh = coh * np.exp(gen.g * dt)
+    coh[:, :ng, :ng] += gain[:, : ng * ng].reshape(n_nodes, ng, ng)
+    return _pack(coh, dec + gain[:, ng * ng :].reshape(dec.shape), acc)
 
 
 def integrate_node(
@@ -346,7 +419,9 @@ def integrate_node(
 
     ``local_intensity_scale`` is the dimensionless local intensity
     relative to the on-axis focus of ``beam`` (default beam if omitted);
-    1.0 means the node sits at the focus on axis.
+    1.0 means the node sits at the focus on axis.  Raises InvalidConfig
+    for a scale outside [0, 1] and for an initial state the model cannot
+    hold (see the module docstring), before integrating.
     """
     if not 0.0 <= local_intensity_scale <= 1.0:
         raise InvalidConfig("local_intensity_scale must lie in [0, 1]")
@@ -415,7 +490,10 @@ def detected_stokes(
     first-order dipole response.  Linearity in atom number is exact in
     this first-order scheme; node placement follows the cloud quadrature.
 
-    Raises QuadratureNotConverged when ``verify_quadrature`` is set and
+    Raises InvalidConfig, before integrating, when ``initial`` is not a
+    Hermitian, unit-trace, positive 24x24 matrix that is zero outside the
+    two integrated blocks (see the module docstring).  Raises
+    QuadratureNotConverged when ``verify_quadrature`` is set and
     doubling both node counts moves S_y by more than ``quadrature_rtol``
     relatively (with an absolute floor tied to integration tolerance).
     """
@@ -675,28 +753,24 @@ def integrate_two_level(
     Returns (times, excited populations).  Used to validate the integrator
     core against the closed-form damped Rabi solution.
     """
-    g = np.array(
-        [[0.0, -0.5 * gamma], [-0.5 * gamma, -gamma]], dtype=complex
-    )
-    raising = np.array([[0.0, 0.0], [1.0, 0.0]])
-    recycle = (np.array([[math.sqrt(gamma)]]),)
     gen = _Generator(
-        g=g,
-        raising=raising,
-        recycle=recycle,
-        dest=slice(0, 1),
-        src=slice(1, 2),
+        g=np.array([[0.0, -0.5 * gamma], [-0.5 * gamma, -gamma]], dtype=complex),
+        raising=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        gain=_gain_map([[np.array([[math.sqrt(gamma)]])]]),
+        n_ground=1,
         detect=None,
+        coherent=np.arange(2),
+        decay_only=np.arange(0),
         size=2,
     )
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     t_eval = list(np.linspace(0.0, t_final, n_stored))
     # constant unit envelope and unit mode amplitude: drive = omega exactly
     amps = np.array([1.0])
-    rhs, nr = _make_rhs(gen, amps, omega, lambda t: 1.0)
-    y0 = np.concatenate([rho0.ravel().view(float), np.zeros(2)])
+    rhs = _make_rhs(gen, amps, omega, lambda t: 1.0)
+    y0 = _pack(*_to_blocks(gen, rho0), np.zeros(1, dtype=complex))
     sol = solve_ivp(rhs, (0.0, t_final), y0, method=method, rtol=rtol, atol=atol, t_eval=t_eval)
     if not sol.success:
         raise StepFailure(sol.message)
-    states = np.ascontiguousarray(sol.y[:nr].T).view(np.complex128).reshape(-1, 2, 2)
-    return np.asarray(sol.t), states[:, 1, 1].real
+    pops = [_unpack(gen, np.ascontiguousarray(yk), 1)[0][0, 1, 1].real for yk in sol.y.T]
+    return np.asarray(sol.t), np.asarray(pops)

@@ -480,12 +480,24 @@ def waveplate_control_run(
 
 
 def write_campaign_csv(path, campaign: CampaignResult, noise: PolarimeterModel = None):
-    """Serialize campaign records with a reproducibility header."""
+    """Serialize campaign records with a reproducibility header.
+
+    The detector transmissions go into the header, once for the file:
+    ``read_campaign_csv`` applies them to every record, so a reloaded
+    record's ``phi_from_stokes`` matches the original's.  Raises
+    InvalidConfig when the records carry different transmissions.
+    """
+    transmissions = {(r.transmission_h, r.transmission_v) for r in campaign.records}
+    if len(transmissions) > 1:
+        raise InvalidConfig("campaign records carry different detector transmissions")
+    ((t_h, t_v),) = transmissions or {(1.0, 1.0)}
     buf = io.StringIO()
     buf.write(f"# schema_version = {CSV_SCHEMA_VERSION}\n")
     buf.write(f"# n_nonlinear = {campaign.n_nonlinear:.17g}\n")
     buf.write(f"# n_linear = {campaign.n_linear:.17g}\n")
     buf.write(f"# seed = {campaign.seed}\n")
+    buf.write(f"# transmission_h = {t_h:.17g}\n")
+    buf.write(f"# transmission_v = {t_v:.17g}\n")
     if noise is not None:
         buf.write(f"# v_linear = {noise.v_linear:.17g}\n")
         buf.write(f"# v_nonlinear = {noise.v_nonlinear:.17g}\n")
@@ -501,12 +513,26 @@ def write_campaign_csv(path, campaign: CampaignResult, noise: PolarimeterModel =
     return text
 
 
+def _header_transmission(path, meta: dict, key: str) -> float:
+    text = meta.get(key, "1.0")
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value <= 1.0:
+        raise InvalidConfig(f"{path}: {key} {text!r} does not lie in (0, 1]")
+    return value
+
+
 def read_campaign_csv(path):
     """Load a campaign CSV; returns (records, metadata dict).
 
-    Raises InvalidConfig for an unreadable file, unexpected columns, a
-    missing or different ``schema_version``, and for a row with the wrong
-    number of cells or a non-numeric cell (naming the file and line).
+    The ``transmission_h`` and ``transmission_v`` header values (1.0 when
+    absent) are applied to every record.  Raises InvalidConfig for an
+    unreadable file, unexpected columns, a missing or different
+    ``schema_version``, a transmission outside (0, 1], and for a row with
+    the wrong number of cells or a non-numeric cell (naming the file and
+    line).
     """
     meta = {}
     records = []
@@ -534,6 +560,7 @@ def read_campaign_csv(path):
                     raise InvalidConfig(
                         f"{path}: schema_version {version} is not {CSV_SCHEMA_VERSION}"
                     )
+                t_h, t_v = (_header_transmission(path, meta, f"transmission_{s}") for s in "hv")
                 continue
             cells = line.split(",")
             if len(cells) != len(expected):
@@ -550,6 +577,8 @@ def read_campaign_csv(path):
                     phi=float(phi),
                     n_atoms=float(na),
                     sample_index=int(idx),
+                    transmission_h=t_h,
+                    transmission_v=t_v,
                 )
             except (ValueError, InvalidConfig) as exc:
                 raise InvalidConfig(f"{path}, line {lineno}: {exc}") from None

@@ -254,6 +254,19 @@ def test_fig2_smoke(tmp_path):
     assert report["nonlinear_coefficient"][0] == pytest.approx(3.8e-16, rel=0.6)
 
 
+def test_fig2_grid_points_from_config(tmp_path):
+    cfg = tmp_path / "fig2.cfg"
+    cfg.write_text("grid_points = 5\n")
+    out = tmp_path / "fig2"
+    rc = cli.main([
+        "reproduce-fig2", "--config", str(cfg), "--samples", "25", "--seed", "21",
+        "--out", str(out),
+    ])
+    assert rc == cli.EXIT_OK
+    assert len(read_csv_columns(out / "fig2_slopes.csv")["n_nonlinear"]) == 5
+    assert "grid_points = 5\n" in (out / "manifest.txt").read_text()
+
+
 def test_simulate_with_trajectory_dump(tmp_path):
     out = tmp_path / "sim"
     rc = cli.main([

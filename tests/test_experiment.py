@@ -1,4 +1,6 @@
 """Synthetic polarimetry: noise model, probe sequences, campaigns, CSV IO."""
+import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,6 +203,32 @@ def test_campaign_csv_round_trip(tmp_path):
     assert meta["seed"] == "5"
     assert float(meta["n_nonlinear"]) == 1e7
     assert float(meta["v_nonlinear"]) == noise.v_nonlinear
+
+
+def test_campaign_csv_keeps_detector_transmissions(tmp_path):
+    noise = expmt.PolarimeterModel(transmission_h=0.81, transmission_v=0.9)
+    camp = expmt.generate_correlation_campaign(1e7, samples=10, controls=2, seed=5, noise=noise)
+    path = tmp_path / "campaign.csv"
+    expmt.write_campaign_csv(path, camp, noise=noise)
+    records, meta = expmt.read_campaign_csv(path)
+    assert float(meta["transmission_h"]) == 0.81 and float(meta["transmission_v"]) == 0.9
+    for got, want in zip(records, camp.records):
+        assert (got.transmission_h, got.transmission_v) == (0.81, 0.9)
+        assert got.phi_from_stokes() == want.phi_from_stokes()
+    # a file without the lines reads as full transmission
+    text = path.read_text()
+    bare = "".join(ln for ln in text.splitlines(True) if "transmission" not in ln)
+    path.write_text(bare)
+    records, _ = expmt.read_campaign_csv(path)
+    assert all(r.transmission_h == r.transmission_v == 1.0 for r in records)
+    for value in ("0", "1.2", "-0.5", "nan", "high"):
+        path.write_text(re.sub(r"transmission_v = .*", f"transmission_v = {value}", text))
+        with pytest.raises(InvalidConfig, match="transmission_v"):
+            expmt.read_campaign_csv(path)
+    # one header pair cannot hold records with different transmissions
+    mixed = replace(camp, records=(replace(camp.records[0], transmission_h=0.5),) + camp.records[1:])
+    with pytest.raises(InvalidConfig, match="different detector transmissions"):
+        expmt.write_campaign_csv(path, mixed)
 
 
 def test_campaign_csv_errors(tmp_path):
