@@ -3,12 +3,15 @@
 Every run resolves its configuration (defaults < config file < flags),
 creates the output directory, and writes three things next to the data:
 ``manifest.txt`` (full resolved config, re-parseable), ``run.log``, and
-the subcommand's CSV/report files.  Exit codes: 0 success, 2 for
-configuration problems, 3 for numerical failures.
+the subcommand's CSV/report files.  A subcommand declares only the flags
+it reads, and each flag's argparse ``dest`` is the config key it sets.
+Exit codes: 0 success, 2 for configuration problems (an unknown flag
+exits 2 through argparse), 3 for numerical failures.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import sys
@@ -31,6 +34,24 @@ EXIT_NUMERICAL = 3
 
 _TWO_PI = 2.0 * math.pi
 
+# config keys each model class is built from; they are its field names
+_BEAM_KEYS = ("waist",)
+_CLOUD_KEYS = ("n_atoms", "sigma_trans", "sigma_long")
+_RESPONSE_KEYS = (
+    "linear_coefficient", "nonlinear_coefficient", "saturation_photons",
+    "damage_offset", "damage_slope",
+)
+_NOISE_KEYS = ("v_linear", "v_nonlinear", "technical_coefficient")
+
+
+def _pick(values: dict, keys) -> dict:
+    return {key: values[key] for key in keys}
+
+
+def _class_defaults(cls, keys) -> dict:
+    return _pick({f.name: f.default for f in dataclasses.fields(cls)}, keys)
+
+
 DEFAULTS = {
     # probe and geometry
     "detuning": _TWO_PI * 462e6,
@@ -39,10 +60,8 @@ DEFAULTS = {
     "n_photons": 5.7e6,
     "train_count": 1,
     "train_period": 0.0,
-    "waist": 20e-6,
-    "sigma_trans": 20e-6,
-    "sigma_long": 300e-6,
-    "n_atoms": 2.5e5,
+    **_class_defaults(BeamGeometry, _BEAM_KEYS),
+    **_class_defaults(CloudGeometry, _CLOUD_KEYS),
     "nodes_radial": 9,
     "nodes_long": 9,
     # the scan extracts smooth coefficient ratios, where the coarse grid
@@ -56,19 +75,10 @@ DEFAULTS = {
     "controls": 5,
     "atom_lo": 1.5e5,
     "atom_hi": 3.5e5,
-    # effective response (published calibration)
-    "linear_coefficient": 3.3e-8,
-    "nonlinear_coefficient": 3.8e-16,
-    "saturation_photons": 6.0e7,
-    "damage_offset": 0.0,
-    "damage_slope": 0.08,
+    # effective response (published calibration) and polarimeter
+    **_class_defaults(expmt.ResponseModel, _RESPONSE_KEYS),
     "collective_spin": 7e5,
-    "tau_linear": 40e-6,
-    "tau_nonlinear": 54e-9,
-    # polarimeter
-    "v_linear": 3.0e5,
-    "v_nonlinear": 4.0e5,
-    "technical_coefficient": 0.0,
+    **_class_defaults(expmt.PolarimeterModel, _NOISE_KEYS),
     # controls and scans
     "rotation": 4e-3,
     "scan_lo": _TWO_PI * 430e6,
@@ -79,10 +89,16 @@ DEFAULTS = {
 }
 # keys a manifest carries besides DEFAULTS, so a manifest is a valid --config
 _MANIFEST_KEYS = ("ideal", "no_saturation", "package_version")
-_INT_KEYS = (
-    "samples", "controls", "nodes_radial", "nodes_long", "scan_nodes_radial",
-    "scan_nodes_long", "scan_points", "grid_points", "seed", "train_count",
-)
+_INT_KEYS = frozenset(key for key, value in DEFAULTS.items() if isinstance(value, int))
+
+
+def _mhz(text: str) -> float:
+    """Ordinary MHz to the angular rad/s of ``detuning``."""
+    return _TWO_PI * 1e6 * float(text)
+
+
+def _mrad(text: str) -> float:
+    return 1e-3 * float(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -102,27 +118,30 @@ def _build_parser() -> argparse.ArgumentParser:
         "control-run": "waveplate instrumental-linearity control dataset",
         "coefficients-scan": "effective-coefficient spectra over a detuning grid",
     }
+    sub = {}
     for name, help_text in commands.items():
-        sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--config", type=Path, default=None, help="key=value scenario file")
-        sub.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        sub.add_argument("--out", type=Path, default=None, help="output directory")
-        sub.add_argument("--nodes-radial", type=int, default=None, help="radial quadrature nodes")
-        sub.add_argument("--nodes-longitudinal", type=int, default=None, help="longitudinal quadrature nodes")
-        sub.add_argument("--ideal", action="store_true", help="ideal mode: pure unsaturated scaling law")
-        sub.add_argument("--no-saturation", action="store_true", help="disable nonlinear-response saturation")
-        sub.add_argument("--detuning-mhz", type=float, default=None, help="probe detuning from the lowest excited line (MHz)")
-    subs.choices["simulate"].add_argument("--dump-trajectory", action="store_true", help="write on-axis populations over time")
-    subs.choices["simulate"].add_argument("--n-photons", type=float, default=None)
-    subs.choices["campaign"].add_argument("--n-nonlinear", type=float, default=None)
-    subs.choices["campaign"].add_argument("--samples", type=int, default=None)
-    subs.choices["analyze"].add_argument("--data", type=Path, nargs="+", required=True, help="campaign CSV files or directories")
-    subs.choices["reproduce-fig2"].add_argument("--points", type=int, default=None)
-    subs.choices["reproduce-fig2"].add_argument("--samples", type=int, default=None)
-    subs.choices["reproduce-fig3"].add_argument("--points", type=int, default=None)
-    subs.choices["reproduce-fig3"].add_argument("--samples", type=int, default=None)
-    subs.choices["control-run"].add_argument("--rotation-mrad", type=float, default=None)
-    subs.choices["coefficients-scan"].add_argument("--scan-points", type=int, default=None)
+        sub[name] = subs.add_parser(name, help=help_text)
+        sub[name].add_argument("--config", type=Path, help="key=value scenario file")
+        sub[name].add_argument("--seed", type=int, help="master RNG seed")
+        sub[name].add_argument("--out", type=Path, help="output directory")
+    # every other flag is declared where it is read; a flag whose dest is
+    # a DEFAULTS key overrides that key
+    for name, prefix in (("simulate", ""), ("coefficients-scan", "scan_")):
+        sub[name].add_argument("--nodes-radial", dest=f"{prefix}nodes_radial", type=int, help="radial quadrature nodes")
+        sub[name].add_argument("--nodes-longitudinal", dest=f"{prefix}nodes_long", type=int, help="longitudinal quadrature nodes")
+    for name in ("campaign", "reproduce-fig2", "reproduce-fig3"):
+        sub[name].add_argument("--ideal", action="store_true", help="ideal mode: pure unsaturated scaling law")
+        sub[name].add_argument("--no-saturation", action="store_true", help="disable nonlinear-response saturation")
+        sub[name].add_argument("--samples", type=int, help="atom-number samples per campaign")
+    for name in ("reproduce-fig2", "reproduce-fig3"):
+        sub[name].add_argument("--points", dest="grid_points", type=int, help="photon-number grid points")
+    sub["simulate"].add_argument("--detuning-mhz", dest="detuning", type=_mhz, help="probe detuning from the lowest excited line (MHz)")
+    sub["simulate"].add_argument("--n-photons", type=float)
+    sub["simulate"].add_argument("--dump-trajectory", action="store_true", help="write on-axis populations over time")
+    sub["campaign"].add_argument("--n-nonlinear", type=float)
+    sub["analyze"].add_argument("--data", type=Path, nargs="+", required=True, help="campaign CSV files or directories")
+    sub["control-run"].add_argument("--rotation-mrad", dest="rotation", type=_mrad)
+    sub["coefficients-scan"].add_argument("--scan-points", type=int)
     return parser
 
 
@@ -151,33 +170,14 @@ def _resolve_config(args) -> dict:
     # mode flags are set on the command line; a config file (a manifest)
     # may only repeat them
     for key in ("ideal", "no_saturation"):
-        flag = int(getattr(args, key))
+        flag = int(getattr(args, key, False))
         if cfg.get(key, flag) != flag:
             raise InvalidConfig(
                 f"{args.config}: {key} = {cfg[key]} does not match the "
                 f"--{key.replace('_', '-')} flag"
             )
         cfg[key] = flag
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.nodes_radial is not None:
-        cfg["nodes_radial"] = args.nodes_radial
-    if args.nodes_longitudinal is not None:
-        cfg["nodes_long"] = args.nodes_longitudinal
-    if args.detuning_mhz is not None:
-        cfg["detuning"] = _TWO_PI * 1e6 * args.detuning_mhz
-    if getattr(args, "n_photons", None) is not None:
-        cfg["n_photons"] = args.n_photons
-    if getattr(args, "n_nonlinear", None) is not None:
-        cfg["n_nonlinear"] = args.n_nonlinear
-    if getattr(args, "samples", None) is not None:
-        cfg["samples"] = args.samples
-    if getattr(args, "rotation_mrad", None) is not None:
-        cfg["rotation"] = 1e-3 * args.rotation_mrad
-    if getattr(args, "scan_points", None) is not None:
-        cfg["scan_points"] = args.scan_points
-    if getattr(args, "points", None) is not None:
-        cfg["grid_points"] = args.points
+    cfg.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
     return cfg
 
 
@@ -195,24 +195,14 @@ def _prepare_out(args, command: str, cfg: dict) -> Path:
 
 
 def _response_from(cfg: dict) -> expmt.ResponseModel:
-    sat = cfg["saturation_photons"]
+    fields = _pick(cfg, _RESPONSE_KEYS)
     if cfg.get("no_saturation") or cfg.get("ideal"):
-        sat = 1e30  # effectively unsaturated
-    return expmt.ResponseModel(
-        linear_coefficient=cfg["linear_coefficient"],
-        nonlinear_coefficient=cfg["nonlinear_coefficient"],
-        saturation_photons=sat,
-        damage_offset=cfg["damage_offset"],
-        damage_slope=cfg["damage_slope"],
-    )
+        fields["saturation_photons"] = 1e30  # effectively unsaturated
+    return expmt.ResponseModel(**fields)
 
 
 def _noise_from(cfg: dict) -> expmt.PolarimeterModel:
-    return expmt.PolarimeterModel(
-        v_linear=cfg["v_linear"],
-        v_nonlinear=cfg["v_nonlinear"],
-        technical_coefficient=cfg["technical_coefficient"],
-    )
+    return expmt.PolarimeterModel(**_pick(cfg, _NOISE_KEYS))
 
 
 def _atomic_model():
@@ -231,13 +221,24 @@ def _scenario(cfg: dict):
         train_count=cfg["train_count"],
         train_period=cfg["train_period"],
     )
-    beam = BeamGeometry(waist=cfg["waist"])
-    cloud = CloudGeometry(
-        n_atoms=cfg["n_atoms"],
-        sigma_trans=cfg["sigma_trans"],
-        sigma_long=cfg["sigma_long"],
-    )
+    beam = BeamGeometry(**_pick(cfg, _BEAM_KEYS))
+    cloud = CloudGeometry(**_pick(cfg, _CLOUD_KEYS))
     return pulse, beam, cloud
+
+
+def _campaign(cfg: dict, n_nonlinear: float, seed: int):
+    """One correlation campaign at ``n_nonlinear`` and its phi_NL-on-phi_L fit."""
+    camp = expmt.generate_correlation_campaign(
+        n_nonlinear,
+        atom_range=(cfg["atom_lo"], cfg["atom_hi"]),
+        samples=cfg["samples"],
+        noise=_noise_from(cfg),
+        seed=seed,
+        response=_response_from(cfg),
+        n_linear=cfg["n_linear"],
+        controls=cfg["controls"],
+    )
+    return camp, ana.linear_regression(camp.pairs())
 
 
 def _write_rows(path: Path, header: list, rows: list):
@@ -315,18 +316,8 @@ def cmd_simulate(args) -> int:
 def cmd_campaign(args) -> int:
     cfg = _resolve_config(args)
     out = _prepare_out(args, "campaign", cfg)
-    camp = expmt.generate_correlation_campaign(
-        cfg["n_nonlinear"],
-        atom_range=(cfg["atom_lo"], cfg["atom_hi"]),
-        samples=cfg["samples"],
-        noise=_noise_from(cfg),
-        seed=cfg["seed"],
-        response=_response_from(cfg),
-        n_linear=cfg["n_linear"],
-        controls=cfg["controls"],
-    )
+    camp, fit = _campaign(cfg, cfg["n_nonlinear"], cfg["seed"])
     expmt.write_campaign_csv(out / "campaign.csv", camp, noise=_noise_from(cfg))
-    fit = ana.linear_regression(camp.pairs())
     ana.write_fit_report(
         out / "regression.txt",
         {
@@ -396,21 +387,10 @@ def cmd_fig2(args) -> int:
     cfg = _resolve_config(args)
     out = _prepare_out(args, "reproduce-fig2", cfg)
     response = _response_from(cfg)
-    noise = _noise_from(cfg)
     grid = np.logspace(6.0, 8.0, cfg["grid_points"])
     rows = []
     for i, n_nl in enumerate(grid):
-        camp = expmt.generate_correlation_campaign(
-            float(n_nl),
-            atom_range=(cfg["atom_lo"], cfg["atom_hi"]),
-            samples=cfg["samples"],
-            noise=noise,
-            seed=cfg["seed"] + i,
-            response=response,
-            n_linear=cfg["n_linear"],
-            controls=cfg["controls"],
-        )
-        fit = ana.linear_regression(camp.pairs())
+        _, fit = _campaign(cfg, float(n_nl), cfg["seed"] + i)
         rows.append([
             n_nl, fit.slope, fit.slope_stderr, fit.intercept,
             fit.residual_std, response.calibration_slope(float(n_nl)),
@@ -460,28 +440,17 @@ def cmd_fig3(args) -> int:
     model_curve = ana.sensitivity_curve(curve_model, n_grid, f_z)
 
     response = _response_from(cfg)
-    noise = _noise_from(cfg)
     measured = np.full_like(n_grid, np.nan)
     fitted = None
     if not cfg["ideal"]:
         slopes, intrinsics = [], []
         for i, n_nl in enumerate(n_grid):
-            camp = expmt.generate_correlation_campaign(
-                float(n_nl),
-                atom_range=(cfg["atom_lo"], cfg["atom_hi"]),
-                samples=cfg["samples"],
-                noise=noise,
-                seed=cfg["seed"] + i,
-                response=response,
-                n_linear=cfg["n_linear"],
-                controls=cfg["controls"],
-            )
-            fit = ana.linear_regression(camp.pairs())
+            _, fit = _campaign(cfg, float(n_nl), cfg["seed"] + i)
             slopes.append((float(n_nl), fit.slope))
             intrinsics.append(
                 float(
                     ana.subtract_electronic_noise(
-                        fit.residual_std, float(n_nl), noise.v_nonlinear
+                        fit.residual_std, float(n_nl), cfg["v_nonlinear"]
                     )
                 )
             )
@@ -586,8 +555,7 @@ def cmd_scan(args) -> int:
     out = _prepare_out(args, "coefficients-scan", cfg)
     ops = _atomic_model()
     _, beam, cloud = _scenario(cfg)
-    n_rad = args.nodes_radial if args.nodes_radial is not None else cfg["scan_nodes_radial"]
-    n_lng = args.nodes_longitudinal if args.nodes_longitudinal is not None else cfg["scan_nodes_long"]
+    n_rad, n_lng = cfg["scan_nodes_radial"], cfg["scan_nodes_long"]
     detunings = list(np.linspace(cfg["scan_lo"], cfg["scan_hi"], cfg["scan_points"]))
     detunings.append(_TWO_PI * 1.5e9)  # the far-detuned linear-probe marker
     rows = []

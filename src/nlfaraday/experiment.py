@@ -209,6 +209,9 @@ class StokesRecord:
             raise InvalidConfig("photon number must be positive")
         if abs(self.s_y) > self.s_x:
             raise InvalidConfig("|S_y| exceeds S_x: rotation outside physical range")
+        for t in (self.transmission_h, self.transmission_v):
+            if not 0.0 < t <= 1.0:
+                raise InvalidConfig("transmissions must lie in (0, 1]")
 
     def phi_from_stokes(self) -> float:
         """Reconstruct the angle from the stored Stokes pair."""

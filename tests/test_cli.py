@@ -2,12 +2,16 @@
 import logging
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import read_csv_columns, read_report
-from nlfaraday import cli
+from nlfaraday import cli, dynamics
+from nlfaraday.config import write_manifest
 from nlfaraday.config import parse_config_text
 
 
@@ -90,6 +94,66 @@ def test_manifest_fed_back_as_config_reproduces_it(tmp_path):
     assert rc == cli.EXIT_OK
     assert (second / "manifest.txt").read_text() == (first / "manifest.txt").read_text()
     assert (second / "campaign.csv").read_bytes() == (first / "campaign.csv").read_bytes()
+
+
+def _config_value(key):
+    default = cli.DEFAULTS[key]
+    if isinstance(default, str):
+        return st.sampled_from(["gaussian", "flat-train"])
+    if isinstance(default, int):
+        return st.integers(min_value=-10**18, max_value=10**18)
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None)
+@given(st.fixed_dictionaries({key: _config_value(key) for key in cli.DEFAULTS}))
+def test_manifest_round_trip_property(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("manifest") / "manifest.txt"
+    write_manifest(path, config, "0.0", command="property")
+    loaded = cli._checked_file_config(path)
+    assert loaded == config
+    assert all(type(loaded[key]) is int for key in cli._INT_KEYS)
+
+
+def test_scan_manifest_reproduces_node_counts(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_coefficients(ops, delta, beam, cloud, n_radial, n_long):
+        calls.append((n_radial, n_long))
+        return SimpleNamespace(alpha1=delta - 2 * np.pi * 460e6, beta1=1e-16)
+
+    def fake_crossing(ops, beam, cloud, lo, hi, n_radial, n_long):
+        calls.append((n_radial, n_long))
+        return 2 * np.pi * 460e6
+
+    monkeypatch.setattr(dynamics, "extract_effective_coefficients", fake_coefficients)
+    monkeypatch.setattr(dynamics, "locate_crossing", fake_crossing)
+    first, second = tmp_path / "first", tmp_path / "second"
+    rc = cli.main([
+        "coefficients-scan", "--scan-points", "2", "--nodes-radial", "1",
+        "--nodes-longitudinal", "1", "--out", str(first),
+    ])
+    assert rc == cli.EXIT_OK
+    flagged = calls[:]
+    calls.clear()
+    rc = cli.main(["coefficients-scan", "--config", str(first / "manifest.txt"), "--out", str(second)])
+    assert rc == cli.EXIT_OK
+    assert flagged == calls == [(1, 1)] * 5
+    assert (second / "manifest.txt").read_text() == (first / "manifest.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--ideal"],
+    ["campaign", "--detuning-mhz", "400"],
+    ["reproduce-fig2", "--nodes-radial", "3"],
+    ["control-run", "--no-saturation"],
+    ["coefficients-scan", "--detuning-mhz", "400"],
+])
+def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_log_handler_removed_after_main(tmp_path):

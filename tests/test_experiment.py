@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nlfaraday import experiment as expmt
 from nlfaraday.analysis import linear_regression
@@ -65,6 +67,10 @@ def test_stokes_record_validation():
         expmt.StokesRecord("L1", 0.0, 1e6, 0.0, 0.0, 0.0, 0)
     with pytest.raises(InvalidConfig):
         expmt.StokesRecord("L1", 1e6, 1e6, 2e6, 0.0, 0.0, 0)
+    for field in ("transmission_h", "transmission_v"):
+        for value in (0.0, -1.0):
+            with pytest.raises(InvalidConfig, match="transmissions"):
+                expmt.StokesRecord("L1", 1e6, 1e6, 0.0, 0.0, 0.0, 0, **{field: value})
 
 
 def test_run_sequence_noiseless_identities():
@@ -229,6 +235,26 @@ def test_campaign_csv_keeps_detector_transmissions(tmp_path):
     mixed = replace(camp, records=(replace(camp.records[0], transmission_h=0.5),) + camp.records[1:])
     with pytest.raises(InvalidConfig, match="different detector transmissions"):
         expmt.write_campaign_csv(path, mixed)
+
+
+_TRANSMISSION = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    samples=st.integers(min_value=10, max_value=40),
+    t_h=_TRANSMISSION,
+    t_v=_TRANSMISSION,
+)
+def test_campaign_csv_round_trip_property(tmp_path_factory, seed, samples, t_h, t_v):
+    noise = expmt.PolarimeterModel(transmission_h=t_h, transmission_v=t_v)
+    camp = expmt.generate_correlation_campaign(1e7, samples=samples, seed=seed, noise=noise)
+    path = tmp_path_factory.mktemp("csv") / "campaign.csv"
+    expmt.write_campaign_csv(path, camp, noise=noise)
+    records, meta = expmt.read_campaign_csv(path)
+    assert records == list(camp.records)
+    assert int(meta["seed"]) == seed
 
 
 def test_campaign_csv_errors(tmp_path):
