@@ -9,11 +9,12 @@ N^(-1) Heisenberg line for phase estimation.
 
 Run:  python demos/scaling_campaign.py
 """
+from dataclasses import replace
+
 import numpy as np
 
 from nlfaraday import (
     ResponseModel,
-    SensitivityModel,
     fit_saturation,
     generate_correlation_campaign,
     linear_regression,
@@ -21,13 +22,15 @@ from nlfaraday import (
     sensitivity_curve,
 )
 
-A = 3.3e-8          # linear rotation coefficient (rad per spin)
-B = 3.8e-16         # nonlinear coefficient (rad per spin per photon)
-N_SAT = 6.0e7       # saturation photon number of the nonlinear response
+# the published calibration: linear coefficient A (rad per spin), nonlinear
+# coefficient B (rad per spin per photon), saturation photon number N_sat
+response = ResponseModel()
+A = response.linear_coefficient
+B = response.nonlinear_coefficient
+N_SAT = response.saturation_photons
 F_Z = 7e5           # collective spin of the prepared sample
 
 grid = np.logspace(6.0, 8.0, 10)
-response = ResponseModel()
 
 print("running 10 campaigns of 50 samples each...")
 slopes = []
@@ -47,12 +50,13 @@ if model.saturation_photons is not None:
           f"(injected {N_SAT:.3g})")
 
 # ideal scaling: no saturation, pure nonlinear response at the crossing
-ideal = sensitivity_curve(SensitivityModel(0.0, B, None), grid, F_Z)
+at_crossing = replace(response, linear_coefficient=0.0)
+ideal = sensitivity_curve(replace(at_crossing, saturation_photons=None), grid, F_Z)
 exp_fit = scaling_exponent(ideal, (1e6, 1e7))
 print(f"\nideal fractional-sensitivity exponent over [1e6, 1e7]: "
       f"{exp_fit.exponent:+.3f} +- {exp_fit.stderr:.3f}  (super-Heisenberg: -1.5)")
 
-sat_curve = sensitivity_curve(SensitivityModel(0.0, B, N_SAT), grid, F_Z)
+sat_curve = sensitivity_curve(at_crossing, grid, F_Z)
 exp_sat = scaling_exponent(sat_curve, (1e6, 1e7))
 print(f"with saturation at N_sat = {N_SAT:.1g}:                 "
       f"{exp_sat.exponent:+.3f} +- {exp_sat.stderr:.3f}")

@@ -69,7 +69,6 @@ from .dynamics import (
 )
 from .experiment import (
     PolarimeterModel,
-    ResponseModel,
     SimulatedResponse,
     StokesRecord,
     SequenceResult,
@@ -84,7 +83,7 @@ from .experiment import (
 from .analysis import (
     RegressionResult,
     linear_regression,
-    SensitivityModel,
+    ResponseModel,
     ScalingCurve,
     ExponentFit,
     scaling_exponent,
@@ -131,12 +130,12 @@ __all__ = [
     "extract_effective_coefficients", "locate_crossing",
     "integrate_two_level", "damped_rabi_reference",
     # experiment
-    "PolarimeterModel", "ResponseModel", "SimulatedResponse",
+    "PolarimeterModel", "SimulatedResponse",
     "StokesRecord", "SequenceResult", "run_sequence", "CampaignResult",
     "generate_correlation_campaign", "polarimeter_noise_scan",
     "waveplate_control_run", "write_campaign_csv", "read_campaign_csv",
     # analysis
-    "RegressionResult", "linear_regression", "SensitivityModel",
+    "RegressionResult", "linear_regression", "ResponseModel",
     "ScalingCurve", "ExponentFit", "scaling_exponent", "fit_saturation",
     "VarianceDecomposition", "fit_variance_model", "sensitivity_curve",
     "subtract_electronic_noise", "time_normalized_prefactor",

@@ -84,37 +84,64 @@ def linear_regression(pairs, y=None) -> RegressionResult:
 
 
 @dataclass(frozen=True)
-class SensitivityModel:
-    """Effective response parameters of one probing configuration."""
+class ResponseModel:
+    """Saturable rotation response of the cloud, with probe damage.
 
-    linear_coefficient: float                 # A, rad per unit collective spin (x2)
-    nonlinear_coefficient: float              # B, rad per spin per photon (x2)
-    saturation_photons: float | None = None   # absent = unsaturated
+    phi_L = (A/2) F_z;  phi_NL = (B_eff(N) N / 2) F_z with
+    B_eff = B / (1 + N/N_sat); the nonlinear pulse destroys a fraction
+    eta(N) = eta_offset + eta_slope * N / N_sat of the polarization.
+    ``saturation_photons=None`` is the unsaturated response: B_eff = B
+    and eta = eta_offset at every N.  Defaults reproduce the published
+    calibration of this experiment.  The methods take scalars or arrays;
+    a float in gives plain float arithmetic, which keeps the per-sample
+    path of a campaign cheap.
+    """
+
+    linear_coefficient: float = 3.3e-8            # A, rad per unit collective spin (x2)
+    nonlinear_coefficient: float = 3.8e-16        # B, rad per spin per photon (x2)
+    saturation_photons: float | None = 6.0e7      # N_sat; None = unsaturated
+    damage_offset: float = 0.0
+    damage_slope: float = 0.08
 
     def __post_init__(self):
         if self.linear_coefficient < 0 or self.nonlinear_coefficient < 0:
-            raise InvalidConfig("coefficients must be non-negative")
+            raise InvalidConfig("response coefficients must be non-negative")
         if self.saturation_photons is not None and self.saturation_photons <= 0:
             raise InvalidConfig("saturation photon number must be positive")
+        if self.damage_offset < 0 or self.damage_slope < 0:
+            raise InvalidConfig("damage parameters must be non-negative")
 
     def effective_nonlinear(self, n_photons):
         """B_eff(N): saturable nonlinear coefficient."""
-        b = self.nonlinear_coefficient
         if self.saturation_photons is None:
-            return b * np.ones_like(np.asarray(n_photons, dtype=float))
-        return b / (1.0 + np.asarray(n_photons, dtype=float) / self.saturation_photons)
+            return self.nonlinear_coefficient + 0.0 * n_photons  # B in the shape of N
+        return self.nonlinear_coefficient / (1.0 + n_photons / self.saturation_photons)
 
     def calibration_slope(self, n_photons):
         """b(N) = dphi_NL/dphi_L = B_eff(N) N / A."""
         if self.linear_coefficient == 0:
             raise InvalidConfig("calibration slope undefined for A = 0")
-        return self.effective_nonlinear(n_photons) * np.asarray(n_photons, dtype=float) / self.linear_coefficient
+        return self.effective_nonlinear(n_photons) * n_photons / self.linear_coefficient
 
     def sensitivity_spins(self, n_photons):
         """Shot-noise-limited spin uncertainty of an N-photon probe."""
         n = np.asarray(n_photons, dtype=float)
         denom = self.linear_coefficient * np.sqrt(n) + self.effective_nonlinear(n) * n**1.5
         return 1.0 / denom
+
+    def linear_rotation(self, f_z):
+        return 0.5 * self.linear_coefficient * f_z
+
+    def nonlinear_rotation(self, f_z, n_photons):
+        return 0.5 * self.effective_nonlinear(n_photons) * n_photons * f_z
+
+    def damage(self, n_photons):
+        """eta(N), capped at 1."""
+        if self.saturation_photons is None:
+            eta = self.damage_offset + 0.0 * n_photons
+        else:
+            eta = self.damage_offset + self.damage_slope * n_photons / self.saturation_photons
+        return np.minimum(eta, 1.0) if isinstance(eta, np.ndarray) else min(eta, 1.0)
 
 
 @dataclass(frozen=True)
@@ -173,7 +200,7 @@ def scaling_exponent(curve, window=None) -> ExponentFit:
 
 def fit_saturation(
     slope_points, linear_coefficient: float, allow_fallback: bool = True
-) -> SensitivityModel:
+) -> ResponseModel:
     """Fit b(N) = (B/A) N / (1 + N/N_sat) to calibration slopes.
 
     ``slope_points``: sequence of (N, b) pairs.  B is initialized from the
@@ -181,6 +208,8 @@ def fit_saturation(
     sample N << N_sat the saturation scale is unidentifiable; by default
     the fit falls back to the B-only model (saturation_photons = None);
     with ``allow_fallback=False`` that condition raises IllConditioned.
+    The damage law is not fitted: the returned model carries the default
+    ``damage_offset`` and ``damage_slope``.
     """
     n, b = _as_xy(slope_points)
     if len(n) < 3:
@@ -232,8 +261,8 @@ def fit_saturation(
             raise IllConditioned("all N << N_sat; saturation scale unidentifiable")
         log.info("saturation scale unidentifiable (N_sat >> max N); B-only fallback")
         b_only = float(np.sum(b * n) / np.sum(n * n / a))
-        return SensitivityModel(a, b_only, None)
-    return SensitivityModel(a, float(b_hat), float(ns_hat))
+        return ResponseModel(a, b_only, None)
+    return ResponseModel(a, float(b_hat), float(ns_hat))
 
 
 @dataclass(frozen=True)
@@ -283,7 +312,7 @@ def fit_variance_model(points) -> VarianceDecomposition:
     return VarianceDecomposition(float(coef[0]), float(coef[1]), float(coef[2]))
 
 
-def sensitivity_curve(model: SensitivityModel, n_photons, collective_spin: float = 7e5) -> ScalingCurve:
+def sensitivity_curve(model: ResponseModel, n_photons, collective_spin: float = 7e5) -> ScalingCurve:
     """Fractional spin sensitivity delta F_z / <F_z> over a photon grid."""
     if collective_spin <= 0:
         raise InvalidConfig("collective spin must be positive")

@@ -76,7 +76,7 @@ DEFAULTS = {
     "atom_lo": 1.5e5,
     "atom_hi": 3.5e5,
     # effective response (published calibration) and polarimeter
-    **_class_defaults(expmt.ResponseModel, _RESPONSE_KEYS),
+    **_class_defaults(ana.ResponseModel, _RESPONSE_KEYS),
     "collective_spin": 7e5,
     **_class_defaults(expmt.PolarimeterModel, _NOISE_KEYS),
     # controls and scans
@@ -130,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub[name].add_argument("--nodes-radial", dest=f"{prefix}nodes_radial", type=int, help="radial quadrature nodes")
         sub[name].add_argument("--nodes-longitudinal", dest=f"{prefix}nodes_long", type=int, help="longitudinal quadrature nodes")
     for name in ("campaign", "reproduce-fig2", "reproduce-fig3"):
-        sub[name].add_argument("--ideal", action="store_true", help="ideal mode: pure unsaturated scaling law")
         sub[name].add_argument("--no-saturation", action="store_true", help="disable nonlinear-response saturation")
         sub[name].add_argument("--samples", type=int, help="atom-number samples per campaign")
     for name in ("reproduce-fig2", "reproduce-fig3"):
@@ -138,6 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub["simulate"].add_argument("--detuning-mhz", dest="detuning", type=_mhz, help="probe detuning from the lowest excited line (MHz)")
     sub["simulate"].add_argument("--n-photons", type=float)
     sub["simulate"].add_argument("--dump-trajectory", action="store_true", help="write on-axis populations over time")
+    sub["reproduce-fig3"].add_argument("--ideal", action="store_true", help="unsaturated model curves only, no campaigns")
     sub["campaign"].add_argument("--n-nonlinear", type=float)
     sub["analyze"].add_argument("--data", type=Path, nargs="+", required=True, help="campaign CSV files or directories")
     sub["control-run"].add_argument("--rotation-mrad", dest="rotation", type=_mrad)
@@ -168,15 +168,19 @@ def _resolve_config(args) -> dict:
     if args.config is not None:
         cfg.update(_checked_file_config(args.config))
     # mode flags are set on the command line; a config file (a manifest)
-    # may only repeat them
+    # may only repeat them.  A subcommand without the flag keeps no such
+    # key, and accepts only 0 for it from a file
     for key in ("ideal", "no_saturation"):
-        flag = int(getattr(args, key, False))
-        if cfg.get(key, flag) != flag:
-            raise InvalidConfig(
-                f"{args.config}: {key} = {cfg[key]} does not match the "
-                f"--{key.replace('_', '-')} flag"
-            )
-        cfg[key] = flag
+        if hasattr(args, key):
+            flag = int(getattr(args, key))
+            if cfg.get(key, flag) != flag:
+                raise InvalidConfig(
+                    f"{args.config}: {key} = {cfg[key]} does not match the "
+                    f"--{key.replace('_', '-')} flag"
+                )
+            cfg[key] = flag
+        elif (value := cfg.pop(key, 0)) != 0:
+            raise InvalidConfig(f"{args.config}: {key} = {value} is not read by {args.command}")
     cfg.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
     return cfg
 
@@ -194,11 +198,11 @@ def _prepare_out(args, command: str, cfg: dict) -> Path:
     return out
 
 
-def _response_from(cfg: dict) -> expmt.ResponseModel:
+def _response_from(cfg: dict) -> ana.ResponseModel:
     fields = _pick(cfg, _RESPONSE_KEYS)
     if cfg.get("no_saturation") or cfg.get("ideal"):
-        fields["saturation_photons"] = 1e30  # effectively unsaturated
-    return expmt.ResponseModel(**fields)
+        fields["saturation_photons"] = None
+    return ana.ResponseModel(**fields)
 
 
 def _noise_from(cfg: dict) -> expmt.PolarimeterModel:
@@ -428,18 +432,16 @@ def cmd_fig3(args) -> int:
     out = _prepare_out(args, "reproduce-fig3", cfg)
     f_z = cfg["collective_spin"]
     a = cfg["linear_coefficient"]
-    b = cfg["nonlinear_coefficient"]
     n_grid = np.logspace(math.log10(5e5), 8.0, cfg["grid_points"])
 
     # model curves: the working detuning has no linear response, so the
     # ideal law is pure N^(-3/2); the saturated variant bends above N_sat
-    ideal_model = ana.SensitivityModel(0.0, b, None)
-    sat = None if cfg.get("no_saturation") or cfg.get("ideal") else cfg["saturation_photons"]
-    curve_model = ana.SensitivityModel(0.0, b, sat)
+    response = _response_from(cfg)
+    curve_model = dataclasses.replace(response, linear_coefficient=0.0)
+    ideal_model = dataclasses.replace(curve_model, saturation_photons=None)
     ideal_curve = ana.sensitivity_curve(ideal_model, n_grid, f_z)
     model_curve = ana.sensitivity_curve(curve_model, n_grid, f_z)
 
-    response = _response_from(cfg)
     measured = np.full_like(n_grid, np.nan)
     fitted = None
     if not cfg["ideal"]:
@@ -466,7 +468,7 @@ def cmd_fig3(args) -> int:
     sql_line = anchor * (n_grid / n0) ** -0.5
     hl_line = anchor * (n_grid / n0) ** -1.0
     sh_line = anchor * (n_grid / n0) ** -1.5
-    damage = np.array([response.damage(float(n)) for n in n_grid])
+    damage = response.damage(n_grid)
 
     sens_col = model_curve.sensitivity if cfg["ideal"] else measured
     _write_rows(

@@ -75,11 +75,17 @@ log = logging.getLogger(__name__)
 
 _POSITIVITY_ABORT = 1e-6
 _TRACE_ABORT = 1e-6
-# one integrator for every cloud and node solve (the two-level oracle
-# keeps its own tighter RK45 settings)
+# one integrator for every cloud and node solve
 _METHOD = "DOP853"
 _RTOL = 1e-6
 _ATOL = 1e-9
+# the two-level oracle runs a different, tighter integrator, so it does
+# not share the production settings it validates
+_ORACLE_METHOD = "RK45"
+_ORACLE_RTOL = 1e-10
+_ORACLE_ATOL = 1e-12
+# relative S_y change on node doubling that verify_quadrature tolerates
+_QUADRATURE_RTOL = 5e-3
 
 
 def drive_scale(n_photons: float, gamma: float, wavenumber: float) -> float:
@@ -481,7 +487,6 @@ def detected_stokes(
     n_radial: int = 9,
     n_long: int = 9,
     verify_quadrature: bool = False,
-    quadrature_rtol: float = 5e-3,
 ) -> StokesResult:
     """Drive every cloud node through the pulse and assemble (S_x, S_y).
 
@@ -494,8 +499,8 @@ def detected_stokes(
     Hermitian, unit-trace, positive 24x24 matrix that is zero outside the
     two integrated blocks (see the module docstring).  Raises
     QuadratureNotConverged when ``verify_quadrature`` is set and
-    doubling both node counts moves S_y by more than ``quadrature_rtol``
-    relatively (with an absolute floor tied to integration tolerance).
+    doubling both node counts moves S_y by more than 5e-3 relatively
+    (with an absolute floor tied to integration tolerance).
     """
     out = _detected_stokes_once(pulse, beam, cloud, model, initial, n_radial, n_long)
     if verify_quadrature:
@@ -503,7 +508,7 @@ def detected_stokes(
             pulse, beam, cloud, model, initial, 2 * n_radial, 2 * n_long, n_snapshots=2,
         )
         scale = max(abs(out.s_y), abs(fine.s_y), _ATOL * max(out.s_x, 1.0))
-        if abs(out.s_y - fine.s_y) > quadrature_rtol * scale:
+        if abs(out.s_y - fine.s_y) > _QUADRATURE_RTOL * scale:
             raise QuadratureNotConverged(
                 f"S_y moved {out.s_y:.6e} -> {fine.s_y:.6e} on node doubling"
             )
@@ -744,9 +749,6 @@ def integrate_two_level(
     gamma: float,
     t_final: float,
     n_stored: int = 101,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    method: str = "RK45",
 ):
     """Drive a bare two-level atom with the same batched machinery.
 
@@ -769,7 +771,10 @@ def integrate_two_level(
     amps = np.array([1.0])
     rhs = _make_rhs(gen, amps, omega, lambda t: 1.0)
     y0 = _pack(*_to_blocks(gen, rho0), np.zeros(1, dtype=complex))
-    sol = solve_ivp(rhs, (0.0, t_final), y0, method=method, rtol=rtol, atol=atol, t_eval=t_eval)
+    sol = solve_ivp(
+        rhs, (0.0, t_final), y0, method=_ORACLE_METHOD,
+        rtol=_ORACLE_RTOL, atol=_ORACLE_ATOL, t_eval=t_eval,
+    )
     if not sol.success:
         raise StepFailure(sol.message)
     pops = [_unpack(gen, np.ascontiguousarray(yk), 1)[0][0, 1, 1].real for yk in sol.y.T]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import ScalingCurve
+from .analysis import ResponseModel, ScalingCurve
 from .exceptions import InvalidConfig
 from .geometry import BeamGeometry, CloudGeometry, PulseSpec
 
@@ -84,47 +84,6 @@ class PolarimeterModel:
 
     def noiseless(self) -> "PolarimeterModel":
         return replace(self, shot_noise=False, electronic_noise=False)
-
-
-@dataclass(frozen=True)
-class ResponseModel:
-    """Effective rotation response with saturation and damage.
-
-    phi_linear = (A/2) F_z;  phi_nonlinear = (B_eff(N) N / 2) F_z with
-    B_eff = B / (1 + N/N_sat); the nonlinear pulse destroys a fraction
-    eta(N) = eta_offset + eta_slope * N / N_sat of the polarization.
-    Defaults reproduce the published calibration of this experiment.
-    """
-
-    linear_coefficient: float = 3.3e-8
-    nonlinear_coefficient: float = 3.8e-16
-    saturation_photons: float = 6.0e7
-    damage_offset: float = 0.0
-    damage_slope: float = 0.08
-
-    def __post_init__(self):
-        if self.linear_coefficient < 0 or self.nonlinear_coefficient < 0:
-            raise InvalidConfig("response coefficients must be non-negative")
-        if self.saturation_photons <= 0:
-            raise InvalidConfig("saturation photon number must be positive")
-        if self.damage_offset < 0 or self.damage_slope < 0:
-            raise InvalidConfig("damage parameters must be non-negative")
-
-    def effective_nonlinear(self, n_photons: float) -> float:
-        return self.nonlinear_coefficient / (1.0 + n_photons / self.saturation_photons)
-
-    def linear_rotation(self, f_z: float) -> float:
-        return 0.5 * self.linear_coefficient * f_z
-
-    def nonlinear_rotation(self, f_z: float, n_photons: float) -> float:
-        return 0.5 * self.effective_nonlinear(n_photons) * n_photons * f_z
-
-    def damage(self, n_photons: float) -> float:
-        return min(self.damage_offset + self.damage_slope * n_photons / self.saturation_photons, 1.0)
-
-    def calibration_slope(self, n_photons: float) -> float:
-        """dphi_NL/dphi_L at this photon number."""
-        return self.effective_nonlinear(n_photons) * n_photons / self.linear_coefficient
 
 
 class SimulatedResponse:

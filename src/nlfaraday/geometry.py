@@ -18,6 +18,8 @@ from numpy.polynomial.legendre import leggauss
 from .exceptions import InvalidConfig
 
 _LN2 = float(np.log(2.0))
+# half-width of a Gaussian pulse's integration window, in units of sigma_time
+_WINDOW_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,6 @@ class PulseSpec:
     detuning: float = 2 * np.pi * 462e6
     train_count: int = 1
     train_period: float = 0.0
-    window_sigmas: float = 4.0
 
     def __post_init__(self):
         if self.shape not in ("gaussian", "flat-train"):
@@ -56,7 +57,7 @@ class PulseSpec:
     def window(self):
         """Integration window covering the envelope support."""
         if self.shape == "gaussian":
-            half = self.window_sigmas * self.sigma_time
+            half = _WINDOW_SIGMAS * self.sigma_time
             return (-half, half)
         span = (self.train_count - 1) * self.train_period + self.fwhm
         return (0.0, span)

@@ -18,9 +18,10 @@ from nlfaraday.exceptions import (
     NoCrossover,
 )
 
-A_PUB = 3.3e-8
-B_PUB = 3.8e-16
-NSAT_PUB = 6.0e7
+PUBLISHED = ana.ResponseModel()
+A_PUB = PUBLISHED.linear_coefficient
+B_PUB = PUBLISHED.nonlinear_coefficient
+NSAT_PUB = PUBLISHED.saturation_photons
 
 
 def test_regression_exact_line():
@@ -69,29 +70,40 @@ def test_regression_validation():
 
 
 def test_sensitivity_model_basics():
-    model = ana.SensitivityModel(A_PUB, B_PUB, NSAT_PUB)
+    model = ana.ResponseModel(A_PUB, B_PUB, NSAT_PUB)
     assert model.effective_nonlinear(NSAT_PUB) == pytest.approx(B_PUB / 2, rel=1e-12)
     assert model.calibration_slope(1e7) == pytest.approx(0.0987013, rel=1e-5)
     n = np.logspace(5, 8, 7)
     expect = 1.0 / (A_PUB * np.sqrt(n) + model.effective_nonlinear(n) * n**1.5)
     assert model.sensitivity_spins(n) == pytest.approx(expect, rel=1e-12)
     with pytest.raises(InvalidConfig):
-        ana.SensitivityModel(-1.0, B_PUB)
+        ana.ResponseModel(-1.0, B_PUB, None)
     with pytest.raises(InvalidConfig):
-        ana.SensitivityModel(A_PUB, B_PUB, 0.0)
+        ana.ResponseModel(A_PUB, B_PUB, 0.0)
     with pytest.raises(InvalidConfig):
-        ana.SensitivityModel(0.0, B_PUB).calibration_slope(1e6)
+        ana.ResponseModel(0.0, B_PUB, None).calibration_slope(1e6)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.03])
+def test_unsaturated_response_model(offset):
+    model = ana.ResponseModel(saturation_photons=None, damage_offset=offset)
+    n = np.logspace(0.0, 12.0, 25)
+    for nn in n:
+        assert model.effective_nonlinear(nn) == model.nonlinear_coefficient
+        assert model.damage(nn) == offset
+    assert np.array_equal(model.effective_nonlinear(n), [model.effective_nonlinear(x) for x in n])
+    assert np.array_equal(model.damage(n), [model.damage(x) for x in n])
 
 
 def test_sensitivity_reference_points():
-    linear_only = ana.SensitivityModel(A_PUB, 0.0)
+    linear_only = ana.ResponseModel(A_PUB, 0.0, None)
     assert linear_only.sensitivity_spins(1e6) == pytest.approx(30303.03, rel=1e-5)
-    nonlinear_only = ana.SensitivityModel(0.0, B_PUB)
+    nonlinear_only = ana.ResponseModel(0.0, B_PUB, None)
     assert nonlinear_only.sensitivity_spins(1e7) == pytest.approx(83218.0, rel=1e-4)
 
 
 def test_sensitivity_curve_and_exponents():
-    linear_only = ana.SensitivityModel(A_PUB, 0.0)
+    linear_only = ana.ResponseModel(A_PUB, 0.0, None)
     curve = ana.sensitivity_curve(linear_only, np.logspace(5, 8, 16))
     fit = curve.global_exponent()
     assert fit.exponent == pytest.approx(-0.5, abs=1e-12)
@@ -138,7 +150,7 @@ def test_scaling_curve_validation():
 
 
 def test_fit_saturation_recovers_noiseless_model():
-    model = ana.SensitivityModel(A_PUB, B_PUB, NSAT_PUB)
+    model = ana.ResponseModel(A_PUB, B_PUB, NSAT_PUB)
     n = np.logspace(6, 8, 10)
     points = np.column_stack([n, model.calibration_slope(n)])
     fit = ana.fit_saturation(points, A_PUB)

@@ -144,6 +144,8 @@ def test_scan_manifest_reproduces_node_counts(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--ideal"],
+    ["campaign", "--ideal"],
+    ["reproduce-fig2", "--ideal"],
     ["campaign", "--detuning-mhz", "400"],
     ["reproduce-fig2", "--nodes-radial", "3"],
     ["control-run", "--no-saturation"],
@@ -154,6 +156,36 @@ def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, argv):
         cli.main([*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == cli.EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, mode_keys", [
+    (["simulate", "--nodes-radial", "1", "--nodes-longitudinal", "1", "--config", "{zeros}"], set()),
+    (["analyze", "--data", "{data}", "--config", "{zeros}"], set()),
+    (["control-run", "--config", "{zeros}"], set()),
+    (["campaign", "--samples", "12"], {"no_saturation"}),
+    (["reproduce-fig3", "--ideal"], {"ideal", "no_saturation"}),
+])
+def test_manifest_carries_only_the_mode_keys_a_subcommand_reads(tmp_path, argv, mode_keys):
+    # zeros: the mode keys as every manifest carried them before
+    zeros, data = tmp_path / "zeros.cfg", tmp_path / "campaign.csv"
+    zeros.write_text("ideal = 0\nno_saturation = 0\n")
+    data.write_text("\n".join(_campaign_lines()) + "\n")
+    argv = [arg.format(zeros=zeros, data=data) for arg in argv]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    manifest = parse_config_text((out / "manifest.txt").read_text())
+    assert {"ideal", "no_saturation"} & set(manifest) == mode_keys
+
+
+def test_mode_key_a_subcommand_does_not_read_is_config_error(tmp_path, capsys):
+    fig3 = tmp_path / "fig3"
+    assert cli.main(["reproduce-fig3", "--ideal", "--out", str(fig3)]) == cli.EXIT_OK
+    manifest = fig3 / "manifest.txt"
+    rc = cli.main(["control-run", "--config", str(manifest), "--out", str(tmp_path / "ctl")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "ideal = 1" in err and "control-run" in err
+    assert "--ideal" not in err
 
 
 def test_run_log_handler_removed_after_main(tmp_path):

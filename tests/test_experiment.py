@@ -9,10 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlfaraday import experiment as expmt
+from nlfaraday import analysis as ana
 from nlfaraday.analysis import linear_regression
 from nlfaraday.exceptions import InvalidConfig
 
-A_PUB = 3.3e-8
+PUBLISHED = expmt.ResponseModel()
+A_PUB = PUBLISHED.linear_coefficient
+B_PUB = PUBLISHED.nonlinear_coefficient
 
 
 def test_phi_variance_shot_limit():
@@ -48,9 +51,11 @@ def test_polarimeter_validation():
 
 
 def test_response_model_values():
+    # one response model: the campaigns use the class the analysis fits
+    assert expmt.ResponseModel is ana.ResponseModel
     resp = expmt.ResponseModel()
     assert resp.linear_rotation(2e5) == pytest.approx(0.5 * A_PUB * 2e5, rel=1e-12)
-    assert resp.effective_nonlinear(6e7) == pytest.approx(3.8e-16 / 2, rel=1e-12)
+    assert resp.effective_nonlinear(6e7) == pytest.approx(B_PUB / 2, rel=1e-12)
     assert resp.calibration_slope(1e7) == pytest.approx(0.0987013, rel=1e-5)
     assert resp.damage(6e7) == pytest.approx(0.08, rel=1e-12)
     assert resp.damage(1e10) == 1.0
