@@ -26,7 +26,9 @@ from .config import load_config, write_manifest
 from .exceptions import DataIntegrityError, InvalidConfig, NlfaradayError
 from .geometry import BeamGeometry, CloudGeometry, PulseSpec
 
-log = logging.getLogger(__name__)
+# named, not __name__: under ``python -m nlfaraday.cli`` that is "__main__",
+# outside the "nlfaraday" logger whose handler writes run.log
+log = logging.getLogger("nlfaraday.cli")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -271,6 +273,7 @@ def cmd_simulate(args) -> int:
         pulse, beam, cloud, ops,
         n_radial=cfg["nodes_radial"], n_long=cfg["nodes_long"],
     )
+    log.info("integrated %d intensity levels for %d cloud nodes", res.levels, res.grid.r.size)
     _write_rows(
         out / "stokes.csv",
         [
@@ -406,6 +409,9 @@ def cmd_fig2(args) -> int:
         rows,
     )
     model = ana.fit_saturation([(r[0], r[1]) for r in rows], cfg["linear_coefficient"])
+    injected_sat = (
+        response.saturation_photons if response.saturation_photons is not None else math.inf
+    )
     ana.write_fit_report(
         out / "fig2_report.txt",
         {
@@ -414,14 +420,14 @@ def cmd_fig2(args) -> int:
             if model.saturation_photons is not None
             else float("nan"),
             "injected_nonlinear_coefficient": cfg["nonlinear_coefficient"],
-            "injected_saturation_photons": cfg["saturation_photons"],
+            "injected_saturation_photons": injected_sat,
         },
         header="saturation fit of calibration slopes",
     )
     ns_txt = "unconstrained" if model.saturation_photons is None else f"{model.saturation_photons:.4g}"
     print(
         f"B = {model.nonlinear_coefficient:.4g} (injected {cfg['nonlinear_coefficient']:.4g}), "
-        f"N_sat = {ns_txt} (injected {cfg['saturation_photons']:.4g})"
+        f"N_sat = {ns_txt} (injected {injected_sat:.4g})"
     )
     print(f"outputs in {out}")
     return EXIT_OK

@@ -1,22 +1,33 @@
 """Master-equation dynamics over the cloud and Stokes-signal assembly.
 
 A probe pulse is propagated through the ensemble to first order in atom
-number: every quadrature node of the cloud-beam geometry carries an
-independent density matrix driven by the local field, and the detected
-signal is the mode-matched overlap of the first-order dipole polarization
-with the input mode, accumulated in time alongside the state itself.
+number: every atom carries an independent density matrix driven by the
+local field, and the detected signal is the mode-matched overlap of the
+first-order dipole polarization with the input mode, accumulated in time
+alongside the state itself.
 
-Of the 24 levels, a node integrates only two blocks.  The coherent
-12x12 block holds ground F=1 and the excited levels the x-polarized
-drive reaches from it, F'=0, 1, 2; the drive, the level energies, the
-excited-state decay, the recycling into F=1 and the detection act on it
-alone.  The 5x5 ground F=2 block has no drive and only accumulates decay
-from the excited levels.  Everything else stays exactly zero for any
-initial state with zeros there: F'=3 is two units of F away from F=1,
-so the drive cannot reach it and nothing else feeds it; with the
-emission channels split by destination ground manifold, decay never
-builds an F=1-F=2 coherence; and since F=2 is not driven, no
-excited-F=2 coherence forms either.  Full 24x24 matrices are rebuilt
+An atom's response depends on where it sits only through its local
+intensity s = A0 |M(r, z)|^2 (the drive is real, see below), so the
+cloud average is a one-dimensional integral over the distribution of s.
+The radial x longitudinal product rule of ``cloud_quadrature`` defines
+that distribution as a discrete measure; its equal intensities (the
+Gauss-Hermite z nodes come in mirror pairs) are merged, and when more
+than ``_INTENSITY_LEVELS`` distinct values remain, the measure is
+replaced by its Gauss rule of that many levels (Golub-Welsch).  One
+density matrix is integrated per level, and every cloud sum runs over
+the levels with their weights.
+
+Of the 24 atomic levels, each integrated state holds only two blocks.
+The coherent 12x12 block holds ground F=1 and the excited levels the
+x-polarized drive reaches from it, F'=0, 1, 2; the drive, the level
+energies, the excited-state decay, the recycling into F=1 and the
+detection act on it alone.  The 5x5 ground F=2 block has no drive and
+only accumulates decay from the excited levels.  Everything else stays
+exactly zero for any initial state with zeros there: F'=3 is two units
+of F away from F=1, so the drive cannot reach it and nothing else feeds
+it; with the emission channels split by destination ground manifold,
+decay never builds an F=1-F=2 coherence; and since F=2 is not driven,
+no excited-F=2 coherence forms either.  Full 24x24 matrices are rebuilt
 from the blocks only at the stored times.
 
 Drive normalization: a pulse of N photons in beam mode M(r, z) with
@@ -32,7 +43,7 @@ w * conj(M) * J depends only on |M|.  The polarization-plane rotation
 of the x-polarized input follows from the same bookkeeping as
 
     phi + i*epsilon = i * (6 pi Gamma / (k^2 omega0)) * I,
-    I = N_A * sum_nodes w * |M| * J,
+    I = N_A * sum_levels W * |M| * J,
     J = integral dt T(t) Tr[rho(t) d_y_lowering],
 
 where epsilon is the output ellipticity.  The prefactor is fixed by the
@@ -48,6 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from . import atom as _atom
@@ -75,7 +87,7 @@ log = logging.getLogger(__name__)
 
 _POSITIVITY_ABORT = 1e-6
 _TRACE_ABORT = 1e-6
-# one integrator for every cloud and node solve
+# one integrator for every cloud and single-node solve
 _METHOD = "DOP853"
 _RTOL = 1e-6
 _ATOL = 1e-9
@@ -84,8 +96,11 @@ _ATOL = 1e-9
 _ORACLE_METHOD = "RK45"
 _ORACLE_RTOL = 1e-10
 _ORACLE_ATOL = 1e-12
-# relative S_y change on node doubling that verify_quadrature tolerates
+# relative S_y change on node and level doubling that verify_quadrature tolerates
 _QUADRATURE_RTOL = 5e-3
+# Gauss levels of local intensity integrated per pulse; 12 levels match
+# the 9x9 product rule to 1.5e-8 in ellipticity at 1e8 photons, 8 do not
+_INTENSITY_LEVELS = 12
 
 
 def drive_scale(n_photons: float, gamma: float, wavenumber: float) -> float:
@@ -234,7 +249,7 @@ def _to_blocks(gen: _Generator, rho) -> tuple:
 
 
 def _make_rhs(gen: _Generator, amplitudes: np.ndarray, omega0: float, envelope):
-    """Vector field over the stacked node blocks plus overlap accumulators.
+    """Vector field over the stacked per-amplitude blocks plus overlap accumulators.
 
     State layout: see ``_pack``.  The accumulator integrates
     T(t) * Tr[rho d_detect].  Drive amplitudes are real (see the module
@@ -331,9 +346,11 @@ def _solve_batch(
     pulse: PulseSpec,
     t_eval,
 ):
-    """Integrate all nodes over the pulse windows; free decay is exact.
+    """Integrate one state per drive amplitude over the pulse windows.
 
-    Returns (times, states (n_t, nodes, size, size), overlaps (nodes,)),
+    Each amplitude is a local |M| = sqrt(s / A0): an intensity level of
+    the cloud, or the single node of ``integrate_node``.  Free decay is
+    exact.  Returns (times, states (n_t, n, size, size), overlaps (n,)),
     with the full density matrices rebuilt from the two blocks only at the
     ``t_eval`` times that fall inside a segment.  For flat trains the gaps
     between segments are advanced with the exact elementwise
@@ -435,8 +452,7 @@ def integrate_node(
     scheme = model.scheme
     gen = _build_generator(model, pulse.detuning)
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
-    m_focus = math.sqrt(2.0 / math.pi) / beam.waist
-    amp = np.array([m_focus * math.sqrt(local_intensity_scale)])
+    amp = np.array([math.sqrt(local_intensity_scale / beam.effective_area)])
 
     t0, t1 = pulse.window()
     if t_eval is None:
@@ -458,6 +474,43 @@ def integrate_node(
     )
 
 
+def _intensity_rule(s: np.ndarray, weight: np.ndarray, k: int):
+    """At most k intensity levels and weights standing in for the cloud rule.
+
+    The product rule is the discrete measure sum_i w_i delta(s - s_i) in
+    local intensity.  Equal intensities are merged first; if at most k
+    distinct values remain they are returned with their summed weights,
+    exactly.  Otherwise the result is the k-point Gauss rule of that
+    measure, which reproduces its moments sum w s^j for j < 2k: Lanczos
+    on diag(s) from sqrt(w), with full reorthogonalization, gives the
+    Jacobi matrix, whose eigenvalues are the levels and whose first
+    eigenvector components give the weights (Golub & Welsch, Math. Comp.
+    23 (1969) 221).  Returns (levels, weights), levels ascending.
+    """
+    values, inverse = np.unique(s, return_inverse=True)
+    mass = np.bincount(inverse, weights=weight)
+    if values.size <= k:
+        return values, mass
+    total = mass.sum()
+    basis = np.zeros((k, values.size))
+    alpha = np.zeros(k)
+    beta = np.zeros(k - 1)
+    q = np.sqrt(mass / total)
+    for j in range(k):
+        basis[j] = q
+        v = values * q
+        alpha[j] = q @ v
+        # reorthogonalize twice against every earlier vector: plain Lanczos
+        # loses orthogonality as soon as a level converges
+        for _ in range(2):
+            v -= basis[: j + 1].T @ (basis[: j + 1] @ v)
+        if j + 1 < k:
+            beta[j] = np.linalg.norm(v)
+            q = v / beta[j]
+    levels, vectors = eigh_tridiagonal(alpha, beta)
+    return levels, total * vectors[0] ** 2
+
+
 @dataclass
 class StokesResult:
     """Detected expectation values and bookkeeping for one pulse."""
@@ -472,7 +525,8 @@ class StokesResult:
     damage_detected: float       # mode-weighted loss, what a second probe sees
     n_atoms: float
     pulse: PulseSpec
-    grid: QuadratureGrid
+    grid: QuadratureGrid         # the product rule that defines the cloud measure
+    levels: int                  # intensity levels integrated for it
     max_trace_deviation: float
     min_eigenvalue: float
     end_populations: dict
@@ -488,43 +542,54 @@ def detected_stokes(
     n_long: int = 9,
     verify_quadrature: bool = False,
 ) -> StokesResult:
-    """Drive every cloud node through the pulse and assemble (S_x, S_y).
+    """Drive the cloud through the pulse and assemble (S_x, S_y).
 
     S_x is the input photon number; S_y = rotation * S_x, with the
     rotation given by the time-integrated, mode-matched overlap of the
     first-order dipole response.  Linearity in atom number is exact in
-    this first-order scheme; node placement follows the cloud quadrature.
+    this first-order scheme.  The n_radial x n_long product rule of the
+    cloud quadrature sets the distribution of local intensity; the
+    master equation is integrated once per level of its Gauss rule in
+    intensity (at most ``_INTENSITY_LEVELS``, exact when the rule has no
+    more distinct intensities than that; see the module docstring).
 
     Raises InvalidConfig, before integrating, when ``initial`` is not a
     Hermitian, unit-trace, positive 24x24 matrix that is zero outside the
     two integrated blocks (see the module docstring).  Raises
     QuadratureNotConverged when ``verify_quadrature`` is set and
-    doubling both node counts moves S_y by more than 5e-3 relatively
-    (with an absolute floor tied to integration tolerance).
+    doubling both node counts and the level count moves S_y by more than
+    5e-3 relatively (with an absolute floor tied to integration
+    tolerance).
     """
-    out = _detected_stokes_once(pulse, beam, cloud, model, initial, n_radial, n_long)
+    out = _detected_stokes_once(
+        pulse, beam, cloud, model, initial, n_radial, n_long, _INTENSITY_LEVELS,
+    )
     if verify_quadrature:
         fine = _detected_stokes_once(
-            pulse, beam, cloud, model, initial, 2 * n_radial, 2 * n_long, n_snapshots=2,
+            pulse, beam, cloud, model, initial, 2 * n_radial, 2 * n_long,
+            2 * _INTENSITY_LEVELS, n_snapshots=2,
         )
         scale = max(abs(out.s_y), abs(fine.s_y), _ATOL * max(out.s_x, 1.0))
         if abs(out.s_y - fine.s_y) > _QUADRATURE_RTOL * scale:
             raise QuadratureNotConverged(
-                f"S_y moved {out.s_y:.6e} -> {fine.s_y:.6e} on node doubling"
+                f"S_y moved {out.s_y:.6e} -> {fine.s_y:.6e} on node and level doubling"
             )
     return out
 
 
 def _detected_stokes_once(
-    pulse, beam, cloud, model, initial, n_radial, n_long, n_snapshots=5,
+    pulse, beam, cloud, model, initial, n_radial, n_long, n_levels, n_snapshots=5,
 ):
     scheme = model.scheme
     if initial is None:
         initial = initial_state(scheme, 1, 1)
     grid = cloud_quadrature(cloud, n_radial=n_radial, n_long=n_long)
+    level, weight = _intensity_rule(
+        beam.local_intensity_scale(grid.r, grid.z), grid.weight, n_levels,
+    )
     gen = _build_generator(model, pulse.detuning)
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
-    amps = beam.mode_amplitude(grid.r, grid.z)
+    amps = np.sqrt(level / beam.effective_area)
 
     t0, t1 = pulse.window()
     t_eval = list(np.linspace(t0, t1, n_snapshots))
@@ -533,7 +598,7 @@ def _detected_stokes_once(
 
     k = scheme.line.wavenumber
     gamma = scheme.gamma
-    overlap = np.sum(grid.weight * amps * acc)
+    overlap = np.sum(weight * amps * acc)
     # polarimeter sign convention: a spin-up stretched sample probed far
     # blue of every line rotates toward positive S_y (matches the
     # perturbative weight difference, so both response coefficients of
@@ -547,8 +612,8 @@ def _detected_stokes_once(
     fz_end = np.real(np.einsum("nij,ji->n", end, model.f_z))
     if abs(fz0) > 1e-12:
         loss = 1.0 - fz_end / fz0
-        w_mode = grid.weight * amps**2
-        damage_mean = float(np.sum(grid.weight * loss))
+        w_mode = weight * level
+        damage_mean = float(np.sum(weight * loss))
         damage_detected = float(np.sum(w_mode * loss) / np.sum(w_mode))
     else:
         damage_mean = damage_detected = float("nan")
@@ -557,10 +622,10 @@ def _detected_stokes_once(
     for f, excited in ((1, False), (2, False)):
         idx = scheme.manifold_indices(f, excited=excited)
         pops[f"ground_f{f}"] = float(
-            np.sum(grid.weight * np.real(end[:, idx, idx].sum(axis=1)))
+            np.sum(weight * np.real(end[:, idx, idx].sum(axis=1)))
         )
     mask = scheme.excited_mask
-    pops["excited"] = float(np.sum(grid.weight * np.real(end[:, mask, mask].sum(axis=1))))
+    pops["excited"] = float(np.sum(weight * np.real(end[:, mask, mask].sum(axis=1))))
 
     n_atoms = cloud.n_atoms
     rotation = rotation_pa * n_atoms
@@ -577,6 +642,7 @@ def _detected_stokes_once(
         n_atoms=n_atoms,
         pulse=pulse,
         grid=grid,
+        levels=int(level.size),
         max_trace_deviation=max_dev,
         min_eigenvalue=min_eig,
         end_populations=pops,

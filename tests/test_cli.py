@@ -188,6 +188,16 @@ def test_mode_key_a_subcommand_does_not_read_is_config_error(tmp_path, capsys):
     assert "--ideal" not in err
 
 
+def test_module_run_logs_cli_lines_to_run_log(tmp_path):
+    out = tmp_path / "camp"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlfaraday.cli", "campaign", "--samples", "10", "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "campaign -> " in (out / "run.log").read_text()
+
+
 def test_run_log_handler_removed_after_main(tmp_path):
     out = tmp_path / "ctl"
     assert cli.main(["control-run", "--seed", "1", "--out", str(out)]) == cli.EXIT_OK
@@ -346,8 +356,21 @@ def test_fig2_smoke(tmp_path):
     assert cols["slope_true"] == pytest.approx(expect, rel=1e-12)
     report = read_report(out / "fig2_report.txt")
     assert report["injected_nonlinear_coefficient"][0] == pytest.approx(3.8e-16)
+    assert report["injected_saturation_photons"][0] == pytest.approx(6e7)
     # recovered B lands in the right ballpark even for this tiny campaign
     assert report["nonlinear_coefficient"][0] == pytest.approx(3.8e-16, rel=0.6)
+
+
+def test_fig2_no_saturation_reports_no_injected_saturation(tmp_path, capsys):
+    out = tmp_path / "fig2"
+    rc = cli.main([
+        "reproduce-fig2", "--no-saturation", "--points", "3", "--samples", "10",
+        "--seed", "21", "--out", str(out),
+    ])
+    assert rc == cli.EXIT_OK
+    report = read_report(out / "fig2_report.txt")
+    assert report["injected_saturation_photons"][0] == np.inf
+    assert "(injected inf)" in capsys.readouterr().out
 
 
 def test_fig2_grid_points_from_config(tmp_path):
@@ -385,6 +408,7 @@ def test_simulate_with_trajectory_dump(tmp_path):
     # stretched-state preparation: m=+1 starts with everything
     assert pops["m_plus1"][0] == pytest.approx(1.0, abs=1e-9)
     assert pops["m_0"][0] == pytest.approx(0.0, abs=1e-9)
+    assert "integrated 1 intensity levels for 1 cloud nodes" in (out / "run.log").read_text()
 
 
 def test_simulate_detuning_flag(tmp_path):

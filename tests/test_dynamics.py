@@ -15,7 +15,7 @@ from nlfaraday.exceptions import (
     NonConvergence,
     QuadratureNotConverged,
 )
-from nlfaraday.geometry import CloudGeometry, PulseSpec
+from nlfaraday.geometry import CloudGeometry, PulseSpec, cloud_quadrature
 
 MHZ = 2e6 * np.pi
 
@@ -191,6 +191,59 @@ def test_quadrature_verification(ops, beam, cloud):
         dyn.detected_stokes(
             pulse, beam, cloud, ops, n_radial=1, n_long=1, verify_quadrature=True
         )
+
+
+@pytest.mark.parametrize("nodes", [5, 9, 18])
+def test_intensity_rule_is_gauss_rule_of_cloud_measure(beam, cloud, nodes):
+    grid = cloud_quadrature(cloud, n_radial=nodes, n_long=nodes)
+    s = beam.local_intensity_scale(grid.r, grid.z)
+    levels, weights = dyn._intensity_rule(s, grid.weight, 12)
+    assert levels.size == 12
+    assert np.all(weights > 0.0)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+    # a k-point Gauss rule integrates every polynomial of degree < 2k exactly
+    for j in range(24):
+        exact = np.sum(grid.weight * s**j)
+        assert np.sum(weights * levels**j) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("nodes, distinct", [(1, 1), (3, 6)])
+def test_intensity_rule_keeps_a_small_measure_exactly(beam, cloud, nodes, distinct):
+    grid = cloud_quadrature(cloud, n_radial=nodes, n_long=nodes)
+    s = beam.local_intensity_scale(grid.r, grid.z)
+    merged = {}
+    for value, w in zip(s, grid.weight):
+        merged[value] = merged.get(value, 0.0) + w
+    levels, weights = dyn._intensity_rule(s, grid.weight, 12)
+    assert levels.size == distinct
+    assert list(levels) == sorted(merged)
+    assert list(weights) == [merged[v] for v in sorted(merged)]
+
+
+def test_levels_match_per_node_sum(scheme, ops, beam, cloud):
+    # 5x5 nodes hold 15 distinct intensities, more than the 12 levels, so
+    # the Gauss reduction is in play; the oracle integrates every node
+    pulse = PulseSpec(fwhm=54e-9, n_photons=1e8, detuning=2 * np.pi * 462e6)
+    res = dyn.detected_stokes(pulse, beam, cloud, ops, n_radial=5, n_long=5)
+    assert res.levels == 12 and res.grid.r.size == 25
+
+    grid = cloud_quadrature(cloud, n_radial=5, n_long=5)
+    s = beam.local_intensity_scale(grid.r, grid.z)
+    overlap = 0.0
+    loss_sum = 0.0
+    for w, r, z, si in zip(grid.weight, grid.r, grid.z, s):
+        traj = dyn.integrate_node(
+            initial_state(scheme), pulse, float(si), ops, beam=beam, t_eval=pulse.window(),
+        )
+        overlap += w * beam.mode_amplitude(r, z) * traj.overlap
+        fz = traj.fz_ground_expectation(ops)
+        loss_sum += w * si * (1.0 - fz[-1] / fz[0])
+    k = scheme.line.wavenumber
+    omega0 = dyn.drive_scale(pulse.n_photons, scheme.gamma, k)
+    response = -1j * (6.0 * np.pi * scheme.gamma / (k * k * omega0)) * overlap
+    assert res.rotation_per_atom == pytest.approx(response.real, rel=1e-6)
+    assert res.ellipticity_per_atom == pytest.approx(response.imag, rel=1e-6)
+    assert res.damage_detected == pytest.approx(loss_sum / np.sum(grid.weight * s), rel=1e-6)
 
 
 def test_single_node_overlap_pin(scheme, ops):
