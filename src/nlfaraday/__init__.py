@@ -60,7 +60,6 @@ from .dynamics import (
     integrate_node,
     StokesResult,
     detected_stokes,
-    rotation_angle_model,
     pt_linear_coefficient,
     extract_effective_coefficients,
     locate_crossing,
@@ -69,7 +68,6 @@ from .dynamics import (
 )
 from .experiment import (
     PolarimeterModel,
-    SimulatedResponse,
     StokesRecord,
     SequenceResult,
     run_sequence,
@@ -126,13 +124,12 @@ __all__ = [
     "cloud_quadrature", "peak_intensity",
     # dynamics
     "drive_scale", "Trajectory", "integrate_node", "StokesResult",
-    "detected_stokes", "rotation_angle_model", "pt_linear_coefficient",
+    "detected_stokes", "pt_linear_coefficient",
     "extract_effective_coefficients", "locate_crossing",
     "integrate_two_level", "damped_rabi_reference",
     # experiment
-    "PolarimeterModel", "SimulatedResponse",
-    "StokesRecord", "SequenceResult", "run_sequence", "CampaignResult",
-    "generate_correlation_campaign", "polarimeter_noise_scan",
+    "PolarimeterModel", "StokesRecord", "SequenceResult", "run_sequence",
+    "CampaignResult", "generate_correlation_campaign", "polarimeter_noise_scan",
     "waveplate_control_run", "write_campaign_csv", "read_campaign_csv",
     # analysis
     "RegressionResult", "linear_regression", "ResponseModel",

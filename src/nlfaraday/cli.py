@@ -64,12 +64,6 @@ DEFAULTS = {
     "train_period": 0.0,
     **_class_defaults(BeamGeometry, _BEAM_KEYS),
     **_class_defaults(CloudGeometry, _CLOUD_KEYS),
-    "nodes_radial": 9,
-    "nodes_long": 9,
-    # the scan extracts smooth coefficient ratios, where the coarse grid
-    # is converged to <1e-6 relative; the full grid would triple runtime
-    "scan_nodes_radial": 5,
-    "scan_nodes_long": 5,
     # campaign and sequence
     "n_linear": 4e6,
     "n_nonlinear": 1e7,
@@ -128,9 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sub[name].add_argument("--out", type=Path, help="output directory")
     # every other flag is declared where it is read; a flag whose dest is
     # a DEFAULTS key overrides that key
-    for name, prefix in (("simulate", ""), ("coefficients-scan", "scan_")):
-        sub[name].add_argument("--nodes-radial", dest=f"{prefix}nodes_radial", type=int, help="radial quadrature nodes")
-        sub[name].add_argument("--nodes-longitudinal", dest=f"{prefix}nodes_long", type=int, help="longitudinal quadrature nodes")
     for name in ("campaign", "reproduce-fig2", "reproduce-fig3"):
         sub[name].add_argument("--no-saturation", action="store_true", help="disable nonlinear-response saturation")
         sub[name].add_argument("--samples", type=int, help="atom-number samples per campaign")
@@ -269,10 +260,7 @@ def cmd_simulate(args) -> int:
     out = _prepare_out(args, "simulate", cfg)
     ops = _atomic_model()
     pulse, beam, cloud = _scenario(cfg)
-    res = dyn.detected_stokes(
-        pulse, beam, cloud, ops,
-        n_radial=cfg["nodes_radial"], n_long=cfg["nodes_long"],
-    )
+    res = dyn.detected_stokes(pulse, beam, cloud, ops)
     log.info("integrated %d intensity levels for %d cloud nodes", res.levels, res.grid.r.size)
     _write_rows(
         out / "stokes.csv",
@@ -563,15 +551,11 @@ def cmd_scan(args) -> int:
     out = _prepare_out(args, "coefficients-scan", cfg)
     ops = _atomic_model()
     _, beam, cloud = _scenario(cfg)
-    n_rad, n_lng = cfg["scan_nodes_radial"], cfg["scan_nodes_long"]
     detunings = list(np.linspace(cfg["scan_lo"], cfg["scan_hi"], cfg["scan_points"]))
     detunings.append(_TWO_PI * 1.5e9)  # the far-detuned linear-probe marker
     rows = []
     for delta in detunings:
-        coeff = dyn.extract_effective_coefficients(
-            ops, float(delta), beam=beam, cloud=cloud,
-            n_radial=n_rad, n_long=n_lng,
-        )
+        coeff = dyn.extract_effective_coefficients(ops, float(delta), beam=beam, cloud=cloud)
         rows.append([
             delta / _TWO_PI / 1e6,
             coeff.alpha1,
@@ -584,14 +568,8 @@ def cmd_scan(args) -> int:
         ["detuning_mhz", "alpha1", "beta1", "alpha1_sign", "beta1_sign"],
         rows,
     )
-    crossing = dyn.locate_crossing(
-        ops, beam, cloud, lo=cfg["scan_lo"], hi=cfg["scan_hi"],
-        n_radial=n_rad, n_long=n_lng,
-    )
-    beta_at = dyn.extract_effective_coefficients(
-        ops, crossing, beam=beam, cloud=cloud,
-        n_radial=n_rad, n_long=n_lng,
-    )
+    crossing = dyn.locate_crossing(ops, beam, cloud, lo=cfg["scan_lo"], hi=cfg["scan_hi"])
+    beta_at = dyn.extract_effective_coefficients(ops, crossing, beam=beam, cloud=cloud)
     ana.write_fit_report(
         out / "crossing_report.txt",
         {

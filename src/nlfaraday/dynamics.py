@@ -53,7 +53,6 @@ exactly, leaving no free normalization anywhere in the detection chain.
 """
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -83,8 +82,6 @@ from .exceptions import (
 )
 from .geometry import BeamGeometry, CloudGeometry, PulseSpec, QuadratureGrid, cloud_quadrature
 
-log = logging.getLogger(__name__)
-
 _POSITIVITY_ABORT = 1e-6
 _TRACE_ABORT = 1e-6
 # one integrator for every cloud and single-node solve
@@ -101,6 +98,8 @@ _QUADRATURE_RTOL = 5e-3
 # Gauss levels of local intensity integrated per pulse; 12 levels match
 # the 9x9 product rule to 1.5e-8 in ellipticity at 1e8 photons, 8 do not
 _INTENSITY_LEVELS = 12
+# Gauss-Hermite nodes in z of the perturbative oracle's cloud average
+_PT_LONG_NODES = 33
 
 
 def drive_scale(n_photons: float, gamma: float, wavenumber: float) -> float:
@@ -121,7 +120,7 @@ class _Generator:
     raising: np.ndarray    # drive raising operator on the coherent block
     gain: np.ndarray       # flat rho_ee (ne*ne,) -> flat gain (ng*ng + nd*nd,), transposed
     n_ground: int          # ground levels of the coherent block
-    detect: np.ndarray     # excited-ground detection block (ne, ng), or None
+    detect: np.ndarray     # excited-ground detection block (ne, ng)
     coherent: np.ndarray
     decay_only: np.ndarray
     size: int              # levels of the full basis
@@ -273,21 +272,17 @@ def _make_rhs(gen: _Generator, amplitudes: np.ndarray, omega0: float, envelope):
         drho, ddec, dacc = _unpack(gen, out, n_nodes)
 
         np.multiply(g, rho, out=drho)
-        if tt != 0.0:
-            c = (rho.reshape(-1, nc) @ s).reshape(n_nodes, nc, nc)
-            u = c.conj().transpose(0, 2, 1) - c
-            u *= tt * drive
-            drho += u
+        c = (rho.reshape(-1, nc) @ s).reshape(n_nodes, nc, nc)
+        u = c.conj().transpose(0, 2, 1) - c
+        u *= tt * drive
+        drho += u
 
         gain = rho[:, ng:, ng:].reshape(n_nodes, ne * ne) @ gain_t
         drho[:, :ng, :ng] += gain[:, : ng * ng].reshape(n_nodes, ng, ng)
         ddec[:] = gain[:, ng * ng :].reshape(ddec.shape)
 
-        if gen.detect is not None and tt != 0.0:
-            np.einsum("nij,ij->n", rho[:, ng:, :ng], gen.detect, out=dacc)
-            dacc *= tt
-        else:
-            dacc[:] = 0.0
+        np.einsum("nij,ij->n", rho[:, ng:, :ng], gen.detect, out=dacc)
+        dacc *= tt
         return out
 
     return rhs
@@ -649,22 +644,12 @@ def _detected_stokes_once(
     )
 
 
-def rotation_angle_model(pulse, beam, cloud, model, **kwargs) -> float:
-    """phi = S_y / S_x for the configured scenario (small-angle regime)."""
-    res = detected_stokes(pulse, beam, cloud, model, **kwargs)
-    phi = res.s_y / res.s_x
-    if abs(phi) > 0.1:
-        log.warning("rotation %.3g rad leaves the small-angle regime", phi)
-    return phi
-
-
 def pt_linear_coefficient(
     model: OperatorSet,
     detuning: float,
     beam: BeamGeometry,
     cloud: CloudGeometry = None,
     linewidth=None,
-    n_long: int = 33,
     ground_f: int = 1,
     ground_m: int = 1,
 ) -> complex:
@@ -686,7 +671,7 @@ def pt_linear_coefficient(
     else:
         from numpy.polynomial.hermite import hermgauss
 
-        t, wt = hermgauss(n_long)
+        t, wt = hermgauss(_PT_LONG_NODES)
         z = cloud.sigma_long * t
         w2 = beam.width(z) ** 2
         msq = np.sum(
@@ -703,8 +688,6 @@ def extract_effective_coefficients(
     pulse_fwhm: float = 54e-9,
     pulse_shape: str = "gaussian",
     photon_ladder=(2.5e5, 1e6, 4e6),
-    n_radial: int = 9,
-    n_long: int = 9,
 ) -> EffectiveCoefficients:
     """Extract linear and leading nonlinear response at one detuning.
 
@@ -736,7 +719,7 @@ def extract_effective_coefficients(
         pulse = PulseSpec(
             shape=pulse_shape, fwhm=pulse_fwhm, n_photons=float(n), detuning=detuning
         )
-        res = detected_stokes(pulse, beam, cloud, model, n_radial=n_radial, n_long=n_long)
+        res = detected_stokes(pulse, beam, cloud, model)
         phis.append(res.rotation_per_atom)
     phis = np.asarray(phis)
 
@@ -771,7 +754,6 @@ def locate_crossing(
     lo: float = 2 * np.pi * 430e6,
     hi: float = 2 * np.pi * 500e6,
     xtol: float = 2 * np.pi * 5e4,
-    **stokes_kwargs,
 ) -> float:
     """Zero of the simulated low-energy rotation versus detuning.
 
@@ -785,7 +767,7 @@ def locate_crossing(
 
     def rot(delta):
         pulse = PulseSpec(fwhm=pulse_fwhm, n_photons=n_photons, detuning=delta)
-        return detected_stokes(pulse, beam, cloud, model, **stokes_kwargs).rotation_per_atom
+        return detected_stokes(pulse, beam, cloud, model).rotation_per_atom
 
     flo, fhi = rot(lo), rot(hi)
     if flo * fhi > 0:
@@ -826,7 +808,7 @@ def integrate_two_level(
         raising=np.array([[0.0, 0.0], [1.0, 0.0]]),
         gain=_gain_map([[np.array([[math.sqrt(gamma)]])]]),
         n_ground=1,
-        detect=None,
+        detect=np.zeros((1, 1), dtype=complex),  # the oracle detects nothing
         coherent=np.arange(2),
         decay_only=np.arange(0),
         size=2,

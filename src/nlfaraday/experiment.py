@@ -18,7 +18,6 @@ Noise conventions (two detection interfaces, matching their consumers):
 from __future__ import annotations
 
 import io
-import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -26,9 +25,6 @@ import numpy as np
 
 from .analysis import ResponseModel, ScalingCurve
 from .exceptions import InvalidConfig
-from .geometry import BeamGeometry, CloudGeometry, PulseSpec
-
-log = logging.getLogger(__name__)
 
 CSV_SCHEMA_VERSION = 1
 _PROBE_TAGS = ("L1", "NL", "L2")
@@ -84,67 +80,6 @@ class PolarimeterModel:
 
     def noiseless(self) -> "PolarimeterModel":
         return replace(self, shot_noise=False, electronic_noise=False)
-
-
-class SimulatedResponse:
-    """Response model backed by the master-equation dynamics.
-
-    Per-atom rotations are computed once per (detuning, pulse) request and
-    cached; the detected signal is linear in atom number by construction,
-    so scaling the cached per-atom values to F_z is exact.  Slow compared
-    to ResponseModel: each new photon number costs a full cloud
-    integration.
-    """
-
-    def __init__(
-        self,
-        model,
-        beam: BeamGeometry = None,
-        cloud: CloudGeometry = None,
-        linear_detuning: float = 2 * math.pi * 1.5e9,
-        nonlinear_detuning: float = None,
-        linear_pulse_fwhm: float = 1e-6,
-        nonlinear_pulse_fwhm: float = 54e-9,
-        n_radial: int = 9,
-        n_long: int = 9,
-    ):
-        from . import dynamics as _dyn
-
-        self._dyn = _dyn
-        self._model = model
-        self._beam = beam or BeamGeometry(wavelength=model.scheme.wavelength)
-        self._cloud = cloud or CloudGeometry()
-        self._linear_detuning = linear_detuning
-        if nonlinear_detuning is None:
-            nonlinear_detuning = _dyn.locate_crossing(model, self._beam, self._cloud)
-        self._nonlinear_detuning = nonlinear_detuning
-        self._linear_fwhm = linear_pulse_fwhm
-        self._nonlinear_fwhm = nonlinear_pulse_fwhm
-        self._nodes = (n_radial, n_long)
-        self._cache = {}
-
-    def _per_atom(self, detuning, fwhm, shape, n_photons):
-        key = (detuning, fwhm, shape, n_photons)
-        if key not in self._cache:
-            pulse = PulseSpec(shape=shape, fwhm=fwhm, n_photons=n_photons, detuning=detuning)
-            res = self._dyn.detected_stokes(
-                pulse, self._beam, self._cloud, self._model,
-                n_radial=self._nodes[0], n_long=self._nodes[1],
-            )
-            self._cache[key] = (res.rotation_per_atom, res.damage_detected)
-        return self._cache[key]
-
-    def linear_rotation(self, f_z: float, n_photons: float = 4e6) -> float:
-        rot, _ = self._per_atom(self._linear_detuning, self._linear_fwhm, "flat-train", n_photons)
-        return rot * f_z
-
-    def nonlinear_rotation(self, f_z: float, n_photons: float) -> float:
-        rot, _ = self._per_atom(self._nonlinear_detuning, self._nonlinear_fwhm, "gaussian", n_photons)
-        return rot * f_z
-
-    def damage(self, n_photons: float) -> float:
-        _, dmg = self._per_atom(self._nonlinear_detuning, self._nonlinear_fwhm, "gaussian", n_photons)
-        return dmg
 
 
 @dataclass(frozen=True)
@@ -492,9 +427,10 @@ def read_campaign_csv(path):
     The ``transmission_h`` and ``transmission_v`` header values (1.0 when
     absent) are applied to every record.  Raises InvalidConfig for an
     unreadable file, unexpected columns, a missing or different
-    ``schema_version``, a transmission outside (0, 1], and for a row with
-    the wrong number of cells or a non-numeric cell (naming the file and
-    line).
+    ``schema_version``, a transmission outside (0, 1], a non-numeric
+    ``n_nonlinear`` or ``n_linear`` (naming the file and the key), and for
+    a row with the wrong number of cells or a non-numeric cell (naming the
+    file and line).
     """
     meta = {}
     records = []
@@ -545,4 +481,9 @@ def read_campaign_csv(path):
             except (ValueError, InvalidConfig) as exc:
                 raise InvalidConfig(f"{path}, line {lineno}: {exc}") from None
             records.append(record)
+    for key in ("n_nonlinear", "n_linear"):
+        try:
+            float(meta.get(key, "nan"))
+        except ValueError:
+            raise InvalidConfig(f"{path}: {key} {meta[key]!r} is not a number") from None
     return records, meta

@@ -162,11 +162,9 @@ class QuadratureGrid:
     r: np.ndarray
     z: np.ndarray
     weight: np.ndarray
-    n_radial: int
-    n_long: int
 
 
-def cloud_quadrature(cloud: CloudGeometry, n_radial: int = 9, n_long: int = 9) -> QuadratureGrid:
+def cloud_quadrature(cloud: CloudGeometry, n_radial: int, n_long: int) -> QuadratureGrid:
     """Build the radial x longitudinal product rule for the cloud average.
 
     Longitudinal: Gauss-Hermite in z/sigma_L (the density weight is exactly
@@ -189,7 +187,7 @@ def cloud_quadrature(cloud: CloudGeometry, n_radial: int = 9, n_long: int = 9) -
     rr = np.repeat(r, n_long)
     zz = np.tile(z, n_radial)
     ww = np.repeat(wu, n_long) * np.tile(wz, n_radial)
-    return QuadratureGrid(r=rr, z=zz, weight=ww, n_radial=n_radial, n_long=n_long)
+    return QuadratureGrid(r=rr, z=zz, weight=ww)
 
 
 def peak_intensity(pulse: PulseSpec, beam: BeamGeometry) -> float:

@@ -38,7 +38,7 @@ def sim_crossing(ops, beam, cloud):
     """Detuning where the simulated low-energy rotation changes sign."""
     from nlfaraday import dynamics as dyn
 
-    return dyn.locate_crossing(ops, beam, cloud, n_radial=5, n_long=5)
+    return dyn.locate_crossing(ops, beam, cloud)
 
 
 @pytest.fixture(scope="session")

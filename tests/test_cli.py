@@ -64,6 +64,8 @@ def test_config_file_overrides_feed_validation(tmp_path):
     "n_linear = abc\n",             # non-numeric float
     "samples = 12.7\n",             # non-integral count
     "ideal = 1\n",                  # mode the flags do not select
+    "nodes_radial = 9\n",           # the cloud resolution is not a config key
+    "scan_nodes_long = 5\n",
 ])
 def test_bad_config_value_is_config_error(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
@@ -115,31 +117,35 @@ def test_manifest_round_trip_property(tmp_path_factory, config):
     assert all(type(loaded[key]) is int for key in cli._INT_KEYS)
 
 
-def test_scan_manifest_reproduces_node_counts(tmp_path, monkeypatch):
+def test_scan_manifest_reproduces_the_run(tmp_path, monkeypatch):
     calls = []
 
-    def fake_coefficients(ops, delta, beam, cloud, n_radial, n_long):
-        calls.append((n_radial, n_long))
+    def fake_coefficients(ops, delta, beam, cloud):
+        calls.append(("coefficients", delta, beam, cloud))
         return SimpleNamespace(alpha1=delta - 2 * np.pi * 460e6, beta1=1e-16)
 
-    def fake_crossing(ops, beam, cloud, lo, hi, n_radial, n_long):
-        calls.append((n_radial, n_long))
+    def fake_crossing(ops, beam, cloud, lo, hi):
+        calls.append(("crossing", lo, hi, beam, cloud))
         return 2 * np.pi * 460e6
 
     monkeypatch.setattr(dynamics, "extract_effective_coefficients", fake_coefficients)
     monkeypatch.setattr(dynamics, "locate_crossing", fake_crossing)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("scan_lo = 2.8e9\nwaist = 25e-6\n")
     first, second = tmp_path / "first", tmp_path / "second"
     rc = cli.main([
-        "coefficients-scan", "--scan-points", "2", "--nodes-radial", "1",
-        "--nodes-longitudinal", "1", "--out", str(first),
+        "coefficients-scan", "--config", str(cfg), "--scan-points", "2", "--out", str(first),
     ])
     assert rc == cli.EXIT_OK
     flagged = calls[:]
     calls.clear()
     rc = cli.main(["coefficients-scan", "--config", str(first / "manifest.txt"), "--out", str(second)])
     assert rc == cli.EXIT_OK
-    assert flagged == calls == [(1, 1)] * 5
+    assert len(calls) == 5 and flagged == calls
+    assert calls[3][1:3] == (2.8e9, cli.DEFAULTS["scan_hi"])
+    assert calls[0][2].waist == 25e-6
     assert (second / "manifest.txt").read_text() == (first / "manifest.txt").read_text()
+    assert (second / "coefficients.csv").read_bytes() == (first / "coefficients.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -150,6 +156,8 @@ def test_scan_manifest_reproduces_node_counts(tmp_path, monkeypatch):
     ["reproduce-fig2", "--nodes-radial", "3"],
     ["control-run", "--no-saturation"],
     ["coefficients-scan", "--detuning-mhz", "400"],
+    ["simulate", "--nodes-radial", "1"],
+    ["coefficients-scan", "--nodes-longitudinal", "3"],
 ])
 def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -159,7 +167,7 @@ def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv, mode_keys", [
-    (["simulate", "--nodes-radial", "1", "--nodes-longitudinal", "1", "--config", "{zeros}"], set()),
+    (["simulate", "--config", "{zeros}"], set()),
     (["analyze", "--data", "{data}", "--config", "{zeros}"], set()),
     (["control-run", "--config", "{zeros}"], set()),
     (["campaign", "--samples", "12"], {"no_saturation"}),
@@ -225,6 +233,8 @@ def _campaign_lines(schema="1"):
     ("fractional_index", "line 4"),
     ("no_schema", "schema_version None"),
     ("future_schema", "schema_version 99"),
+    ("text_n_nonlinear", "n_nonlinear 'abc' is not a number"),
+    ("text_n_linear", "n_linear '4e6x' is not a number"),
 ])
 def test_analyze_malformed_campaign_is_config_error(tmp_path, capsys, case, match):
     lines = _campaign_lines(schema={"no_schema": None, "future_schema": "99"}.get(case, "1"))
@@ -236,6 +246,10 @@ def test_analyze_malformed_campaign_is_config_error(tmp_path, capsys, case, matc
         lines[3] = lines[3].replace("4e6,4e6", "4e6,many", 1)
     elif case == "fractional_index":
         lines[3] = lines[3][: lines[3].rindex(",")] + ",0.5"
+    elif case == "text_n_nonlinear":
+        lines[1] = "# n_nonlinear = abc"
+    elif case == "text_n_linear":
+        lines.insert(2, "# n_linear = 4e6x")
     path = tmp_path / "campaign.csv"
     path.write_text("\n".join(lines) + "\n")
     rc = cli.main(["analyze", "--data", str(path), "--out", str(tmp_path / "out")])
@@ -388,10 +402,7 @@ def test_fig2_grid_points_from_config(tmp_path):
 
 def test_simulate_with_trajectory_dump(tmp_path):
     out = tmp_path / "sim"
-    rc = cli.main([
-        "simulate", "--dump-trajectory", "--out", str(out),
-        "--nodes-radial", "1", "--nodes-longitudinal", "1",
-    ])
+    rc = cli.main(["simulate", "--dump-trajectory", "--out", str(out)])
     assert rc == cli.EXIT_OK
     stokes = read_csv_columns(out / "stokes.csv")
     assert stokes["n_photons"][0] == pytest.approx(5.7e6)
@@ -408,15 +419,13 @@ def test_simulate_with_trajectory_dump(tmp_path):
     # stretched-state preparation: m=+1 starts with everything
     assert pops["m_plus1"][0] == pytest.approx(1.0, abs=1e-9)
     assert pops["m_0"][0] == pytest.approx(0.0, abs=1e-9)
-    assert "integrated 1 intensity levels for 1 cloud nodes" in (out / "run.log").read_text()
+    assert "integrated 12 intensity levels for 81 cloud nodes" in (out / "run.log").read_text()
 
 
 def test_simulate_detuning_flag(tmp_path):
     out = tmp_path / "sim"
     rc = cli.main([
-        "simulate", "--out", str(out), "--detuning-mhz", "1500",
-        "--nodes-radial", "1", "--nodes-longitudinal", "1",
-        "--n-photons", "1e6",
+        "simulate", "--out", str(out), "--detuning-mhz", "1500", "--n-photons", "1e6",
     ])
     assert rc == cli.EXIT_OK
     stokes = read_csv_columns(out / "stokes.csv")

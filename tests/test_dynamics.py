@@ -3,7 +3,6 @@
 The expensive far-detuned ensemble run and the located sign crossing are
 session fixtures (see conftest) because the acceptance tests reuse them.
 """
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -265,11 +264,7 @@ def test_extract_coefficients_validation(ops):
 
 def test_locate_crossing_requires_sign_change(ops, beam, cloud):
     with pytest.raises(NonConvergence):
-        dyn.locate_crossing(
-            ops, beam, cloud,
-            lo=2 * np.pi * 600e6, hi=2 * np.pi * 700e6,
-            n_radial=1, n_long=1,
-        )
+        dyn.locate_crossing(ops, beam, cloud, lo=2 * np.pi * 600e6, hi=2 * np.pi * 700e6)
 
 
 def test_crossing_sits_near_perturbative_prediction(scheme, ops, sim_crossing):
@@ -280,15 +275,6 @@ def test_crossing_sits_near_perturbative_prediction(scheme, ops, sim_crossing):
     # by well under a megahertz at the probing energies used here
     assert abs(sim_crossing - pt) < 2 * np.pi * 1e6
     assert 2 * np.pi * 440e6 < sim_crossing < 2 * np.pi * 500e6
-
-
-def test_small_angle_warning(monkeypatch, caplog):
-    fake = SimpleNamespace(s_x=1.0, s_y=0.5)
-    monkeypatch.setattr(dyn, "detected_stokes", lambda *a, **k: fake)
-    with caplog.at_level("WARNING", logger="nlfaraday.dynamics"):
-        phi = dyn.rotation_angle_model(None, None, None, None)
-    assert phi == 0.5
-    assert any("small-angle" in rec.message for rec in caplog.records)
 
 
 def _bad_initial_states(scheme):

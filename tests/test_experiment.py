@@ -1,7 +1,6 @@
 """Synthetic polarimetry: noise model, probe sequences, campaigns, CSV IO."""
 import re
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -269,45 +268,3 @@ def test_campaign_csv_errors(tmp_path):
     bad.write_text("# seed = 1\nwrong,header,line\n")
     with pytest.raises(InvalidConfig, match="columns"):
         expmt.read_campaign_csv(bad)
-
-
-def test_simulated_response_caches_dynamics_calls(monkeypatch):
-    from nlfaraday import dynamics as dyn
-    from nlfaraday.geometry import BeamGeometry
-
-    calls = []
-
-    def fake_stokes(pulse, beam, cloud, model, **kwargs):
-        calls.append((pulse.detuning, pulse.shape, pulse.n_photons))
-        return SimpleNamespace(rotation_per_atom=2e-8, damage_detected=0.01)
-
-    monkeypatch.setattr(dyn, "detected_stokes", fake_stokes)
-    resp = expmt.SimulatedResponse(
-        model=None,
-        beam=BeamGeometry(),
-        nonlinear_detuning=2 * np.pi * 462e6,
-    )
-    assert resp.linear_rotation(2e5) == pytest.approx(2e-8 * 2e5, rel=1e-12)
-    assert resp.linear_rotation(2e5) == pytest.approx(2e-8 * 2e5, rel=1e-12)
-    assert resp.nonlinear_rotation(1e5, 1e7) == pytest.approx(2e-8 * 1e5, rel=1e-12)
-    assert resp.damage(1e7) == 0.01
-    # two distinct (detuning, pulse) keys -> exactly two dynamics calls
-    assert len(calls) == 2
-    assert calls[0][1] == "flat-train" and calls[1][1] == "gaussian"
-
-
-def test_simulated_response_real_dynamics_smoke(ops, beam):
-    from nlfaraday.geometry import CloudGeometry
-
-    resp = expmt.SimulatedResponse(
-        model=ops,
-        beam=beam,
-        cloud=CloudGeometry(n_atoms=2e5),
-        nonlinear_detuning=2 * np.pi * 470e6,
-        n_radial=1,
-        n_long=1,
-    )
-    lin = resp.linear_rotation(1e5, n_photons=4e6)
-    nl = resp.nonlinear_rotation(1e5, 2e5)
-    assert lin > 0 and nl > 0
-    assert 0.0 <= resp.damage(2e5) < 0.05

@@ -106,7 +106,7 @@ def test_quadrature_norm_and_moments(cloud):
     z2 = np.sum(grid.weight * grid.z**2)
     assert z2 == pytest.approx(cloud.sigma_long**2 / 2, rel=1e-13)
     with pytest.raises(InvalidConfig):
-        cloud_quadrature(cloud, n_radial=0)
+        cloud_quadrature(cloud, n_radial=0, n_long=9)
 
 
 def test_radial_rule_exact_for_matched_beam(cloud, beam):
