@@ -43,7 +43,6 @@ from .atom import (
     EffectiveCoefficients,
     perturbative_path_weights,
     pt_rotation_weight,
-    pt_tensor_weight,
     vector_crossing_detuning,
 )
 from .geometry import (
@@ -69,8 +68,6 @@ from .dynamics import (
 from .experiment import (
     PolarimeterModel,
     StokesRecord,
-    SequenceResult,
-    run_sequence,
     CampaignResult,
     generate_correlation_campaign,
     polarimeter_noise_scan,
@@ -117,7 +114,7 @@ __all__ = [
     "OperatorSet", "build_dipole_operators", "hamiltonian",
     "jump_operators", "ground_projector", "excited_projector",
     "initial_state", "mixed_ground_state", "EffectiveCoefficients",
-    "perturbative_path_weights", "pt_rotation_weight", "pt_tensor_weight",
+    "perturbative_path_weights", "pt_rotation_weight",
     "vector_crossing_detuning",
     # geometry
     "PulseSpec", "BeamGeometry", "CloudGeometry", "QuadratureGrid",
@@ -128,8 +125,8 @@ __all__ = [
     "extract_effective_coefficients", "locate_crossing",
     "integrate_two_level", "damped_rabi_reference",
     # experiment
-    "PolarimeterModel", "StokesRecord", "SequenceResult", "run_sequence",
-    "CampaignResult", "generate_correlation_campaign", "polarimeter_noise_scan",
+    "PolarimeterModel", "StokesRecord", "CampaignResult",
+    "generate_correlation_campaign", "polarimeter_noise_scan",
     "waveplate_control_run", "write_campaign_csv", "read_campaign_csv",
     # analysis
     "RegressionResult", "linear_regression", "ResponseModel",

@@ -390,15 +390,14 @@ def liouvillian_dissipator(
 class EffectiveCoefficients:
     """Effective linear and leading nonlinear response at one detuning.
 
-    alpha1/alpha2 are the vector and tensor parts of the second-order
-    (linear in intensity) response; beta1 is the fourth-order vector term.
-    Units: alpha1 in rad per atom (rotation slope versus atom number at
-    vanishing pulse energy), beta1 in rad per atom per photon.
+    alpha1 is the vector part of the second-order (linear in intensity)
+    response; beta1 is the fourth-order vector term.  Units: alpha1 in rad
+    per atom (rotation slope versus atom number at vanishing pulse
+    energy), beta1 in rad per atom per photon.
     """
 
     detuning: float
     alpha1: float
-    alpha2: float
     beta1: float
 
 
@@ -441,28 +440,6 @@ def pt_rotation_weight(
     """
     w = perturbative_path_weights(scheme, ops, detuning, ground_index, linewidth)
     return w["minus"] - w["plus"]
-
-
-def pt_tensor_weight(
-    scheme: LevelScheme,
-    ops: OperatorSet,
-    detuning: float,
-    linewidth: float = 0.0,
-) -> complex:
-    """Alignment (rank-2) weight: m-dependence of the sigma light shift.
-
-    Computed as the even-in-m combination s(m=1) - s(m=0) of the summed
-    sigma+/sigma- weights on the F=1 manifold.  No anchored value exists
-    for the tensor term; the quantity is exposed so the alpha2 slot holds
-    a well-defined model output.
-    """
-
-    def s(m):
-        g = scheme.index_of(1, m)
-        w = perturbative_path_weights(scheme, ops, detuning, g, linewidth)
-        return w["plus"] + w["minus"]
-
-    return s(1) - s(0)
 
 
 def vector_crossing_detuning(

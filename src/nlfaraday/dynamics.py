@@ -71,7 +71,6 @@ from .atom import (
     initial_state,
     jump_operators,
     pt_rotation_weight,
-    pt_tensor_weight,
 )
 from .exceptions import (
     InvalidConfig,
@@ -100,6 +99,10 @@ _QUADRATURE_RTOL = 5e-3
 _INTENSITY_LEVELS = 12
 # Gauss-Hermite nodes in z of the perturbative oracle's cloud average
 _PT_LONG_NODES = 33
+# locate_crossing: photon number small enough that the linear term
+# dominates, and the root tolerance in rad/s
+_CROSSING_PHOTONS = 2e5
+_CROSSING_XTOL = 2 * np.pi * 5e4
 
 
 def drive_scale(n_photons: float, gamma: float, wavenumber: float) -> float:
@@ -648,35 +651,28 @@ def pt_linear_coefficient(
     model: OperatorSet,
     detuning: float,
     beam: BeamGeometry,
-    cloud: CloudGeometry = None,
-    linewidth=None,
-    ground_f: int = 1,
-    ground_m: int = 1,
+    cloud: CloudGeometry,
 ) -> complex:
-    """Second-order (linear) rotation per atom from the operator sum.
+    """Second-order (linear) rotation per atom of the |1,+1> state.
 
-    Independent of the integrator: the complex path-weight difference is
-    assembled with the detection prefactor and the exact Gaussian cloud
-    average (transverse closed form, longitudinal quadrature).  Real part
-    is the plane rotation per atom, imaginary part the ellipticity.
+    Independent of the integrator: the complex path-weight difference at
+    the natural linewidth is assembled with the detection prefactor and
+    the exact Gaussian cloud average (transverse closed form, longitudinal
+    quadrature).  Real part is the plane rotation per atom, imaginary part
+    the ellipticity.
     """
+    from numpy.polynomial.hermite import hermgauss
+
     scheme = model.scheme
-    gamma = scheme.gamma if linewidth is None else linewidth
-    g = scheme.index_of(ground_f, ground_m)
-    v = pt_rotation_weight(scheme, model, detuning, g, linewidth=gamma)
+    gamma = scheme.gamma
+    v = pt_rotation_weight(scheme, model, detuning, scheme.index_of(1, 1), linewidth=gamma)
     k = scheme.line.wavenumber
-
-    if cloud is None:
-        msq = 2.0 / (math.pi * beam.waist**2)
-    else:
-        from numpy.polynomial.hermite import hermgauss
-
-        t, wt = hermgauss(_PT_LONG_NODES)
-        z = cloud.sigma_long * t
-        w2 = beam.width(z) ** 2
-        msq = np.sum(
-            wt / math.sqrt(math.pi) * (2.0 / (math.pi * w2)) / (1.0 + 2.0 * cloud.sigma_trans**2 / w2)
-        )
+    t, wt = hermgauss(_PT_LONG_NODES)
+    z = cloud.sigma_long * t
+    w2 = beam.width(z) ** 2
+    msq = np.sum(
+        wt / math.sqrt(math.pi) * (2.0 / (math.pi * w2)) / (1.0 + 2.0 * cloud.sigma_trans**2 / w2)
+    )
     return 1.5 * math.pi * gamma * v * msq / k**2
 
 
@@ -685,17 +681,14 @@ def extract_effective_coefficients(
     detuning: float,
     beam: BeamGeometry = None,
     cloud: CloudGeometry = None,
-    pulse_fwhm: float = 54e-9,
-    pulse_shape: str = "gaussian",
     photon_ladder=(2.5e5, 1e6, 4e6),
 ) -> EffectiveCoefficients:
     """Extract linear and leading nonlinear response at one detuning.
 
     alpha1 is the pulse-energy -> 0 limit of the per-atom rotation, beta1
     the slope of the per-atom rotation versus photon number, both from a
-    quadratic fit over the photon ladder.  alpha2 is filled from the
-    tensor part of the second-order operator projection at the same
-    geometry (no dynamical extraction exists for it in this scheme).
+    quadratic fit over the photon ladder of default ``PulseSpec`` pulses
+    (the 54 ns Gaussian) at ``detuning``.
 
     Raises NonConvergence when the ladder does not resolve a clean
     quadratic (residual above tolerance) and InvalidConfig when the
@@ -716,9 +709,7 @@ def extract_effective_coefficients(
         raise InvalidConfig("photon ladder needs at least 3 values")
     phis = []
     for n in ladder:
-        pulse = PulseSpec(
-            shape=pulse_shape, fwhm=pulse_fwhm, n_photons=float(n), detuning=detuning
-        )
+        pulse = PulseSpec(n_photons=float(n), detuning=detuning)
         res = detected_stokes(pulse, beam, cloud, model)
         phis.append(res.rotation_per_atom)
     phis = np.asarray(phis)
@@ -733,46 +724,35 @@ def extract_effective_coefficients(
         raise NonConvergence(
             f"photon ladder not in the quadratic regime (residual {resid:.3g})"
         )
-
-    tensor = pt_tensor_weight(scheme, model, detuning, linewidth=gamma)
-    # same detection prefactor and cloud average as the vector term
-    unit = pt_linear_coefficient(model, detuning, beam, cloud)
-    vector = pt_rotation_weight(scheme, model, detuning, scheme.index_of(1, 1), linewidth=gamma)
-    alpha2 = float(np.real(unit / vector * tensor)) if vector != 0 else float("nan")
-
-    return EffectiveCoefficients(
-        detuning=detuning, alpha1=alpha1, alpha2=alpha2, beta1=beta1
-    )
+    return EffectiveCoefficients(detuning=detuning, alpha1=alpha1, beta1=beta1)
 
 
 def locate_crossing(
     model: OperatorSet,
     beam: BeamGeometry = None,
     cloud: CloudGeometry = None,
-    n_photons: float = 2e5,
-    pulse_fwhm: float = 54e-9,
     lo: float = 2 * np.pi * 430e6,
     hi: float = 2 * np.pi * 500e6,
-    xtol: float = 2 * np.pi * 5e4,
 ) -> float:
     """Zero of the simulated low-energy rotation versus detuning.
 
-    Uses a small photon number so the linear term dominates; the residual
-    nonlinear offset shifts the root by well under the location tolerance
-    used in the acceptance checks.
+    Probes with default ``PulseSpec`` pulses (the 54 ns Gaussian) of
+    ``_CROSSING_PHOTONS`` photons, so the linear term dominates; the
+    residual nonlinear offset shifts the root by well under the location
+    tolerance ``_CROSSING_XTOL`` used in the acceptance checks.
     """
     scheme = model.scheme
     beam = beam or BeamGeometry(wavelength=scheme.wavelength)
     cloud = cloud or CloudGeometry()
 
     def rot(delta):
-        pulse = PulseSpec(fwhm=pulse_fwhm, n_photons=n_photons, detuning=delta)
+        pulse = PulseSpec(n_photons=_CROSSING_PHOTONS, detuning=delta)
         return detected_stokes(pulse, beam, cloud, model).rotation_per_atom
 
     flo, fhi = rot(lo), rot(hi)
     if flo * fhi > 0:
         raise NonConvergence("rotation does not change sign across the window")
-    return float(brentq(rot, lo, hi, xtol=xtol))
+    return float(brentq(rot, lo, hi, xtol=_CROSSING_XTOL))
 
 
 def damped_rabi_reference(omega: float, gamma: float, t) -> np.ndarray:

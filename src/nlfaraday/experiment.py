@@ -1,4 +1,4 @@
-"""Three-probe measurement sequences and synthetic campaign generation.
+"""Synthetic three-probe correlation campaigns and their CSV files.
 
 Each prepared sample is probed three times: a weak linear probe reading
 the collective spin, a strong nonlinear probe whose rotation grows with
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,124 +112,46 @@ class StokesRecord:
         return self.s_y / (self.s_x * math.sqrt(self.transmission_h * self.transmission_v))
 
 
-def _make_record(tag, n_photons, phi, n_atoms, index, noise) -> StokesRecord:
-    root_t = math.sqrt(noise.transmission_h * noise.transmission_v)
-    return StokesRecord(
-        probe_tag=tag,
-        n_photons=n_photons,
-        s_x=n_photons,
-        s_y=phi * n_photons * root_t,
-        phi=phi,
-        n_atoms=n_atoms,
-        sample_index=index,
-        transmission_h=noise.transmission_h,
-        transmission_v=noise.transmission_v,
-    )
-
-
-@dataclass(frozen=True)
-class SequenceResult:
-    """Measured and true angles for one three-probe sequence."""
-
-    phi_linear: float
-    phi_nonlinear: float
-    phi_linear_after: float
-    phi_linear_true: float
-    phi_nonlinear_true: float
-    phi_linear_after_true: float
-    f_z: float
-    n_linear: float
-    n_nonlinear: float
-    damage_true: float
-    records: tuple
-
-    @property
-    def damage_estimate(self) -> float:
-        """eta = 1 - phi_L'/phi_L; NaN when the linear angle vanishes."""
-        if self.phi_linear == 0:
-            return float("nan")
-        return 1.0 - self.phi_linear_after / self.phi_linear
-
-
-def run_sequence(
-    f_z: float,
-    n_linear: float,
-    n_nonlinear: float,
-    noise: PolarimeterModel = None,
-    seed=None,
-    response=None,
-    n_atoms: float = None,
-    rng: np.random.Generator = None,
-    sample_index: int = 0,
-) -> SequenceResult:
-    """Probe one prepared sample: linear, nonlinear, linear again.
-
-    ``f_z`` is the prepared collective spin (atom units; at most one per
-    atom).  Angles are the response-model means plus Gaussian noise per
-    the polarimeter model.  The nonlinear probe's damage reduces the spin
-    seen by the second linear probe.
-    """
-    if n_linear <= 0 or n_nonlinear <= 0:
-        raise InvalidConfig("photon numbers must be positive")
-    if n_atoms is not None and abs(f_z) > n_atoms:
-        raise InvalidConfig("collective spin cannot exceed the atom number")
-    noise = noise or PolarimeterModel()
-    response = response or ResponseModel()
-    if rng is None:
-        rng = np.random.default_rng(seed)
-
-    phi_l_true = response.linear_rotation(f_z)
-    phi_nl_true = response.nonlinear_rotation(f_z, n_nonlinear)
-    eta = response.damage(n_nonlinear)
-    phi_l2_true = response.linear_rotation(f_z * (1.0 - eta))
-
-    out = []
-    for tag, n, true in (
-        ("L1", n_linear, phi_l_true),
-        ("NL", n_nonlinear, phi_nl_true),
-        ("L2", n_linear, phi_l2_true),
-    ):
-        var = noise.phi_variance(n, tag)
-        phi = true + rng.standard_normal() * math.sqrt(var) if var > 0 else true
-        out.append(phi)
-    records = tuple(
-        _make_record(tag, n, phi, f_z if n_atoms is None else n_atoms, sample_index, noise)
-        for (tag, n), phi in zip((("L1", n_linear), ("NL", n_nonlinear), ("L2", n_linear)), out)
-    )
-    return SequenceResult(
-        phi_linear=out[0],
-        phi_nonlinear=out[1],
-        phi_linear_after=out[2],
-        phi_linear_true=phi_l_true,
-        phi_nonlinear_true=phi_nl_true,
-        phi_linear_after_true=phi_l2_true,
-        f_z=f_z,
-        n_linear=n_linear,
-        n_nonlinear=n_nonlinear,
-        damage_true=eta,
-        records=records,
-    )
-
-
 @dataclass(frozen=True)
 class CampaignResult:
-    """Correlation campaign at fixed nonlinear photon number."""
+    """Correlation campaign at fixed nonlinear photon number.
+
+    One row per sample, in file order: the ``samples`` live samples, then
+    the zero-atom controls.  ``noise`` is the polarimeter model the angles
+    were drawn with; the CSV header records its transmissions and
+    electronic variances.
+    """
 
     n_nonlinear: float
     n_linear: float
     n_atoms: np.ndarray
-    f_z: np.ndarray
     phi_linear: np.ndarray
     phi_nonlinear: np.ndarray
     phi_linear_after: np.ndarray
     is_control: np.ndarray
     seed: int
-    records: tuple = field(repr=False, default=())
+    noise: PolarimeterModel
 
     def pairs(self, include_controls: bool = False) -> np.ndarray:
         """(phi_L, phi_NL) pairs for the calibration regression."""
         keep = slice(None) if include_controls else ~self.is_control
         return np.column_stack([self.phi_linear[keep], self.phi_nonlinear[keep]])
+
+    def probes(self):
+        """(tag, photon number, angles, S_y counts) of L1, NL and L2.
+
+        S_x is the photon number; S_y = phi * N * sqrt(T_h T_v), so
+        ``StokesRecord.phi_from_stokes`` recovers the angle.
+        """
+        root_t = math.sqrt(self.noise.transmission_h * self.noise.transmission_v)
+        return [
+            (tag, n, phi, phi * n * root_t)
+            for tag, n, phi in zip(
+                _PROBE_TAGS,
+                (self.n_linear, self.n_nonlinear, self.n_linear),
+                (self.phi_linear, self.phi_nonlinear, self.phi_linear_after),
+            )
+        ]
 
 
 def generate_correlation_campaign(
@@ -241,72 +163,66 @@ def generate_correlation_campaign(
     response=None,
     n_linear: float = 4e6,
     controls: int = 5,
-    polarization: float = 1.0,
-    repreparation_loss: float = 0.0,
 ) -> CampaignResult:
     """Sweep atom number at fixed N_NL and record all three angles.
 
-    Atom numbers are uniform over ``atom_range``; ``controls`` extra
-    samples run with zero atoms.  Every sample draws from its own RNG
-    stream derived from (seed, index), so campaigns are reproducible
-    regardless of evaluation order.  ``repreparation_loss`` optionally
-    makes atom numbers a decaying reload sequence instead of i.i.d.
+    Each sample is probed three times: linear (L1), nonlinear (NL), and
+    linear again (L2), which sees the spin the nonlinear probe's damage
+    left.  Sample ``i`` draws from its own stream ``default_rng([seed,
+    i])``, so campaigns are reproducible regardless of evaluation order:
+    a live sample draws its atom number uniform over ``atom_range``, then
+    one standard normal per probe; the ``controls`` zero-atom samples draw
+    only the normals.  Each angle is the response-model mean plus its
+    normal times ``sqrt(noise.phi_variance)``.
     """
     if samples < 10:
         raise InvalidConfig("campaigns need at least 10 samples")
     lo, hi = (float(a) for a in atom_range)
     if not 0 <= lo < hi:
         raise InvalidConfig("atom range must satisfy 0 <= lo < hi")
-    if not 0.0 <= repreparation_loss < 1.0:
-        raise InvalidConfig("repreparation loss must lie in [0, 1)")
+    if n_linear <= 0 or n_nonlinear <= 0:
+        raise InvalidConfig("photon numbers must be positive")
     noise = noise or PolarimeterModel()
     response = response or ResponseModel()
     if seed is None:
         seed = int(np.random.default_rng().integers(2**31 - 1))
     seed = int(seed)
 
-    n_atoms, f_z, phi_l, phi_nl, phi_l2, is_ctl = [], [], [], [], [], []
-    all_records = []
-    reload_level = hi
-    for i in range(samples + controls):
+    total = samples + controls
+    n_atoms = np.zeros(total)
+    draws = np.empty((total, len(_PROBE_TAGS)))
+    for i in range(total):
         rng = np.random.default_rng([seed, i])
-        control = i >= samples
-        if control:
-            na = 0.0
-        elif repreparation_loss > 0:
-            # decaying reload sequence: each preparation loses a fraction,
-            # the trap refills once the number leaves the working range
-            na = reload_level
-            reload_level *= 1.0 - repreparation_loss
-            if reload_level < lo:
-                reload_level = hi
-        else:
-            na = rng.uniform(lo, hi)
-        fz = polarization * na
-        res = run_sequence(
-            fz, n_linear, n_nonlinear, noise,
-            response=response, n_atoms=na, rng=rng, sample_index=i,
-        )
-        n_atoms.append(na)
-        f_z.append(fz)
-        phi_l.append(res.phi_linear)
-        phi_nl.append(res.phi_nonlinear)
-        phi_l2.append(res.phi_linear_after)
-        is_ctl.append(control)
-        all_records.extend(res.records)
+        if i < samples:
+            n_atoms[i] = rng.uniform(lo, hi)
+        draws[i] = rng.standard_normal(len(_PROBE_TAGS))
 
-    return CampaignResult(
+    eta = response.damage(n_nonlinear)
+    true = (
+        response.linear_rotation(n_atoms),
+        response.nonlinear_rotation(n_atoms, n_nonlinear),
+        response.linear_rotation(n_atoms * (1.0 - eta)),
+    )
+    phis = [
+        mean + z * math.sqrt(noise.phi_variance(n, tag))
+        for tag, n, mean, z in zip(_PROBE_TAGS, (n_linear, n_nonlinear, n_linear), true, draws.T)
+    ]
+
+    camp = CampaignResult(
         n_nonlinear=float(n_nonlinear),
         n_linear=float(n_linear),
-        n_atoms=np.asarray(n_atoms),
-        f_z=np.asarray(f_z),
-        phi_linear=np.asarray(phi_l),
-        phi_nonlinear=np.asarray(phi_nl),
-        phi_linear_after=np.asarray(phi_l2),
-        is_control=np.asarray(is_ctl, dtype=bool),
+        n_atoms=n_atoms,
+        phi_linear=phis[0],
+        phi_nonlinear=phis[1],
+        phi_linear_after=phis[2],
+        is_control=np.arange(total) >= samples,
         seed=seed,
-        records=tuple(all_records),
+        noise=noise,
     )
+    for _, n, _, s_y in camp.probes():
+        if np.any(np.abs(s_y) > n):
+            raise InvalidConfig("|S_y| exceeds S_x: rotation outside physical range")
+    return camp
 
 
 def polarimeter_noise_scan(
@@ -376,48 +292,47 @@ def waveplate_control_run(
     )
 
 
-def write_campaign_csv(path, campaign: CampaignResult, noise: PolarimeterModel = None):
-    """Serialize campaign records with a reproducibility header.
+def write_campaign_csv(path, campaign: CampaignResult):
+    """Serialize a campaign, three rows per sample, under a reproducibility header.
 
-    The detector transmissions go into the header, once for the file:
-    ``read_campaign_csv`` applies them to every record, so a reloaded
-    record's ``phi_from_stokes`` matches the original's.  Raises
-    InvalidConfig when the records carry different transmissions.
+    The header carries the detector transmissions and electronic
+    variances of ``campaign.noise``, once for the file:
+    ``read_campaign_csv`` applies the transmissions to every record, so a
+    reloaded record's ``phi_from_stokes`` matches its angle.
     """
-    transmissions = {(r.transmission_h, r.transmission_v) for r in campaign.records}
-    if len(transmissions) > 1:
-        raise InvalidConfig("campaign records carry different detector transmissions")
-    ((t_h, t_v),) = transmissions or {(1.0, 1.0)}
+    noise = campaign.noise
     buf = io.StringIO()
     buf.write(f"# schema_version = {CSV_SCHEMA_VERSION}\n")
     buf.write(f"# n_nonlinear = {campaign.n_nonlinear:.17g}\n")
     buf.write(f"# n_linear = {campaign.n_linear:.17g}\n")
     buf.write(f"# seed = {campaign.seed}\n")
-    buf.write(f"# transmission_h = {t_h:.17g}\n")
-    buf.write(f"# transmission_v = {t_v:.17g}\n")
-    if noise is not None:
-        buf.write(f"# v_linear = {noise.v_linear:.17g}\n")
-        buf.write(f"# v_nonlinear = {noise.v_nonlinear:.17g}\n")
+    buf.write(f"# transmission_h = {noise.transmission_h:.17g}\n")
+    buf.write(f"# transmission_v = {noise.transmission_v:.17g}\n")
+    buf.write(f"# v_linear = {noise.v_linear:.17g}\n")
+    buf.write(f"# v_nonlinear = {noise.v_nonlinear:.17g}\n")
     buf.write("probe_tag,n_photons,s_x,s_y,phi,n_atoms,sample_index\n")
-    for r in campaign.records:
-        buf.write(
-            f"{r.probe_tag},{r.n_photons:.17g},{r.s_x:.17g},{r.s_y:.17g},"
-            f"{r.phi:.17g},{r.n_atoms:.17g},{r.sample_index}\n"
-        )
+    columns = [(tag, n, phi.tolist(), s_y.tolist()) for tag, n, phi, s_y in campaign.probes()]
+    for i, na in enumerate(campaign.n_atoms.tolist()):
+        for tag, n, phi, s_y in columns:
+            buf.write(f"{tag},{n:.17g},{n:.17g},{s_y[i]:.17g},{phi[i]:.17g},{na:.17g},{i}\n")
     text = buf.getvalue()
     with open(path, "w", newline="") as fh:
         fh.write(text)
     return text
 
 
-def _header_transmission(path, meta: dict, key: str) -> float:
-    text = meta.get(key, "1.0")
+def _header_number(path, meta: dict, key: str, default=None) -> float:
+    text = meta.get(key, default)
     try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
+        return float(text)
+    except (TypeError, ValueError):
+        raise InvalidConfig(f"{path}: {key} {text!r} is not a number") from None
+
+
+def _header_transmission(path, meta: dict, key: str) -> float:
+    value = _header_number(path, meta, key, "1.0")
     if not 0.0 < value <= 1.0:
-        raise InvalidConfig(f"{path}: {key} {text!r} does not lie in (0, 1]")
+        raise InvalidConfig(f"{path}: {key} {meta[key]!r} does not lie in (0, 1]")
     return value
 
 
@@ -425,12 +340,14 @@ def read_campaign_csv(path):
     """Load a campaign CSV; returns (records, metadata dict).
 
     The ``transmission_h`` and ``transmission_v`` header values (1.0 when
-    absent) are applied to every record.  Raises InvalidConfig for an
-    unreadable file, unexpected columns, a missing or different
-    ``schema_version``, a transmission outside (0, 1], a non-numeric
-    ``n_nonlinear`` or ``n_linear`` (naming the file and the key), and for
-    a row with the wrong number of cells or a non-numeric cell (naming the
-    file and line).
+    absent) are applied to every record.  Raises InvalidConfig, naming the
+    file, for an unreadable file, a file with no column header or no data
+    rows, unexpected columns, a missing or different ``schema_version``, a
+    transmission outside (0, 1], a non-numeric ``n_linear``, and an
+    ``n_nonlinear`` that is missing, not a finite positive number, or not
+    the photon number of every NL row; and, naming the line, for a row
+    with the wrong number of cells, a non-numeric cell, or a reading
+    ``StokesRecord`` rejects.
     """
     meta = {}
     records = []
@@ -481,9 +398,19 @@ def read_campaign_csv(path):
             except (ValueError, InvalidConfig) as exc:
                 raise InvalidConfig(f"{path}, line {lineno}: {exc}") from None
             records.append(record)
-    for key in ("n_nonlinear", "n_linear"):
-        try:
-            float(meta.get(key, "nan"))
-        except ValueError:
-            raise InvalidConfig(f"{path}: {key} {meta[key]!r} is not a number") from None
+    if header is None:
+        raise InvalidConfig(f"{path}: no column header")
+    if not records:
+        raise InvalidConfig(f"{path}: no data rows")
+    if "n_linear" in meta:
+        _header_number(path, meta, "n_linear")
+    n_nl = _header_number(path, meta, "n_nonlinear")
+    if not (math.isfinite(n_nl) and n_nl > 0):
+        raise InvalidConfig(f"{path}: n_nonlinear {n_nl!r} is not a finite positive number")
+    for r in records:
+        if r.probe_tag == "NL" and r.n_photons != n_nl:
+            raise InvalidConfig(
+                f"{path}: NL photon number {r.n_photons:.17g} of sample {r.sample_index} "
+                f"differs from n_nonlinear {n_nl:.17g}"
+            )
     return records, meta

@@ -235,6 +235,9 @@ def _campaign_lines(schema="1"):
     ("future_schema", "schema_version 99"),
     ("text_n_nonlinear", "n_nonlinear 'abc' is not a number"),
     ("text_n_linear", "n_linear '4e6x' is not a number"),
+    ("no_n_nonlinear", "n_nonlinear None is not a number"),
+    ("n_nonlinear_mismatch", "NL photon number 10000000 of sample 0 differs from n_nonlinear"),
+    ("no_rows", "no data rows"),
 ])
 def test_analyze_malformed_campaign_is_config_error(tmp_path, capsys, case, match):
     lines = _campaign_lines(schema={"no_schema": None, "future_schema": "99"}.get(case, "1"))
@@ -250,6 +253,12 @@ def test_analyze_malformed_campaign_is_config_error(tmp_path, capsys, case, matc
         lines[1] = "# n_nonlinear = abc"
     elif case == "text_n_linear":
         lines.insert(2, "# n_linear = 4e6x")
+    elif case == "no_n_nonlinear":
+        del lines[1]
+    elif case == "n_nonlinear_mismatch":
+        lines[1] = "# n_nonlinear = 2e7"
+    elif case == "no_rows":
+        del lines[3:]
     path = tmp_path / "campaign.csv"
     path.write_text("\n".join(lines) + "\n")
     rc = cli.main(["analyze", "--data", str(path), "--out", str(tmp_path / "out")])

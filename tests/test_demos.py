@@ -1,7 +1,8 @@
 """The demos stay runnable against the public API.
 
-The two fast demos run in process; the two that integrate the master
-equation for minutes are only checked for their imports.
+Three demos run in process.  `coefficient_spectra.py` integrates the
+master equation over a detuning scan (about 10 s) and is only checked
+for its imports.
 """
 import ast
 import contextlib
@@ -17,7 +18,9 @@ DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
 DEMOS = sorted(DEMO_DIR.glob("*.py"))
 
 
-@pytest.mark.parametrize("name", ["scaling_campaign.py", "shot_noise_budget.py"])
+@pytest.mark.parametrize(
+    "name", ["pulse_dynamics.py", "scaling_campaign.py", "shot_noise_budget.py"]
+)
 def test_fast_demo_runs(name):
     with contextlib.redirect_stdout(io.StringIO()):
         runpy.run_path(str(DEMO_DIR / name), run_name="__main__")

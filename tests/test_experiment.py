@@ -1,6 +1,6 @@
-"""Synthetic polarimetry: noise model, probe sequences, campaigns, CSV IO."""
+"""Synthetic polarimetry: noise model, campaigns, CSV IO."""
+import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,46 +77,6 @@ def test_stokes_record_validation():
                 expmt.StokesRecord("L1", 1e6, 1e6, 0.0, 0.0, 0.0, 0, **{field: value})
 
 
-def test_run_sequence_noiseless_identities():
-    quiet = expmt.PolarimeterModel().noiseless()
-    res = expmt.run_sequence(2e5, 4e6, 1e7, noise=quiet)
-    resp = expmt.ResponseModel()
-    assert res.phi_linear == resp.linear_rotation(2e5)
-    assert res.phi_nonlinear == resp.nonlinear_rotation(2e5, 1e7)
-    assert res.phi_linear == res.phi_linear_true
-    assert res.damage_estimate == pytest.approx(res.damage_true, rel=1e-12)
-    assert res.damage_true == pytest.approx(resp.damage(1e7), rel=1e-12)
-    tags = [r.probe_tag for r in res.records]
-    assert tags == ["L1", "NL", "L2"]
-
-
-def test_run_sequence_records_and_transmissions():
-    noise = expmt.PolarimeterModel(transmission_h=0.9, transmission_v=0.8).noiseless()
-    res = expmt.run_sequence(2e5, 4e6, 1e7, noise=noise, n_atoms=2.5e5, sample_index=3)
-    for rec in res.records:
-        assert rec.n_atoms == 2.5e5
-        assert rec.sample_index == 3
-        assert rec.s_y == pytest.approx(rec.phi * rec.n_photons * np.sqrt(0.9 * 0.8), rel=1e-12)
-        assert rec.phi_from_stokes() == pytest.approx(rec.phi, rel=1e-12)
-    # without explicit n_atoms the spin itself is stored
-    bare = expmt.run_sequence(2e5, 4e6, 1e7, noise=noise)
-    assert bare.records[0].n_atoms == 2e5
-
-
-def test_run_sequence_determinism_and_validation():
-    a = expmt.run_sequence(2e5, 4e6, 1e7, seed=123)
-    b = expmt.run_sequence(2e5, 4e6, 1e7, seed=123)
-    assert a.phi_linear == b.phi_linear
-    assert a.phi_nonlinear == b.phi_nonlinear
-    assert a.phi_linear_after == b.phi_linear_after
-    c = expmt.run_sequence(2e5, 4e6, 1e7, seed=124)
-    assert c.phi_linear != a.phi_linear
-    with pytest.raises(InvalidConfig):
-        expmt.run_sequence(2e5, 0.0, 1e7)
-    with pytest.raises(InvalidConfig):
-        expmt.run_sequence(3e5, 4e6, 1e7, n_atoms=2e5)
-
-
 def test_campaign_noiseless_correlation():
     quiet = expmt.PolarimeterModel().noiseless()
     camp = expmt.generate_correlation_campaign(1e7, samples=20, noise=quiet, seed=42)
@@ -132,7 +92,8 @@ def test_campaign_structure_and_determinism():
     assert np.array_equal(camp1.phi_nonlinear, camp2.phi_nonlinear)
     assert np.array_equal(camp1.n_atoms, camp2.n_atoms)
     assert camp1.seed == 7
-    assert len(camp1.records) == 3 * 19
+    for column in (camp1.n_atoms, camp1.phi_linear, camp1.phi_nonlinear, camp1.phi_linear_after):
+        assert column.shape == (19,)
     assert np.all(camp1.is_control[-4:]) and not np.any(camp1.is_control[:15])
     assert np.all(camp1.n_atoms[camp1.is_control] == 0.0)
     live = camp1.n_atoms[~camp1.is_control]
@@ -145,31 +106,56 @@ def test_campaign_structure_and_determinism():
     assert np.mean(np.abs(ctl)) < 1e-3
 
 
-def test_campaign_polarization_and_reload():
-    quiet = expmt.PolarimeterModel().noiseless()
-    camp = expmt.generate_correlation_campaign(
-        1e7, samples=12, controls=0, seed=1, polarization=0.8, noise=quiet
-    )
-    assert np.allclose(camp.f_z, 0.8 * camp.n_atoms)
-
-    reload_camp = expmt.generate_correlation_campaign(
-        1e7, samples=12, controls=0, seed=1, repreparation_loss=0.1, noise=quiet
-    )
-    na = reload_camp.n_atoms
-    assert na[0] == 3.5e5
-    assert na[1] == pytest.approx(3.5e5 * 0.9, rel=1e-12)
-    assert np.all((na >= 1.5e5) & (na <= 3.5e5))
-    # the reload sequence must reset to the top of the range at least once
-    assert np.any(np.diff(na) > 0)
-
-
 def test_campaign_validation():
     with pytest.raises(InvalidConfig):
         expmt.generate_correlation_campaign(1e7, samples=5)
     with pytest.raises(InvalidConfig):
         expmt.generate_correlation_campaign(1e7, atom_range=(3e5, 1e5))
-    with pytest.raises(InvalidConfig):
-        expmt.generate_correlation_campaign(1e7, repreparation_loss=1.0)
+    for n_linear, n_nonlinear in ((0.0, 1e7), (-4e6, 1e7), (4e6, 0.0), (4e6, -1e7)):
+        with pytest.raises(InvalidConfig, match="photon numbers must be positive"):
+            expmt.generate_correlation_campaign(n_nonlinear, n_linear=n_linear)
+    # a rotation above one radian would put |S_y| above S_x
+    with pytest.raises(InvalidConfig, match="exceeds S_x"):
+        expmt.generate_correlation_campaign(
+            1e7, response=expmt.ResponseModel(linear_coefficient=1e-4)
+        )
+
+
+_TRANSMISSION = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    samples=st.integers(min_value=10, max_value=40),
+    n_nonlinear=st.sampled_from([1e6, 1e7, 6e7, 1e8]),
+    t_h=_TRANSMISSION,
+    t_v=_TRANSMISSION,
+    quiet=st.booleans(),
+)
+def test_campaign_draws_follow_the_per_sample_streams(seed, samples, n_nonlinear, t_h, t_v, quiet):
+    # sample i: atom number (live samples only), then one normal per
+    # probe, all from default_rng([seed, i]); angle = model mean + sd * normal
+    noise = expmt.PolarimeterModel(transmission_h=t_h, transmission_v=t_v)
+    noise = noise.noiseless() if quiet else noise
+    camp = expmt.generate_correlation_campaign(
+        n_nonlinear, samples=samples, seed=seed, noise=noise, controls=3
+    )
+    resp = expmt.ResponseModel()
+    eta = resp.damage(n_nonlinear)
+    for i in range(samples + 3):
+        rng = np.random.default_rng([seed, i])
+        n_atoms = rng.uniform(1.5e5, 3.5e5) if i < samples else 0.0
+        assert camp.n_atoms[i] == n_atoms
+        assert camp.is_control[i] == (i >= samples)
+        probes = (
+            ("L1", 4e6, resp.linear_rotation(n_atoms), camp.phi_linear[i]),
+            ("NL", n_nonlinear, resp.nonlinear_rotation(n_atoms, n_nonlinear),
+             camp.phi_nonlinear[i]),
+            ("L2", 4e6, resp.linear_rotation(n_atoms * (1.0 - eta)), camp.phi_linear_after[i]),
+        )
+        for tag, n, mean, phi in probes:
+            assert phi == mean + math.sqrt(noise.phi_variance(n, tag)) * rng.standard_normal()
 
 
 def test_polarimeter_noise_scan_matches_model():
@@ -197,19 +183,26 @@ def test_waveplate_control_run_basics():
         expmt.waveplate_control_run(rotation=0.0)
 
 
+def _assert_records_match(records, camp):
+    """Three records per sample, in L1/NL/L2 order, carrying the campaign's arrays."""
+    t_h, t_v = camp.noise.transmission_h, camp.noise.transmission_v
+    assert len(records) == 3 * camp.n_atoms.size
+    for k, (tag, n, phi, s_y) in enumerate(camp.probes()):
+        for i, rec in enumerate(records[k::3]):
+            assert (rec.probe_tag, rec.n_photons, rec.s_x) == (tag, n, n)
+            assert rec.phi == phi[i]              # %.17g round-trips doubles
+            assert rec.s_y == s_y[i] == phi[i] * n * math.sqrt(t_h * t_v)
+            assert (rec.n_atoms, rec.sample_index) == (camp.n_atoms[i], i)
+            assert (rec.transmission_h, rec.transmission_v) == (t_h, t_v)
+
+
 def test_campaign_csv_round_trip(tmp_path):
     noise = expmt.PolarimeterModel()
     camp = expmt.generate_correlation_campaign(1e7, samples=10, controls=2, seed=5, noise=noise)
     path = tmp_path / "campaign.csv"
-    expmt.write_campaign_csv(path, camp, noise=noise)
+    expmt.write_campaign_csv(path, camp)
     records, meta = expmt.read_campaign_csv(path)
-    assert len(records) == len(camp.records)
-    for got, want in zip(records, camp.records):
-        assert got.probe_tag == want.probe_tag
-        assert got.phi == want.phi            # %.17g round-trips doubles
-        assert got.s_y == want.s_y
-        assert got.n_atoms == want.n_atoms
-        assert got.sample_index == want.sample_index
+    _assert_records_match(records, camp)
     assert meta["seed"] == "5"
     assert float(meta["n_nonlinear"]) == 1e7
     assert float(meta["v_nonlinear"]) == noise.v_nonlinear
@@ -219,12 +212,12 @@ def test_campaign_csv_keeps_detector_transmissions(tmp_path):
     noise = expmt.PolarimeterModel(transmission_h=0.81, transmission_v=0.9)
     camp = expmt.generate_correlation_campaign(1e7, samples=10, controls=2, seed=5, noise=noise)
     path = tmp_path / "campaign.csv"
-    expmt.write_campaign_csv(path, camp, noise=noise)
+    expmt.write_campaign_csv(path, camp)
     records, meta = expmt.read_campaign_csv(path)
     assert float(meta["transmission_h"]) == 0.81 and float(meta["transmission_v"]) == 0.9
-    for got, want in zip(records, camp.records):
-        assert (got.transmission_h, got.transmission_v) == (0.81, 0.9)
-        assert got.phi_from_stokes() == want.phi_from_stokes()
+    _assert_records_match(records, camp)
+    for rec in records:
+        assert rec.phi_from_stokes() == pytest.approx(rec.phi, rel=1e-12)
     # a file without the lines reads as full transmission
     text = path.read_text()
     bare = "".join(ln for ln in text.splitlines(True) if "transmission" not in ln)
@@ -235,13 +228,6 @@ def test_campaign_csv_keeps_detector_transmissions(tmp_path):
         path.write_text(re.sub(r"transmission_v = .*", f"transmission_v = {value}", text))
         with pytest.raises(InvalidConfig, match="transmission_v"):
             expmt.read_campaign_csv(path)
-    # one header pair cannot hold records with different transmissions
-    mixed = replace(camp, records=(replace(camp.records[0], transmission_h=0.5),) + camp.records[1:])
-    with pytest.raises(InvalidConfig, match="different detector transmissions"):
-        expmt.write_campaign_csv(path, mixed)
-
-
-_TRANSMISSION = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
 
 @settings(deadline=None)
@@ -255,9 +241,9 @@ def test_campaign_csv_round_trip_property(tmp_path_factory, seed, samples, t_h, 
     noise = expmt.PolarimeterModel(transmission_h=t_h, transmission_v=t_v)
     camp = expmt.generate_correlation_campaign(1e7, samples=samples, seed=seed, noise=noise)
     path = tmp_path_factory.mktemp("csv") / "campaign.csv"
-    expmt.write_campaign_csv(path, camp, noise=noise)
+    expmt.write_campaign_csv(path, camp)
     records, meta = expmt.read_campaign_csv(path)
-    assert records == list(camp.records)
+    _assert_records_match(records, camp)
     assert int(meta["seed"]) == seed
 
 
