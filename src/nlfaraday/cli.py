@@ -355,6 +355,8 @@ def cmd_analyze(args) -> int:
             for v in by_sample.values()
             if "L1" in v and "NL" in v and v["L1"].n_atoms > 0
         ]
+        if not pairs:
+            raise InvalidConfig(f"{path}: no live L1/NL pair (a sample with atoms and both readings)")
         fit = ana.linear_regression(np.asarray(pairs))
         n_nl = float(meta["n_nonlinear"])
         rows.append([n_nl, fit.slope, fit.slope_stderr, fit.intercept, fit.residual_std, len(pairs)])

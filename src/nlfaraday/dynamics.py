@@ -30,6 +30,13 @@ decay never builds an F=1-F=2 coherence; and since F=2 is not driven,
 no excited-F=2 coherence forms either.  Full 24x24 matrices are rebuilt
 from the blocks only at the stored times.
 
+Two solvers advance the states.  Under a flat-train segment the
+envelope, and with it the generator, is constant, so each segment and
+each gap between segments is advanced by exact matrix exponentials of
+the linear generator on a level's blocks and detection accumulator.  A
+Gaussian pulse is integrated with DOP853; it is the only use of the
+adaptive integrator.
+
 Drive normalization: a pulse of N photons in beam mode M(r, z) with
 envelope T(t) produces the local Rabi amplitude
 
@@ -58,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, expm
 from scipy.optimize import brentq
 
 from . import atom as _atom
@@ -83,10 +90,13 @@ from .geometry import BeamGeometry, CloudGeometry, PulseSpec, QuadratureGrid, cl
 
 _POSITIVITY_ABORT = 1e-6
 _TRACE_ABORT = 1e-6
-# one integrator for every cloud and single-node solve
+# the integrator of Gaussian pulses, cloud and single-node alike
 _METHOD = "DOP853"
 _RTOL = 1e-6
 _ATOL = 1e-9
+# relative difference below which two flat-segment intervals share one
+# propagator; consecutive stored times differ by a few ulps
+_SAME_INTERVAL = 1e-12
 # the two-level oracle runs a different, tighter integrator, so it does
 # not share the production settings it validates
 _ORACLE_METHOD = "RK45"
@@ -140,8 +150,10 @@ def _build_generator(ops: OperatorSet, detuning: float) -> _Generator:
     no drive and no frequency spread inside F=2, that 5x5 block only
     accumulates decay.  Nothing couples anything into F'=3, into an
     F=1-F=2 coherence or into an excited-F=2 coherence, so these stay
-    exact zeros and are not integrated.  The gaps of a pulse train then
-    have an exact elementwise propagator (``_free_evolve``).
+    exact zeros and are not integrated.  The pieces serve both solvers:
+    DOP853 through a Gaussian pulse (``_make_rhs``) and the exact matrix
+    exponentials of a flat train's segments and gaps
+    (``_flat_generators``).
     """
     scheme = ops.scheme
     gamma = scheme.gamma
@@ -344,62 +356,57 @@ def _solve_batch(
     pulse: PulseSpec,
     t_eval,
 ):
-    """Integrate one state per drive amplitude over the pulse windows.
+    """Evolve one state per drive amplitude through the pulse.
 
     Each amplitude is a local |M| = sqrt(s / A0): an intensity level of
-    the cloud, or the single node of ``integrate_node``.  Free decay is
-    exact.  Returns (times, states (n_t, n, size, size), overlaps (n,)),
-    with the full density matrices rebuilt from the two blocks only at the
-    ``t_eval`` times that fall inside a segment.  For flat trains the gaps
-    between segments are advanced with the exact elementwise
-    free-evolution map instead of stepping the solver through
-    megahertz-scale dead time.
+    the cloud, or the single node of ``integrate_node``.  A Gaussian pulse
+    is integrated with DOP853 (``_integrate_gaussian``); the segments and
+    gaps of a flat train, where the generator is constant, are advanced
+    by exact matrix exponentials (``_propagate_train``).  Returns (times,
+    states (n_t, n, size, size), overlaps (n,)), with the full density
+    matrices rebuilt from the two blocks only at the ``t_eval`` times that
+    fall inside a segment (at the end of the pulse when none does).
+    """
+    coh, dec = _to_blocks(gen, rho0)
+    solve = _integrate_gaussian if pulse.shape == "gaussian" else _propagate_train
+    times, blocks, (coh, dec, acc) = solve(gen, coh, dec, amplitudes, omega0, pulse, t_eval)
+    if not times:
+        times, blocks = [pulse.window()[1]], [(coh, dec)]
+    states = np.stack([_from_blocks(gen, c, d) for c, d in blocks])
+    return np.asarray(times), states, acc
+
+
+def _integrate_gaussian(gen, coh, dec, amplitudes, omega0, pulse, t_eval):
+    """DOP853 through the Gaussian window, all amplitudes in one state.
+
+    Returns (stored times, (coherent, decay-only) blocks at each, final
+    (coherent, decay-only, accumulators)).
     """
     n_nodes = amplitudes.shape[0]
-    coh, dec = _to_blocks(gen, rho0)
-    if pulse.shape == "gaussian":
-        envelope = _gaussian_envelope(pulse)
-    else:
-        height = 1.0 / math.sqrt(pulse.train_count * pulse.fwhm)
-        envelope = lambda t: height
-
-    segments = pulse.segment_windows()
-    y = _pack(
+    t0, t1 = pulse.window()
+    inside = {t for t in t_eval if t0 <= t <= t1}
+    y0 = _pack(
         np.broadcast_to(coh, (n_nodes,) + coh.shape),
         np.broadcast_to(dec, (n_nodes,) + dec.shape),
         np.zeros(n_nodes, dtype=complex),
     )
-    rhs = _make_rhs(gen, amplitudes, omega0, envelope)
-    times_out, stored = [], []
-
-    for si, (t0, t1) in enumerate(segments):
-        inside = {t for t in t_eval if t0 <= t <= t1}
-        sol = solve_ivp(
-            rhs,
-            (t0, t1),
-            y,
-            method=_METHOD,
-            rtol=_RTOL,
-            atol=_ATOL,
-            t_eval=sorted(inside | {t1}),
-        )
-        if not sol.success:
-            raise StepFailure(f"integrator failed in segment {si}: {sol.message}")
-        for k, tk in enumerate(sol.t):
-            if tk in inside:
-                times_out.append(float(tk))
-                stored.append(np.ascontiguousarray(sol.y[:, k]))
-        y = np.ascontiguousarray(sol.y[:, -1])
-
-        if si + 1 < len(segments):
-            gap = segments[si + 1][0] - t1
-            y = _free_evolve(gen, y, n_nodes, gap)
-
-    if not times_out:
-        times_out = [segments[-1][1]]
-        stored = [y]
-    states = np.stack([_from_blocks(gen, *_unpack(gen, yk, n_nodes)[:2]) for yk in stored])
-    return np.asarray(times_out), states, _unpack(gen, y, n_nodes)[2].copy()
+    sol = solve_ivp(
+        _make_rhs(gen, amplitudes, omega0, _gaussian_envelope(pulse)),
+        (t0, t1),
+        y0,
+        method=_METHOD,
+        rtol=_RTOL,
+        atol=_ATOL,
+        t_eval=sorted(inside | {t1}),
+    )
+    if not sol.success:
+        raise StepFailure(f"integrator failed: {sol.message}")
+    times, blocks = [], []
+    for k, tk in enumerate(sol.t):
+        if tk in inside:
+            times.append(float(tk))
+            blocks.append(_unpack(gen, np.ascontiguousarray(sol.y[:, k]), n_nodes)[:2])
+    return times, blocks, _unpack(gen, np.ascontiguousarray(sol.y[:, -1]), n_nodes)
 
 
 def _gaussian_envelope(pulse: PulseSpec):
@@ -413,18 +420,112 @@ def _gaussian_envelope(pulse: PulseSpec):
     return envelope
 
 
-def _free_evolve(gen: _Generator, y: np.ndarray, n_nodes: int, dt: float) -> np.ndarray:
-    """Exact drive-free propagation: elementwise decay plus recycle integral."""
-    ng = gen.n_ground
-    coh, dec, acc = _unpack(gen, y, n_nodes)
-    # population recycled during the gap: integral_0^dt exp(g s) ds applied
-    # elementwise to the excited block (every element there decays, so g != 0)
-    gee = gen.g[ng:, ng:]
-    ree = coh[:, ng:, ng:] * (np.expm1(gee * dt) / gee)
-    gain = ree.reshape(n_nodes, -1) @ gen.gain
-    coh = coh * np.exp(gen.g * dt)
-    coh[:, :ng, :ng] += gain[:, : ng * ng].reshape(n_nodes, ng, ng)
-    return _pack(coh, dec + gain[:, ng * ng :].reshape(dec.shape), acc)
+def _flat_generators(gen: _Generator, omega0: float, height: float):
+    """(L0, L1): one level's generator in a flat segment is L0 + a * L1.
+
+    Both act complex-linearly on the column vector [coherent block,
+    decay-only block, accumulator] of one level, blocks row-major.  L0
+    holds the elementwise g, the recycling gain into F=1, the gain into
+    F=2 and the accumulator row height * detect; L1 is the drive of unit
+    amplitude |M|, (i omega0 height / 2) (S rho - rho S).  The commutator
+    is written out: the (rho S)^H shortcut of ``_make_rhs`` holds only for
+    Hermitian rho, not for the basis vectors a propagator acts on.
+    """
+    nc, nd, ng = gen.coherent.size, gen.decay_only.size, gen.n_ground
+    coh = np.arange(nc * nc).reshape(nc, nc)
+    size = nc * nc + nd * nd + 1
+    l0 = np.zeros((size, size), dtype=complex)
+    l0[coh.ravel(), coh.ravel()] = gen.g.ravel()
+    gained = np.concatenate([coh[:ng, :ng].ravel(), nc * nc + np.arange(nd * nd)])
+    l0[np.ix_(gained, coh[ng:, ng:].ravel())] = gen.gain.T
+    l0[-1, coh[ng:, :ng].ravel()] = height * gen.detect.ravel()
+
+    s = gen.raising + gen.raising.T
+    eye = np.eye(nc)
+    l1 = np.zeros_like(l0)
+    l1[: nc * nc, : nc * nc] = (0.5j * omega0 * height) * (np.kron(s, eye) - np.kron(eye, s))
+    return l0, l1
+
+
+def _propagator(cache: dict, generator: np.ndarray, dt: float) -> np.ndarray:
+    """expm(generator * dt), computed once per interval length.
+
+    Lengths within ``_SAME_INTERVAL`` of each other share one propagator:
+    differences of stored times that are equal in exact arithmetic come
+    out a few ulps apart.
+    """
+    for known, p in cache.items():
+        if abs(dt - known) <= _SAME_INTERVAL * known:
+            return p
+    cache[dt] = p = expm(generator * dt)
+    return p
+
+
+def _reachable(pattern: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Indices a linear flow with nonzero ``pattern`` can fill from ``start``.
+
+    Entry i is filled once some filled j has pattern[i, j]; the entries
+    reached are an invariant subspace, and every other entry starts and
+    stays exactly zero.
+    """
+    filled = start
+    while True:
+        grown = filled | pattern[:, filled].any(axis=1)
+        if np.array_equal(grown, filled):
+            return np.flatnonzero(filled)
+        filled = grown
+
+
+def _propagate_train(gen, coh, dec, amplitudes, omega0, pulse, t_eval):
+    """Exact propagation of a flat train, one level at a time.
+
+    Inside a segment the generator is constant, so each interval between
+    the segment start, the stored times and the segment end is one
+    matrix exponential; a gap is the zero-drive case, L0 without the
+    accumulator row, with a propagator shared by every level.  The
+    exponentials act only on the entries the initial state can reach (88
+    of 170 for a ground F=1 sample, whose drive and decay conserve a
+    parity of the coherences).  Same return value as
+    ``_integrate_gaussian``.
+    """
+    z0 = np.concatenate([coh.ravel(), dec.ravel(), [0.0]])
+    l0, l1 = _flat_generators(gen, omega0, 1.0 / math.sqrt(pulse.train_count * pulse.fwhm))
+    keep = _reachable((l0 != 0.0) | (l1 != 0.0), z0 != 0.0)
+    dark = l0.copy()
+    dark[-1] = 0.0  # without light nothing is detected
+    sub = np.ix_(keep, keep)
+    l0, l1, dark = l0[sub], l1[sub], dark[sub]
+    segments = pulse.segment_windows()
+    marks = [sorted({t for t in t_eval if t0 <= t <= t1}) for t0, t1 in segments]
+    times = [float(t) for m in marks for t in m]
+
+    stored = np.zeros((len(times), amplitudes.size, z0.size), dtype=complex)
+    final = np.zeros((amplitudes.size, z0.size), dtype=complex)
+    gaps = {}
+    for j, a in enumerate(amplitudes):
+        lit = l0 + a * l1
+        steps = {}
+        z, t, k = z0[keep], segments[0][0], 0
+        for (t0, t1), inside in zip(segments, marks):
+            if t0 > t:
+                z = _propagator(gaps, dark, t0 - t) @ z
+            t = t0
+            for i, tk in enumerate(inside + [t1]):
+                if tk > t:
+                    z = _propagator(steps, lit, tk - t) @ z
+                    t = tk
+                if i < len(inside):
+                    stored[k, j, keep] = z
+                    k += 1
+        final[j, keep] = z
+
+    nc, nd = gen.coherent.size, gen.decay_only.size
+
+    def split(z):
+        n = z.shape[0]
+        return z[:, : nc * nc].reshape(n, nc, nc), z[:, nc * nc : -1].reshape(n, nd, nd)
+
+    return times, [split(z) for z in stored], (*split(final), final[:, -1])
 
 
 def integrate_node(
@@ -772,6 +873,20 @@ def damped_rabi_reference(omega: float, gamma: float, t) -> np.ndarray:
     return pinf * (1.0 - envelope * (np.cos(od * t) + 0.75 * gamma / od * np.sin(od * t)))
 
 
+def _two_level_generator(gamma: float) -> _Generator:
+    """The resonant two-level atom (ground 0, excited 1) as a ``_Generator``."""
+    return _Generator(
+        g=np.array([[0.0, -0.5 * gamma], [-0.5 * gamma, -gamma]], dtype=complex),
+        raising=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        gain=_gain_map([[np.array([[math.sqrt(gamma)]])]]),
+        n_ground=1,
+        detect=np.zeros((1, 1), dtype=complex),  # the oracle detects nothing
+        coherent=np.arange(2),
+        decay_only=np.arange(0),
+        size=2,
+    )
+
+
 def integrate_two_level(
     omega: float,
     gamma: float,
@@ -783,16 +898,7 @@ def integrate_two_level(
     Returns (times, excited populations).  Used to validate the integrator
     core against the closed-form damped Rabi solution.
     """
-    gen = _Generator(
-        g=np.array([[0.0, -0.5 * gamma], [-0.5 * gamma, -gamma]], dtype=complex),
-        raising=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        gain=_gain_map([[np.array([[math.sqrt(gamma)]])]]),
-        n_ground=1,
-        detect=np.zeros((1, 1), dtype=complex),  # the oracle detects nothing
-        coherent=np.arange(2),
-        decay_only=np.arange(0),
-        size=2,
-    )
+    gen = _two_level_generator(gamma)
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     t_eval = list(np.linspace(0.0, t_final, n_stored))
     # constant unit envelope and unit mode amplitude: drive = omega exactly

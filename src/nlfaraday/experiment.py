@@ -30,6 +30,19 @@ CSV_SCHEMA_VERSION = 1
 _PROBE_TAGS = ("L1", "NL", "L2")
 
 
+def _check_transmissions(t_h: float, t_v: float):
+    """Raise InvalidConfig unless both lie in (0, 1] and sqrt(t_h t_v) > 0.
+
+    S_y carries the factor sqrt(t_h t_v); a product that underflows to 0
+    would write S_y = 0 and make the angle unrecoverable.
+    """
+    for t in (t_h, t_v):
+        if not 0.0 < t <= 1.0:
+            raise InvalidConfig("transmissions must lie in (0, 1]")
+    if math.sqrt(t_h * t_v) == 0.0:
+        raise InvalidConfig(f"transmissions {t_h:.17g} and {t_v:.17g}: sqrt(t_h * t_v) underflows to 0")
+
+
 @dataclass(frozen=True)
 class PolarimeterModel:
     """Detection-chain noise parameters.
@@ -52,9 +65,7 @@ class PolarimeterModel:
             raise InvalidConfig("electronic variances must be non-negative")
         if self.technical_coefficient < 0:
             raise InvalidConfig("technical-noise coefficient must be non-negative")
-        for t in (self.transmission_h, self.transmission_v):
-            if not 0.0 < t <= 1.0:
-                raise InvalidConfig("transmissions must lie in (0, 1]")
+        _check_transmissions(self.transmission_h, self.transmission_v)
 
     def electronic_variance(self, probe_tag: str) -> float:
         return self.v_nonlinear if probe_tag == "NL" else self.v_linear
@@ -103,9 +114,7 @@ class StokesRecord:
             raise InvalidConfig("photon number must be positive")
         if abs(self.s_y) > self.s_x:
             raise InvalidConfig("|S_y| exceeds S_x: rotation outside physical range")
-        for t in (self.transmission_h, self.transmission_v):
-            if not 0.0 < t <= 1.0:
-                raise InvalidConfig("transmissions must lie in (0, 1]")
+        _check_transmissions(self.transmission_h, self.transmission_v)
 
     def phi_from_stokes(self) -> float:
         """Reconstruct the angle from the stored Stokes pair."""
@@ -343,7 +352,8 @@ def read_campaign_csv(path):
     absent) are applied to every record.  Raises InvalidConfig, naming the
     file, for an unreadable file, a file with no column header or no data
     rows, unexpected columns, a missing or different ``schema_version``, a
-    transmission outside (0, 1], a non-numeric ``n_linear``, and an
+    transmission outside (0, 1] or a pair whose sqrt(t_h t_v) underflows
+    to 0, a non-numeric ``n_linear``, and an
     ``n_nonlinear`` that is missing, not a finite positive number, or not
     the photon number of every NL row; and, naming the line, for a row
     with the wrong number of cells, a non-numeric cell, or a reading
@@ -376,6 +386,10 @@ def read_campaign_csv(path):
                         f"{path}: schema_version {version} is not {CSV_SCHEMA_VERSION}"
                     )
                 t_h, t_v = (_header_transmission(path, meta, f"transmission_{s}") for s in "hv")
+                try:
+                    _check_transmissions(t_h, t_v)
+                except InvalidConfig as exc:
+                    raise InvalidConfig(f"{path}: {exc}") from None
                 continue
             cells = line.split(",")
             if len(cells) != len(expected):

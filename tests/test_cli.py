@@ -267,6 +267,16 @@ def test_analyze_malformed_campaign_is_config_error(tmp_path, capsys, case, matc
     assert str(path) in err and match in err
 
 
+def test_analyze_campaign_without_live_pair_is_config_error(tmp_path, capsys):
+    # only n_atoms = 0 controls: nothing to regress
+    path = tmp_path / "controls.csv"
+    path.write_text("\n".join(ln.replace(",2e5,", ",0,") for ln in _campaign_lines()) + "\n")
+    rc = cli.main(["analyze", "--data", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and "no live L1/NL pair" in err
+
+
 def test_analyze_well_formed_hand_written_campaign(tmp_path):
     path = tmp_path / "campaign.csv"
     path.write_text("\n".join(_campaign_lines()) + "\n")

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nlfaraday import experiment as expmt
@@ -134,6 +134,7 @@ _TRANSMISSION = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     quiet=st.booleans(),
 )
 def test_campaign_draws_follow_the_per_sample_streams(seed, samples, n_nonlinear, t_h, t_v, quiet):
+    assume(math.sqrt(t_h * t_v) > 0.0)  # an underflowing pair is rejected, see below
     # sample i: atom number (live samples only), then one normal per
     # probe, all from default_rng([seed, i]); angle = model mean + sd * normal
     noise = expmt.PolarimeterModel(transmission_h=t_h, transmission_v=t_v)
@@ -238,6 +239,7 @@ def test_campaign_csv_keeps_detector_transmissions(tmp_path):
     t_v=_TRANSMISSION,
 )
 def test_campaign_csv_round_trip_property(tmp_path_factory, seed, samples, t_h, t_v):
+    assume(math.sqrt(t_h * t_v) > 0.0)  # rejected: test_underflowing_transmissions_rejected
     noise = expmt.PolarimeterModel(transmission_h=t_h, transmission_v=t_v)
     camp = expmt.generate_correlation_campaign(1e7, samples=samples, seed=seed, noise=noise)
     path = tmp_path_factory.mktemp("csv") / "campaign.csv"
@@ -245,6 +247,23 @@ def test_campaign_csv_round_trip_property(tmp_path_factory, seed, samples, t_h, 
     records, meta = expmt.read_campaign_csv(path)
     _assert_records_match(records, camp)
     assert int(meta["seed"]) == seed
+
+
+def test_underflowing_transmissions_rejected(tmp_path):
+    # each transmission lies in (0, 1], but sqrt(t_h * t_v) is 0, so every
+    # S_y would be written as 0 and no angle could be read back
+    pair = {"transmission_h": 0.5, "transmission_v": 5e-324}
+    with pytest.raises(InvalidConfig, match="underflows"):
+        expmt.PolarimeterModel(**pair)
+    with pytest.raises(InvalidConfig, match="underflows"):
+        expmt.StokesRecord("L1", 1e6, 1e6, 0.0, 0.0, 0.0, 0, **pair)
+    camp = expmt.generate_correlation_campaign(1e7, samples=10, seed=5)
+    path = tmp_path / "campaign.csv"
+    expmt.write_campaign_csv(path, camp)
+    text = path.read_text().replace("transmission_v = 1\n", "transmission_v = 5e-324\n")
+    path.write_text(text.replace("transmission_h = 1\n", "transmission_h = 0.5\n"))
+    with pytest.raises(InvalidConfig, match=f"{re.escape(str(path))}: .*underflows"):
+        expmt.read_campaign_csv(path)
 
 
 def test_campaign_csv_errors(tmp_path):
