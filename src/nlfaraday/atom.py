@@ -19,6 +19,7 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 from dataclasses import dataclass, field
@@ -179,6 +180,7 @@ def build_level_scheme(path=None) -> LevelScheme:
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _reduced_factor(f_ground: int, f_excited: int) -> float:
     # <F||d||F'> / <J||d||J'> for the hyperfine transition, standard
     # 6j contraction over the decoupled nuclear spin.
@@ -189,6 +191,12 @@ def _reduced_factor(f_ground: int, f_excited: int) -> float:
         * wigner_6j(_J_GROUND, _J_EXCITED, 1, f_excited, f_ground, _I_NUCLEAR)
     )
     return float(value)
+
+
+@functools.lru_cache(maxsize=None)
+def _clebsch_gordan(f_excited: int, f_ground: int, m_excited: int, q: int, m_ground: int) -> float:
+    # <F' m', 1 q | F m>; exact sympy algebra, so each value is computed once
+    return float(clebsch_gordan(f_excited, 1, f_ground, m_excited, q, m_ground))
 
 
 @dataclass(frozen=True)
@@ -233,8 +241,7 @@ def build_dipole_operators(scheme: LevelScheme) -> OperatorSet:
             q = mg - me
             if q not in (-1, 0, 1):
                 continue
-            cg = float(clebsch_gordan(fe, 1, fg, me, q, mg))
-            lowering[q][g, e] = reduced[(fg, fe)] * cg
+            lowering[q][g, e] = reduced[(fg, fe)] * _clebsch_gordan(fe, fg, me, q, mg)
 
     def full(q):
         return lowering[q] + (-1) ** q * lowering[-q].T

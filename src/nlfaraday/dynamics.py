@@ -30,12 +30,16 @@ decay never builds an F=1-F=2 coherence; and since F=2 is not driven,
 no excited-F=2 coherence forms either.  Full 24x24 matrices are rebuilt
 from the blocks only at the stored times.
 
-Two solvers advance the states.  Under a flat-train segment the
-envelope, and with it the generator, is constant, so each segment and
-each gap between segments is advanced by exact matrix exponentials of
-the linear generator on a level's blocks and detection accumulator.  A
-Gaussian pulse is integrated with DOP853; it is the only use of the
-adaptive integrator.
+Two solvers advance the states, on one real generator per level.  The
+entries of the blocks a sample can fill, each Hermitian pair merged
+into its real and imaginary parts, and the detection accumulator give a
+level's real coordinates (89 for a ground F=1 sample, against 340 floats
+of the complex blocks), on which it evolves as dx/dt = R0 x +
+T(t) (a R1 x + D x).  Under a flat-train segment the envelope is
+constant, so each segment and each gap is advanced by exact matrix
+exponentials of that generator.  A Gaussian pulse is integrated with
+DOP853, one sparse product of [R0; R1; D] with all levels per call; it
+is the only use of the adaptive integrator.
 
 Drive normalization: a pulse of N photons in beam mode M(r, z) with
 envelope T(t) produces the local Rabi amplitude
@@ -67,6 +71,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.optimize import brentq
+from scipy.sparse import csr_matrix
 
 from . import atom as _atom
 from .atom import (
@@ -122,7 +127,7 @@ def drive_scale(n_photons: float, gamma: float, wavenumber: float) -> float:
 
 @dataclass(frozen=True)
 class _Generator:
-    """Precomputed pieces of the batched right-hand side on the two blocks.
+    """Pieces of the production model's generator on the two blocks.
 
     The coherent block lists its ground levels first, then the excited
     levels the drive reaches; ``coherent`` and ``decay_only`` give the
@@ -131,7 +136,7 @@ class _Generator:
 
     g: np.ndarray          # coherent block, elementwise: -i(w_i - w_j) - decay
     raising: np.ndarray    # drive raising operator on the coherent block
-    gain: np.ndarray       # flat rho_ee (ne*ne,) -> flat gain (ng*ng + nd*nd,), transposed
+    gain: np.ndarray       # flat rho_ee (ne*ne,) -> flat gains (ng*ng + nd*nd,)
     n_ground: int          # ground levels of the coherent block
     detect: np.ndarray     # excited-ground detection block (ne, ng)
     coherent: np.ndarray
@@ -150,10 +155,8 @@ def _build_generator(ops: OperatorSet, detuning: float) -> _Generator:
     no drive and no frequency spread inside F=2, that 5x5 block only
     accumulates decay.  Nothing couples anything into F'=3, into an
     F=1-F=2 coherence or into an excited-F=2 coherence, so these stay
-    exact zeros and are not integrated.  The pieces serve both solvers:
-    DOP853 through a Gaussian pulse (``_make_rhs``) and the exact matrix
-    exponentials of a flat train's segments and gaps
-    (``_flat_generators``).
+    exact zeros and are not integrated.  ``_real_generators`` builds
+    both solvers' matrices from these pieces.
     """
     scheme = ops.scheme
     gamma = scheme.gamma
@@ -202,33 +205,25 @@ def _gain_map(channels) -> np.ndarray:
             # out[a,b] = sum_cd W[a,c] rho[c,d] W[b,d]
             m += np.einsum("ac,bd->abcd", w, w).reshape(nd * nd, ne * ne)
         cols.append(m)
-    return np.concatenate(cols).T.astype(complex)  # transposed for row-vector matmul
+    return np.concatenate(cols)
 
 
-def _pack(coh: np.ndarray, dec: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Solver state: [coherent blocks, decay-only blocks, accumulators] as floats."""
-    return np.concatenate([coh.ravel(), dec.ravel(), acc]).view(float)
+def _from_vector(gen: _Generator, z: np.ndarray) -> np.ndarray:
+    """Full density matrices from level vectors; every other element is zero.
 
-
-def _unpack(gen: _Generator, y: np.ndarray, n_nodes: int):
-    """Views (coherent (n, nc, nc), decay-only (n, nd, nd), accumulators (n,)) of ``y``."""
-    z = y.view(np.complex128)
+    A level vector is [coherent block, decay-only block, accumulator],
+    blocks row-major; the accumulator is not part of the state.
+    """
     nc, nd = gen.coherent.size, gen.decay_only.size
-    a = n_nodes * nc * nc
-    b = a + n_nodes * nd * nd
-    return z[:a].reshape(n_nodes, nc, nc), z[a:b].reshape(n_nodes, nd, nd), z[b:]
-
-
-def _from_blocks(gen: _Generator, coh: np.ndarray, dec: np.ndarray) -> np.ndarray:
-    """Full density matrices from the two blocks; every other element is zero."""
-    out = np.zeros(coh.shape[:-2] + (gen.size, gen.size), dtype=complex)
-    out[..., gen.coherent[:, None], gen.coherent] = coh
-    out[..., gen.decay_only[:, None], gen.decay_only] = dec
+    lead = z.shape[:-1]
+    out = np.zeros(lead + (gen.size, gen.size), dtype=complex)
+    out[..., gen.coherent[:, None], gen.coherent] = z[..., : nc * nc].reshape(lead + (nc, nc))
+    out[..., gen.decay_only[:, None], gen.decay_only] = z[..., nc * nc : -1].reshape(lead + (nd, nd))
     return out
 
 
-def _to_blocks(gen: _Generator, rho) -> tuple:
-    """Split a full initial density matrix into the two integrated blocks.
+def _to_vector(gen: _Generator, rho) -> np.ndarray:
+    """The level vector of a full initial density matrix, accumulator zero.
 
     Raises InvalidConfig, before anything is integrated, for a matrix of
     the wrong shape, non-finite, non-Hermitian, off unit trace, negative
@@ -252,53 +247,133 @@ def _to_blocks(gen: _Generator, rho) -> tuple:
     min_eig = float(np.min(np.linalg.eigvalsh(rho)))
     if min_eig < -_POSITIVITY_ABORT:
         raise InvalidConfig(f"initial state has eigenvalue {min_eig:.3e}")
-    coh = rho[np.ix_(gen.coherent, gen.coherent)]
-    dec = rho[np.ix_(gen.decay_only, gen.decay_only)]
-    if not np.array_equal(_from_blocks(gen, coh, dec), rho):
+    z = np.concatenate([
+        rho[np.ix_(gen.coherent, gen.coherent)].ravel(),
+        rho[np.ix_(gen.decay_only, gen.decay_only)].ravel(),
+        [0.0],
+    ])
+    if not np.array_equal(_from_vector(gen, z), rho):
         raise InvalidConfig(
             "initial state is nonzero outside the driven levels and ground F=2 "
             "(an F'=3 element, or an F=1-F=2 or excited-F=2 coherence)"
         )
-    return coh, dec
+    return z
 
 
-def _make_rhs(gen: _Generator, amplitudes: np.ndarray, omega0: float, envelope):
-    """Vector field over the stacked per-amplitude blocks plus overlap accumulators.
+@dataclass(frozen=True)
+class _Coordinates:
+    """Real coordinates of the Hermitian level vectors on a set of kept entries.
 
-    State layout: see ``_pack``.  The accumulator integrates
-    T(t) * Tr[rho d_detect].  Drive amplitudes are real (see the module
-    docstring for why a mode phase would cancel).
+    The coordinates are the real parts of the kept entries on and above
+    the block diagonals, followed by the imaginary parts of those above
+    the diagonals; a kept accumulator contributes both parts.  A kept
+    entry below a diagonal is the conjugate of its mirror above it, and
+    every entry not kept is zero.  Both directions only copy
+    values, so a Hermitian vector on the kept entries round-trips bit
+    for bit.
     """
-    n_nodes = amplitudes.shape[0]
-    ng = gen.n_ground
-    nc = gen.coherent.size
-    ne = nc - ng
-    # H_drive = -(Omega/2) S with S = R + R^T, so -i[H, rho] = (i Omega/2)[S, rho]
-    # and [S, rho] = (rho S)^H - rho S for Hermitian rho
-    s = (gen.raising + gen.raising.T).astype(complex)
-    drive = 0.5j * omega0 * amplitudes[:, None, None]
-    g = gen.g
-    gain_t = gen.gain
+
+    size: int            # entries of a level vector
+    real: np.ndarray     # entries whose real part is a coordinate
+    imag: np.ndarray     # entries whose imaginary part is a coordinate
+    lower: np.ndarray    # kept entries below a diagonal ...
+    upper: np.ndarray    # ... and their mirrors above it
+
+    def encode(self, z: np.ndarray) -> np.ndarray:
+        """Coordinates (..., n) of level vectors (..., size)."""
+        return np.concatenate([z[..., self.real].real, z[..., self.imag].imag], axis=-1)
+
+    def decode(self, x: np.ndarray) -> np.ndarray:
+        """Level vectors (..., size), with exactly Hermitian blocks, of coordinates (..., n)."""
+        z = np.zeros(x.shape[:-1] + (self.size,), dtype=complex)
+        z.real[..., self.real] = x[..., : self.real.size]
+        z.imag[..., self.imag] = x[..., self.real.size :]
+        z[..., self.lower] = z[..., self.upper].conj()
+        return z
+
+
+def _real_generators(gen: _Generator, omega0: float, z0: np.ndarray):
+    """(coordinates, R0, R1, D): one level's flow on its real coordinates.
+
+    A level of drive amplitude a = |M| under the envelope T(t) evolves as
+    dx/dt = R0 x + T(t) (a R1 x + D x).  The complex-linear pieces act on
+    the level vector (``_from_vector``): L0 holds the elementwise g, the
+    recycling gain into F=1 and the gain into F=2; L1 is the drive of
+    unit amplitude and envelope, (i omega0 / 2) (S rho - rho S); LD is
+    the accumulator row Tr[rho d_detect].  Only the entries the initial
+    vector ``z0`` can reach are kept (89 real coordinates for a ground F=1
+    sample, whose drive and decay conserve a parity of the coherences),
+    and each R is its L on the real coordinates of those entries
+    (``_Coordinates``).  Both
+    solvers run on these matrices: DOP853 through a Gaussian pulse
+    (``_linear_rhs``) and the exact exponentials of a flat train.
+    """
+    nc, nd, ng = gen.coherent.size, gen.decay_only.size, gen.n_ground
+    coh = np.arange(nc * nc).reshape(nc, nc)
+    dec = nc * nc + np.arange(nd * nd).reshape(nd, nd)
+    size = nc * nc + nd * nd + 1
+    l0 = np.zeros((size, size), dtype=complex)
+    l0[coh.ravel(), coh.ravel()] = gen.g.ravel()
+    gained = np.concatenate([coh[:ng, :ng].ravel(), dec.ravel()])
+    l0[np.ix_(gained, coh[ng:, ng:].ravel())] = gen.gain
+    s = gen.raising + gen.raising.T
+    eye = np.eye(nc)
+    l1 = np.zeros_like(l0)
+    l1[: nc * nc, : nc * nc] = (0.5j * omega0) * (np.kron(s, eye) - np.kron(eye, s))
+    ld = np.zeros_like(l0)
+    ld[-1, coh[ng:, :ng].ravel()] = gen.detect.ravel()
+
+    entry = np.arange(size)
+    mirror = np.concatenate([coh.T.ravel(), dec.T.ravel(), [size - 1]])
+    # every L's pattern is mirror-symmetric, so kept entries come with their mirrors
+    start = (z0 != 0.0) | (z0[mirror] != 0.0)
+    keep = _reachable((l0 != 0.0) | (l1 != 0.0) | (ld != 0.0), start)
+    below = keep & (entry > mirror)
+    coords = _Coordinates(
+        size=size,
+        real=np.flatnonzero(keep & (entry <= mirror)),
+        imag=np.flatnonzero(keep & ((entry < mirror) | (entry == size - 1))),
+        lower=np.flatnonzero(below),
+        upper=mirror[below],
+    )
+    # column c of L @ basis^T is L applied to the level vector of coordinate c
+    basis = coords.decode(np.eye(coords.real.size + coords.imag.size)).T
+    return (coords, *(coords.encode((csr_matrix(l) @ basis).T).T for l in (l0, l1, ld)))
+
+
+def _reachable(pattern: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Mask of the entries a linear flow with nonzero ``pattern`` can fill from ``start``.
+
+    Entry i is filled once some filled j has pattern[i, j]; the entries
+    reached are an invariant subspace, and every other entry starts and
+    stays exactly zero.
+    """
+    filled = start
+    while True:
+        grown = filled | pattern[:, filled].any(axis=1)
+        if np.array_equal(grown, filled):
+            return filled
+        filled = grown
+
+
+def _linear_rhs(r0, r1, d, amplitudes: np.ndarray, envelope):
+    """Vector field of every level's coordinates, stacked (coordinate, level).
+
+    One sparse product of the stacked [R0; R1; D] with the (n, levels)
+    state per call.  Drive amplitudes are real (see the module docstring
+    for why a mode phase would cancel).
+    """
+    n = r0.shape[0]
+    stacked = csr_matrix(np.vstack([r0, r1, d]))
 
     def rhs(t, y):
-        rho, _, _ = _unpack(gen, y, n_nodes)
-        tt = envelope(t)
-        out = np.empty_like(y)
-        drho, ddec, dacc = _unpack(gen, out, n_nodes)
-
-        np.multiply(g, rho, out=drho)
-        c = (rho.reshape(-1, nc) @ s).reshape(n_nodes, nc, nc)
-        u = c.conj().transpose(0, 2, 1) - c
-        u *= tt * drive
-        drho += u
-
-        gain = rho[:, ng:, ng:].reshape(n_nodes, ne * ne) @ gain_t
-        drho[:, :ng, :ng] += gain[:, : ng * ng].reshape(n_nodes, ng, ng)
-        ddec[:] = gain[:, ng * ng :].reshape(ddec.shape)
-
-        np.einsum("nij,ij->n", rho[:, ng:, :ng], gen.detect, out=dacc)
-        dacc *= tt
-        return out
+        p = stacked @ y.reshape(n, amplitudes.size)
+        out = p[n : 2 * n]
+        out *= amplitudes
+        out += p[2 * n :]
+        out *= envelope(t)
+        out += p[:n]
+        return out.ravel()
 
     return rhs
 
@@ -349,64 +424,50 @@ def _check_states(states: np.ndarray):
 
 
 def _solve_batch(
-    gen: _Generator,
-    rho0: np.ndarray,
-    amplitudes: np.ndarray,
-    omega0: float,
-    pulse: PulseSpec,
-    t_eval,
+    gen: _Generator, rho0: np.ndarray, amplitudes: np.ndarray, omega0: float,
+    pulse: PulseSpec, t_eval,
 ):
     """Evolve one state per drive amplitude through the pulse.
 
     Each amplitude is a local |M| = sqrt(s / A0): an intensity level of
-    the cloud, or the single node of ``integrate_node``.  A Gaussian pulse
-    is integrated with DOP853 (``_integrate_gaussian``); the segments and
-    gaps of a flat train, where the generator is constant, are advanced
-    by exact matrix exponentials (``_propagate_train``).  Returns (times,
-    states (n_t, n, size, size), overlaps (n,)), with the full density
-    matrices rebuilt from the two blocks only at the ``t_eval`` times that
-    fall inside a segment (at the end of the pulse when none does).
+    the cloud, or the single node of ``integrate_node``.  Every level
+    runs on the real coordinates of ``_real_generators``.  A Gaussian
+    pulse is integrated with DOP853 (``_integrate_gaussian``); the
+    segments and gaps of a flat train, where the generator is constant,
+    are advanced by exact matrix exponentials (``_propagate_train``).
+    Returns (times, states (n_t, n, size, size), overlaps (n,)), with the
+    full density matrices rebuilt only at the ``t_eval`` times that fall
+    inside a segment (at the end of the pulse when none does).
     """
-    coh, dec = _to_blocks(gen, rho0)
+    z0 = _to_vector(gen, rho0)
+    coords, r0, r1, d = _real_generators(gen, omega0, z0)
     solve = _integrate_gaussian if pulse.shape == "gaussian" else _propagate_train
-    times, blocks, (coh, dec, acc) = solve(gen, coh, dec, amplitudes, omega0, pulse, t_eval)
+    times, stored, final = solve(coords.encode(z0), r0, r1, d, amplitudes, pulse, t_eval)
     if not times:
-        times, blocks = [pulse.window()[1]], [(coh, dec)]
-    states = np.stack([_from_blocks(gen, c, d) for c, d in blocks])
-    return np.asarray(times), states, acc
+        times, stored = [pulse.window()[1]], final[None]
+    states = _from_vector(gen, coords.decode(stored))
+    return np.asarray(times), states, coords.decode(final)[:, -1]
 
 
-def _integrate_gaussian(gen, coh, dec, amplitudes, omega0, pulse, t_eval):
-    """DOP853 through the Gaussian window, all amplitudes in one state.
+def _integrate_gaussian(x0, r0, r1, d, amplitudes, pulse, t_eval):
+    """DOP853 through the Gaussian window, all levels in one state.
 
-    Returns (stored times, (coherent, decay-only) blocks at each, final
-    (coherent, decay-only, accumulators)).
+    Returns (stored times, coordinates (n_t, levels, n) at each, final
+    coordinates (levels, n)).
     """
-    n_nodes = amplitudes.shape[0]
+    n, levels = x0.size, amplitudes.size
     t0, t1 = pulse.window()
     inside = {t for t in t_eval if t0 <= t <= t1}
-    y0 = _pack(
-        np.broadcast_to(coh, (n_nodes,) + coh.shape),
-        np.broadcast_to(dec, (n_nodes,) + dec.shape),
-        np.zeros(n_nodes, dtype=complex),
-    )
     sol = solve_ivp(
-        _make_rhs(gen, amplitudes, omega0, _gaussian_envelope(pulse)),
-        (t0, t1),
-        y0,
-        method=_METHOD,
-        rtol=_RTOL,
-        atol=_ATOL,
+        _linear_rhs(r0, r1, d, amplitudes, _gaussian_envelope(pulse)), (t0, t1),
+        np.repeat(x0, levels), method=_METHOD, rtol=_RTOL, atol=_ATOL,
         t_eval=sorted(inside | {t1}),
     )
     if not sol.success:
         raise StepFailure(f"integrator failed: {sol.message}")
-    times, blocks = [], []
-    for k, tk in enumerate(sol.t):
-        if tk in inside:
-            times.append(float(tk))
-            blocks.append(_unpack(gen, np.ascontiguousarray(sol.y[:, k]), n_nodes)[:2])
-    return times, blocks, _unpack(gen, np.ascontiguousarray(sol.y[:, -1]), n_nodes)
+    x = sol.y.T.reshape(-1, n, levels).transpose(0, 2, 1)
+    stored = [k for k, tk in enumerate(sol.t) if tk in inside]
+    return [float(sol.t[k]) for k in stored], x[stored], x[-1]
 
 
 def _gaussian_envelope(pulse: PulseSpec):
@@ -418,33 +479,6 @@ def _gaussian_envelope(pulse: PulseSpec):
         return c * math.exp(-t * t * inv)
 
     return envelope
-
-
-def _flat_generators(gen: _Generator, omega0: float, height: float):
-    """(L0, L1): one level's generator in a flat segment is L0 + a * L1.
-
-    Both act complex-linearly on the column vector [coherent block,
-    decay-only block, accumulator] of one level, blocks row-major.  L0
-    holds the elementwise g, the recycling gain into F=1, the gain into
-    F=2 and the accumulator row height * detect; L1 is the drive of unit
-    amplitude |M|, (i omega0 height / 2) (S rho - rho S).  The commutator
-    is written out: the (rho S)^H shortcut of ``_make_rhs`` holds only for
-    Hermitian rho, not for the basis vectors a propagator acts on.
-    """
-    nc, nd, ng = gen.coherent.size, gen.decay_only.size, gen.n_ground
-    coh = np.arange(nc * nc).reshape(nc, nc)
-    size = nc * nc + nd * nd + 1
-    l0 = np.zeros((size, size), dtype=complex)
-    l0[coh.ravel(), coh.ravel()] = gen.g.ravel()
-    gained = np.concatenate([coh[:ng, :ng].ravel(), nc * nc + np.arange(nd * nd)])
-    l0[np.ix_(gained, coh[ng:, ng:].ravel())] = gen.gain.T
-    l0[-1, coh[ng:, :ng].ravel()] = height * gen.detect.ravel()
-
-    s = gen.raising + gen.raising.T
-    eye = np.eye(nc)
-    l1 = np.zeros_like(l0)
-    l1[: nc * nc, : nc * nc] = (0.5j * omega0 * height) * (np.kron(s, eye) - np.kron(eye, s))
-    return l0, l1
 
 
 def _propagator(cache: dict, generator: np.ndarray, dt: float) -> np.ndarray:
@@ -461,71 +495,40 @@ def _propagator(cache: dict, generator: np.ndarray, dt: float) -> np.ndarray:
     return p
 
 
-def _reachable(pattern: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Indices a linear flow with nonzero ``pattern`` can fill from ``start``.
-
-    Entry i is filled once some filled j has pattern[i, j]; the entries
-    reached are an invariant subspace, and every other entry starts and
-    stays exactly zero.
-    """
-    filled = start
-    while True:
-        grown = filled | pattern[:, filled].any(axis=1)
-        if np.array_equal(grown, filled):
-            return np.flatnonzero(filled)
-        filled = grown
-
-
-def _propagate_train(gen, coh, dec, amplitudes, omega0, pulse, t_eval):
+def _propagate_train(x0, r0, r1, d, amplitudes, pulse, t_eval):
     """Exact propagation of a flat train, one level at a time.
 
-    Inside a segment the generator is constant, so each interval between
-    the segment start, the stored times and the segment end is one
-    matrix exponential; a gap is the zero-drive case, L0 without the
-    accumulator row, with a propagator shared by every level.  The
-    exponentials act only on the entries the initial state can reach (88
-    of 170 for a ground F=1 sample, whose drive and decay conserve a
-    parity of the coherences).  Same return value as
-    ``_integrate_gaussian``.
+    Inside a segment the generator R0 + height (a R1 + D) is constant, so
+    each interval between the segment start, the stored times and the
+    segment end is one matrix exponential; a gap is the undriven,
+    undetected R0, with a propagator shared by every level.  Same return
+    value as ``_integrate_gaussian``.
     """
-    z0 = np.concatenate([coh.ravel(), dec.ravel(), [0.0]])
-    l0, l1 = _flat_generators(gen, omega0, 1.0 / math.sqrt(pulse.train_count * pulse.fwhm))
-    keep = _reachable((l0 != 0.0) | (l1 != 0.0), z0 != 0.0)
-    dark = l0.copy()
-    dark[-1] = 0.0  # without light nothing is detected
-    sub = np.ix_(keep, keep)
-    l0, l1, dark = l0[sub], l1[sub], dark[sub]
+    height = 1.0 / math.sqrt(pulse.train_count * pulse.fwhm)
     segments = pulse.segment_windows()
     marks = [sorted({t for t in t_eval if t0 <= t <= t1}) for t0, t1 in segments]
     times = [float(t) for m in marks for t in m]
 
-    stored = np.zeros((len(times), amplitudes.size, z0.size), dtype=complex)
-    final = np.zeros((amplitudes.size, z0.size), dtype=complex)
+    stored = np.zeros((len(times), amplitudes.size, x0.size))
+    final = np.zeros((amplitudes.size, x0.size))
     gaps = {}
     for j, a in enumerate(amplitudes):
-        lit = l0 + a * l1
+        lit = r0 + height * (a * r1 + d)
         steps = {}
-        z, t, k = z0[keep], segments[0][0], 0
+        x, t, k = x0, segments[0][0], 0
         for (t0, t1), inside in zip(segments, marks):
             if t0 > t:
-                z = _propagator(gaps, dark, t0 - t) @ z
+                x = _propagator(gaps, r0, t0 - t) @ x
             t = t0
             for i, tk in enumerate(inside + [t1]):
                 if tk > t:
-                    z = _propagator(steps, lit, tk - t) @ z
+                    x = _propagator(steps, lit, tk - t) @ x
                     t = tk
                 if i < len(inside):
-                    stored[k, j, keep] = z
+                    stored[k, j] = x
                     k += 1
-        final[j, keep] = z
-
-    nc, nd = gen.coherent.size, gen.decay_only.size
-
-    def split(z):
-        n = z.shape[0]
-        return z[:, : nc * nc].reshape(n, nc, nc), z[:, nc * nc : -1].reshape(n, nd, nd)
-
-    return times, [split(z) for z in stored], (*split(final), final[:, -1])
+        final[j] = x
+    return times, stored, final
 
 
 def integrate_node(
@@ -899,17 +902,14 @@ def integrate_two_level(
     core against the closed-form damped Rabi solution.
     """
     gen = _two_level_generator(gamma)
-    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    t_eval = list(np.linspace(0.0, t_final, n_stored))
+    z0 = _to_vector(gen, np.array([[1.0, 0.0], [0.0, 0.0]]))
+    coords, r0, r1, d = _real_generators(gen, omega, z0)
     # constant unit envelope and unit mode amplitude: drive = omega exactly
-    amps = np.array([1.0])
-    rhs = _make_rhs(gen, amps, omega, lambda t: 1.0)
-    y0 = _pack(*_to_blocks(gen, rho0), np.zeros(1, dtype=complex))
+    rhs = _linear_rhs(r0, r1, d, np.array([1.0]), lambda t: 1.0)
     sol = solve_ivp(
-        rhs, (0.0, t_final), y0, method=_ORACLE_METHOD,
-        rtol=_ORACLE_RTOL, atol=_ORACLE_ATOL, t_eval=t_eval,
+        rhs, (0.0, t_final), coords.encode(z0), method=_ORACLE_METHOD,
+        rtol=_ORACLE_RTOL, atol=_ORACLE_ATOL, t_eval=list(np.linspace(0.0, t_final, n_stored)),
     )
     if not sol.success:
         raise StepFailure(sol.message)
-    pops = [_unpack(gen, np.ascontiguousarray(yk), 1)[0][0, 1, 1].real for yk in sol.y.T]
-    return np.asarray(sol.t), np.asarray(pops)
+    return np.asarray(sol.t), _from_vector(gen, coords.decode(sol.y.T))[:, 1, 1].real
