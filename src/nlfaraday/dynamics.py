@@ -17,24 +17,24 @@ replaced by its Gauss rule of that many levels (Golub-Welsch).  One
 density matrix is integrated per level, and every cloud sum runs over
 the levels with their weights.
 
-Of the 24 atomic levels, each integrated state holds only two blocks.
-The coherent 12x12 block holds ground F=1 and the excited levels the
-x-polarized drive reaches from it, F'=0, 1, 2; the drive, the level
-energies, the excited-state decay, the recycling into F=1 and the
-detection act on it alone.  The 5x5 ground F=2 block has no drive and
-only accumulates decay from the excited levels.  Everything else stays
-exactly zero for any initial state with zeros there: F'=3 is two units
-of F away from F=1, so the drive cannot reach it and nothing else feeds
-it; with the emission channels split by destination ground manifold,
-decay never builds an F=1-F=2 coherence; and since F=2 is not driven,
-no excited-F=2 coherence forms either.  Full 24x24 matrices are rebuilt
-from the blocks only at the stored times.
+Each level integrates only the entries of the 24x24 density matrix its
+initial state can reach.  The rule (``_Operators.reach``) grows the set
+F of filled entries as F | A F | F A | L F L^T, with A the pattern of
+the drive coupling and L the jump operators; the level energies and the
+decay rates are diagonal and keep each entry in place.  Every entry
+outside F stays exactly zero: F'=3 is two units of F away from F=1, so
+the x-polarized drive cannot reach it; with the emission channels split
+by destination ground manifold, decay never builds an F=1-F=2
+coherence; and since F=2 is not driven, no excited-F=2 coherence forms.
+A ground F=1 sample fills 87 entries.  An initial state may be nonzero
+only where the blocks of ground F=1 and of ground F=2 reach (169
+entries), and full matrices are rebuilt from the kept entries only at
+the stored times.
 
 Two solvers advance the states, on one real generator per level.  The
-entries of the blocks a sample can fill, each Hermitian pair merged
-into its real and imaginary parts, and the detection accumulator give a
-level's real coordinates (89 for a ground F=1 sample, against 340 floats
-of the complex blocks), on which it evolves as dx/dt = R0 x +
+kept entries, each Hermitian pair merged into its real and imaginary
+parts, and the detection accumulator give a level's real coordinates
+(89 for a ground F=1 sample), on which it evolves as dx/dt = R0 x +
 T(t) (a R1 x + D x).  Under a flat-train segment the envelope is
 constant, so each segment and each gap is advanced by exact matrix
 exponentials of that generator.  A Gaussian pulse is integrated with
@@ -73,7 +73,6 @@ from scipy.linalg import eigh_tridiagonal, expm
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 
-from . import atom as _atom
 from .atom import (
     EffectiveCoefficients,
     LevelScheme,
@@ -114,6 +113,8 @@ _QUADRATURE_RTOL = 5e-3
 _INTENSITY_LEVELS = 12
 # Gauss-Hermite nodes in z of the perturbative oracle's cloud average
 _PT_LONG_NODES = 33
+# extract_effective_coefficients: photon numbers of the quadratic fit
+_PHOTON_LADDER = (2.5e5, 1e6, 4e6)
 # locate_crossing: photon number small enough that the linear term
 # dominates, and the root tolerance in rad/s
 _CROSSING_PHOTONS = 2e5
@@ -126,115 +127,79 @@ def drive_scale(n_photons: float, gamma: float, wavenumber: float) -> float:
 
 
 @dataclass(frozen=True)
-class _Generator:
-    """Pieces of the production model's generator on the two blocks.
+class _Operators:
+    """Full-basis operators of a driven, decaying atom.
 
-    The coherent block lists its ground levels first, then the excited
-    levels the drive reaches; ``coherent`` and ``decay_only`` give the
-    full-basis indices of the two blocks (``decay_only`` may be empty).
+    Under a real drive of Rabi amplitude Omega the Hamiltonian is
+    diag(h0) - (Omega / 2) s and the dissipator the Lindblad form of
+    ``jumps``; the detection accumulator integrates T(t) Tr[rho detect].
     """
 
-    g: np.ndarray          # coherent block, elementwise: -i(w_i - w_j) - decay
-    raising: np.ndarray    # drive raising operator on the coherent block
-    gain: np.ndarray       # flat rho_ee (ne*ne,) -> flat gains (ng*ng + nd*nd,)
-    n_ground: int          # ground levels of the coherent block
-    detect: np.ndarray     # excited-ground detection block (ne, ng)
-    coherent: np.ndarray
-    decay_only: np.ndarray
-    size: int              # levels of the full basis
+    h0: np.ndarray         # undriven Hamiltonian, diagonal (rad/s)
+    s: np.ndarray          # drive coupling R + R^T of unit Rabi amplitude
+    jumps: tuple           # real jump operators
+    detect: np.ndarray
+    manifolds: tuple       # index arrays of the manifolds a sample may occupy
+
+    @classmethod
+    def production(cls, ops: OperatorSet, detuning: float) -> "_Operators":
+        """The 24-level model: x-polarized drive out of ground F=1, split emission."""
+        scheme = ops.scheme
+        raising = (excited_projector(scheme) @ ops.d_x @ ground_projector(scheme, f=1)).real
+        return cls(
+            h0=scheme.static_offsets - detuning * scheme.excited_mask,
+            s=raising + raising.T,
+            jumps=tuple(jump_operators(ops, scheme.gamma, split_ground_manifolds=True)),
+            detect=ground_projector(scheme) @ ops.d_y @ excited_projector(scheme),
+            manifolds=(scheme.manifold_indices(1), scheme.manifold_indices(2)),
+        )
+
+    @classmethod
+    def two_level(cls, gamma: float) -> "_Operators":
+        """The resonant two-level atom (ground 0, excited 1); it detects nothing."""
+        return cls(
+            h0=np.zeros(2),
+            s=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            jumps=(np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]),),
+            detect=np.zeros((2, 2)),
+            manifolds=(np.arange(1),),
+        )
+
+    def reach(self, filled: np.ndarray) -> np.ndarray:
+        """Mask of the entries the flow can fill from the mask ``filled``.
+
+        F | A F | F A | L F L^T, with A the pattern of s, until F stops
+        growing (see the module docstring); every other entry stays zero.
+        """
+        a = (self.s != 0.0).astype(float)
+        jumps = [(l != 0.0).astype(float) for l in self.jumps]
+        f = filled.astype(float)
+        while True:
+            grown = (f + a @ f + f @ a + sum(l @ f @ l.T for l in jumps) > 0.0).astype(float)
+            if np.array_equal(grown, f):
+                return f > 0.0
+            f = grown
+
+    def admissible(self) -> np.ndarray:
+        """Mask of the entries an initial state may fill: those the manifold blocks reach."""
+        start = np.zeros(self.s.shape, dtype=bool)
+        for m in self.manifolds:
+            start[np.ix_(m, m)] = True
+        return self.reach(start)
 
 
-def _build_generator(ops: OperatorSet, detuning: float) -> _Generator:
-    """Generator of the production model, restricted to the levels it fills.
+def _checked_state(model: _Operators, rho) -> np.ndarray:
+    """``rho`` as a complex matrix, once it passes the checks of an initial state.
 
-    The probe drives only ground F=1, and by the dipole selection rules
-    an x-polarized field reaches only F'=0, 1, 2 from it.  Those twelve
-    levels form the coherent block.  Emission channels are split by
-    destination ground manifold, so decay feeds ground F=2 populations and
-    coherences but never a coherence between F=2 and any other level; with
-    no drive and no frequency spread inside F=2, that 5x5 block only
-    accumulates decay.  Nothing couples anything into F'=3, into an
-    F=1-F=2 coherence or into an excited-F=2 coherence, so these stay
-    exact zeros and are not integrated.  ``_real_generators`` builds
-    both solvers' matrices from these pieces.
-    """
-    scheme = ops.scheme
-    gamma = scheme.gamma
-    diag = scheme.static_offsets - detuning * scheme.excited_mask
-    pe = scheme.excited_mask.astype(float)
-
-    # Anticommutator part of the dissipator is gamma * P_excited for this
-    # line (verified below); it folds into the elementwise static term.
-    jumps = jump_operators(ops, gamma, split_ground_manifolds=True)
-    anti = sum(l.conj().T @ l for l in jumps)
-    if not np.allclose(anti, np.diag(gamma * pe), atol=1e-10 * gamma):
-        raise AssertionError("dissipator anticommutator is not gamma * P_e")
-
-    raising = (excited_projector(scheme) @ ops.d_x @ ground_projector(scheme, f=1)).real
-    ground = scheme.manifold_indices(1)
-    excited = np.flatnonzero(np.any(raising != 0.0, axis=1))
-    coherent = np.concatenate([ground, excited])
-    decay_only = scheme.manifold_indices(2)
-
-    g = -1j * (diag[:, None] - diag[None, :]) - 0.5 * gamma * (pe[:, None] + pe[None, :])
-    detect = ground_projector(scheme) @ ops.d_y @ excited_projector(scheme)
-    return _Generator(
-        g=g[np.ix_(coherent, coherent)],
-        raising=raising[np.ix_(coherent, coherent)],
-        gain=_gain_map([[l[np.ix_(dest, excited)] for l in jumps] for dest in (ground, decay_only)]),
-        n_ground=ground.size,
-        detect=np.ascontiguousarray(detect.T[np.ix_(excited, ground)]),
-        coherent=coherent,
-        decay_only=decay_only,
-        size=_atom.N_STATES,
-    )
-
-
-def _gain_map(channels) -> np.ndarray:
-    """Vectorized emission map into each destination block, side by side.
-
-    ``channels[b]`` holds the emission blocks W (dest_b x excited) of
-    destination b; the map sends flat rho_ee to the flat gains
-    sum_W W rho_ee W^T of every destination, concatenated.
-    """
-    cols = []
-    for blocks in channels:
-        nd, ne = blocks[0].shape
-        m = np.zeros((nd * nd, ne * ne))
-        for w in blocks:
-            # out[a,b] = sum_cd W[a,c] rho[c,d] W[b,d]
-            m += np.einsum("ac,bd->abcd", w, w).reshape(nd * nd, ne * ne)
-        cols.append(m)
-    return np.concatenate(cols)
-
-
-def _from_vector(gen: _Generator, z: np.ndarray) -> np.ndarray:
-    """Full density matrices from level vectors; every other element is zero.
-
-    A level vector is [coherent block, decay-only block, accumulator],
-    blocks row-major; the accumulator is not part of the state.
-    """
-    nc, nd = gen.coherent.size, gen.decay_only.size
-    lead = z.shape[:-1]
-    out = np.zeros(lead + (gen.size, gen.size), dtype=complex)
-    out[..., gen.coherent[:, None], gen.coherent] = z[..., : nc * nc].reshape(lead + (nc, nc))
-    out[..., gen.decay_only[:, None], gen.decay_only] = z[..., nc * nc : -1].reshape(lead + (nd, nd))
-    return out
-
-
-def _to_vector(gen: _Generator, rho) -> np.ndarray:
-    """The level vector of a full initial density matrix, accumulator zero.
-
-    Raises InvalidConfig, before anything is integrated, for a matrix of
-    the wrong shape, non-finite, non-Hermitian, off unit trace, negative
-    beyond the positivity guard, or nonzero where the blocks cannot hold
-    it (F'=3, F=1-F=2 and excited-F=2 elements).
+    Raises InvalidConfig for a matrix of the wrong shape, non-finite,
+    non-Hermitian, off unit trace, negative beyond the positivity guard,
+    or nonzero outside ``model.admissible()``.
     """
     try:
         rho = np.asarray(rho, dtype=complex)
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"initial state is not a numeric matrix: {exc}") from exc
-    n = gen.size
+    n = model.h0.size
     if rho.shape != (n, n):
         raise InvalidConfig(f"initial state must be {n}x{n}, got shape {rho.shape}")
     if not np.all(np.isfinite(rho)):
@@ -247,113 +212,111 @@ def _to_vector(gen: _Generator, rho) -> np.ndarray:
     min_eig = float(np.min(np.linalg.eigvalsh(rho)))
     if min_eig < -_POSITIVITY_ABORT:
         raise InvalidConfig(f"initial state has eigenvalue {min_eig:.3e}")
-    z = np.concatenate([
-        rho[np.ix_(gen.coherent, gen.coherent)].ravel(),
-        rho[np.ix_(gen.decay_only, gen.decay_only)].ravel(),
-        [0.0],
-    ])
-    if not np.array_equal(_from_vector(gen, z), rho):
+    if np.any(rho[~model.admissible()] != 0.0):
         raise InvalidConfig(
             "initial state is nonzero outside the driven levels and ground F=2 "
             "(an F'=3 element, or an F=1-F=2 or excited-F=2 coherence)"
         )
-    return z
+    return rho
 
 
 @dataclass(frozen=True)
 class _Coordinates:
-    """Real coordinates of the Hermitian level vectors on a set of kept entries.
+    """Real coordinates of Hermitian states on a set of kept entries.
 
-    The coordinates are the real parts of the kept entries on and above
-    the block diagonals, followed by the imaginary parts of those above
-    the diagonals; a kept accumulator contributes both parts.  A kept
-    entry below a diagonal is the conjugate of its mirror above it, and
-    every entry not kept is zero.  Both directions only copy
-    values, so a Hermitian vector on the kept entries round-trips bit
-    for bit.
+    A level vector lists the kept density-matrix entries ``(rows, cols)``
+    row-major, then the detection accumulator.  The coordinates are the
+    real parts of the kept entries on and above the diagonal, followed
+    by the imaginary parts of those above it; a kept accumulator
+    contributes both parts.  A kept entry below the diagonal is the
+    conjugate of its mirror above it, and every entry not kept is zero.
+    Both directions only copy values, so a Hermitian state on the kept
+    entries round-trips bit for bit.
     """
 
-    size: int            # entries of a level vector
-    real: np.ndarray     # entries whose real part is a coordinate
-    imag: np.ndarray     # entries whose imaginary part is a coordinate
-    lower: np.ndarray    # kept entries below a diagonal ...
+    rows: np.ndarray     # kept density-matrix entries
+    cols: np.ndarray
+    real: np.ndarray     # level-vector entries whose real part is a coordinate
+    imag: np.ndarray     # level-vector entries whose imaginary part is a coordinate
+    lower: np.ndarray    # kept entries below the diagonal ...
     upper: np.ndarray    # ... and their mirrors above it
+    n_states: int        # levels of the full basis
 
     def encode(self, z: np.ndarray) -> np.ndarray:
-        """Coordinates (..., n) of level vectors (..., size)."""
+        """Coordinates (..., n) of level vectors (..., entries + 1)."""
         return np.concatenate([z[..., self.real].real, z[..., self.imag].imag], axis=-1)
 
     def decode(self, x: np.ndarray) -> np.ndarray:
-        """Level vectors (..., size), with exactly Hermitian blocks, of coordinates (..., n)."""
-        z = np.zeros(x.shape[:-1] + (self.size,), dtype=complex)
+        """Level vectors (..., entries + 1), exactly Hermitian, of coordinates (..., n)."""
+        z = np.zeros(x.shape[:-1] + (self.rows.size + 1,), dtype=complex)
         z.real[..., self.real] = x[..., : self.real.size]
         z.imag[..., self.imag] = x[..., self.real.size :]
         z[..., self.lower] = z[..., self.upper].conj()
         return z
 
+    def initial(self, rho: np.ndarray) -> np.ndarray:
+        """Coordinates of a full density matrix, accumulator zero."""
+        return self.encode(np.append(rho[self.rows, self.cols], 0.0))
 
-def _real_generators(gen: _Generator, omega0: float, z0: np.ndarray):
+    def states(self, x: np.ndarray) -> np.ndarray:
+        """Full density matrices (..., n_states, n_states) of coordinates (..., n)."""
+        z = self.decode(x)
+        out = np.zeros(z.shape[:-1] + (self.n_states, self.n_states), dtype=complex)
+        out[..., self.rows, self.cols] = z[..., :-1]
+        return out
+
+
+def _real_generators(model: _Operators, omega0: float, rho0: np.ndarray):
     """(coordinates, R0, R1, D): one level's flow on its real coordinates.
 
     A level of drive amplitude a = |M| under the envelope T(t) evolves as
-    dx/dt = R0 x + T(t) (a R1 x + D x).  The complex-linear pieces act on
-    the level vector (``_from_vector``): L0 holds the elementwise g, the
-    recycling gain into F=1 and the gain into F=2; L1 is the drive of
-    unit amplitude and envelope, (i omega0 / 2) (S rho - rho S); LD is
-    the accumulator row Tr[rho d_detect].  Only the entries the initial
-    vector ``z0`` can reach are kept (89 real coordinates for a ground F=1
-    sample, whose drive and decay conserve a parity of the coherences),
-    and each R is its L on the real coordinates of those entries
-    (``_Coordinates``).  Both
-    solvers run on these matrices: DOP853 through a Gaussian pulse
-    (``_linear_rhs``) and the exact exponentials of a flat train.
+    dx/dt = R0 x + T(t) (a R1 x + D x) on the entries ``model.reach``
+    finds from the nonzero entries of ``rho0``.  On their level vector
+    (``_Coordinates``) L0 holds the level energies, the decay
+    -{L^T L, rho} / 2 and the gain L rho L^T; L1 is the drive of unit
+    amplitude and envelope, (i omega0 / 2) (s rho - rho s); LD is the
+    accumulator row Tr[rho detect].  Each R is its L on the coordinates.
     """
-    nc, nd, ng = gen.coherent.size, gen.decay_only.size, gen.n_ground
-    coh = np.arange(nc * nc).reshape(nc, nc)
-    dec = nc * nc + np.arange(nd * nd).reshape(nd, nd)
-    size = nc * nc + nd * nd + 1
-    l0 = np.zeros((size, size), dtype=complex)
-    l0[coh.ravel(), coh.ravel()] = gen.g.ravel()
-    gained = np.concatenate([coh[:ng, :ng].ravel(), dec.ravel()])
-    l0[np.ix_(gained, coh[ng:, ng:].ravel())] = gen.gain
-    s = gen.raising + gen.raising.T
-    eye = np.eye(nc)
-    l1 = np.zeros_like(l0)
-    l1[: nc * nc, : nc * nc] = (0.5j * omega0) * (np.kron(s, eye) - np.kron(eye, s))
-    ld = np.zeros_like(l0)
-    ld[-1, coh[ng:, :ng].ravel()] = gen.detect.ravel()
+    # the anticommutator must be diagonal, so that decay keeps each entry in place
+    anti = sum(l.T @ l for l in model.jumps)
+    decay = np.diag(anti)
+    if not np.allclose(anti, np.diag(decay), atol=1e-10 * decay.max()):
+        raise AssertionError("dissipator anticommutator is not diagonal")
 
-    entry = np.arange(size)
-    mirror = np.concatenate([coh.T.ravel(), dec.T.ravel(), [size - 1]])
-    # every L's pattern is mirror-symmetric, so kept entries come with their mirrors
-    start = (z0 != 0.0) | (z0[mirror] != 0.0)
-    keep = _reachable((l0 != 0.0) | (l1 != 0.0) | (ld != 0.0), start)
-    below = keep & (entry > mirror)
+    rows, cols = np.nonzero(model.reach((rho0 != 0.0) | (rho0.T != 0.0)))
+    m = rows.size
+    position = np.zeros(model.s.shape, dtype=int)
+    position[rows, cols] = np.arange(m)
+    detected = model.detect.T[rows, cols]  # Tr[rho detect] = sum rho_ij detect_ji
+    acc = np.array([m] if np.any(detected != 0.0) else [], dtype=int)
+    below = np.flatnonzero(rows > cols)
     coords = _Coordinates(
-        size=size,
-        real=np.flatnonzero(keep & (entry <= mirror)),
-        imag=np.flatnonzero(keep & ((entry < mirror) | (entry == size - 1))),
-        lower=np.flatnonzero(below),
-        upper=mirror[below],
+        rows=rows,
+        cols=cols,
+        real=np.concatenate([np.flatnonzero(rows <= cols), acc]),
+        imag=np.concatenate([np.flatnonzero(rows < cols), acc]),
+        lower=below,
+        upper=position[cols[below], rows[below]],
+        n_states=model.h0.size,
     )
-    # column c of L @ basis^T is L applied to the level vector of coordinate c
+
+    l0 = np.zeros((m + 1, m + 1), dtype=complex)
+    l0[:m, :m] = sum(l[np.ix_(rows, rows)] * l[np.ix_(cols, cols)] for l in model.jumps)
+    l0[np.arange(m), np.arange(m)] += (
+        -1j * (model.h0[rows] - model.h0[cols]) - 0.5 * (decay[rows] + decay[cols])
+    )
+    # (s rho)_ij = sum_k s_ik rho_kj and (rho s)_ij = sum_k rho_ik s_kj
+    l1 = np.zeros_like(l0)
+    l1[:m, :m] = (0.5j * omega0) * (
+        model.s[np.ix_(rows, rows)] * (cols[:, None] == cols)
+        - (rows[:, None] == rows) * model.s[np.ix_(cols, cols)]
+    )
+    ld = np.zeros_like(l0)
+    ld[m, :m] = detected
+
+    # column c of L @ basis is L applied to the level vector of coordinate c
     basis = coords.decode(np.eye(coords.real.size + coords.imag.size)).T
-    return (coords, *(coords.encode((csr_matrix(l) @ basis).T).T for l in (l0, l1, ld)))
-
-
-def _reachable(pattern: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Mask of the entries a linear flow with nonzero ``pattern`` can fill from ``start``.
-
-    Entry i is filled once some filled j has pattern[i, j]; the entries
-    reached are an invariant subspace, and every other entry starts and
-    stays exactly zero.
-    """
-    filled = start
-    while True:
-        grown = filled | pattern[:, filled].any(axis=1)
-        if np.array_equal(grown, filled):
-            return filled
-        filled = grown
+    return (coords, *(coords.encode((l @ basis).T).T for l in (l0, l1, ld)))
 
 
 def _linear_rhs(r0, r1, d, amplitudes: np.ndarray, envelope):
@@ -424,29 +387,26 @@ def _check_states(states: np.ndarray):
 
 
 def _solve_batch(
-    gen: _Generator, rho0: np.ndarray, amplitudes: np.ndarray, omega0: float,
-    pulse: PulseSpec, t_eval,
+    model: _Operators, rho0, amplitudes: np.ndarray, omega0: float, pulse: PulseSpec, t_eval,
 ):
     """Evolve one state per drive amplitude through the pulse.
 
     Each amplitude is a local |M| = sqrt(s / A0): an intensity level of
-    the cloud, or the single node of ``integrate_node``.  Every level
-    runs on the real coordinates of ``_real_generators``.  A Gaussian
-    pulse is integrated with DOP853 (``_integrate_gaussian``); the
-    segments and gaps of a flat train, where the generator is constant,
-    are advanced by exact matrix exponentials (``_propagate_train``).
-    Returns (times, states (n_t, n, size, size), overlaps (n,)), with the
-    full density matrices rebuilt only at the ``t_eval`` times that fall
-    inside a segment (at the end of the pulse when none does).
+    the cloud, or the single node of ``integrate_node``.  After the checks
+    of ``_checked_state``, Gaussian pulses run DOP853
+    (``_integrate_gaussian``) and flat trains exact exponentials
+    (``_propagate_train``), both on ``_real_generators``.  Returns (times,
+    states (n_t, n, size, size), overlaps (n,)), with full density
+    matrices only at the ``t_eval`` times that fall inside a segment (at
+    the end of the pulse when none does).
     """
-    z0 = _to_vector(gen, rho0)
-    coords, r0, r1, d = _real_generators(gen, omega0, z0)
+    rho0 = _checked_state(model, rho0)
+    coords, r0, r1, d = _real_generators(model, omega0, rho0)
     solve = _integrate_gaussian if pulse.shape == "gaussian" else _propagate_train
-    times, stored, final = solve(coords.encode(z0), r0, r1, d, amplitudes, pulse, t_eval)
+    times, stored, final = solve(coords.initial(rho0), r0, r1, d, amplitudes, pulse, t_eval)
     if not times:
         times, stored = [pulse.window()[1]], final[None]
-    states = _from_vector(gen, coords.decode(stored))
-    return np.asarray(times), states, coords.decode(final)[:, -1]
+    return np.asarray(times), coords.states(stored), coords.decode(final)[:, -1]
 
 
 def _integrate_gaussian(x0, r0, r1, d, amplitudes, pulse, t_eval):
@@ -552,14 +512,15 @@ def integrate_node(
         raise InvalidConfig("local_intensity_scale must lie in [0, 1]")
     beam = beam or BeamGeometry(wavelength=model.scheme.wavelength)
     scheme = model.scheme
-    gen = _build_generator(model, pulse.detuning)
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
     amp = np.array([math.sqrt(local_intensity_scale / beam.effective_area)])
 
     t0, t1 = pulse.window()
     if t_eval is None:
         t_eval = np.linspace(t0, t1, n_stored)
-    times, states, acc = _solve_batch(gen, rho0, amp, omega0, pulse, list(t_eval))
+    times, states, acc = _solve_batch(
+        _Operators.production(model, pulse.detuning), rho0, amp, omega0, pulse, list(t_eval),
+    )
     states = states[:, 0]
     max_dev, min_eig = _check_states(states)
     return Trajectory(
@@ -657,7 +618,7 @@ def detected_stokes(
 
     Raises InvalidConfig, before integrating, when ``initial`` is not a
     Hermitian, unit-trace, positive 24x24 matrix that is zero outside the
-    two integrated blocks (see the module docstring).  Raises
+    entries the ground manifolds reach (see the module docstring).  Raises
     QuadratureNotConverged when ``verify_quadrature`` is set and
     doubling both node counts and the level count moves S_y by more than
     5e-3 relatively (with an absolute floor tied to integration
@@ -689,13 +650,14 @@ def _detected_stokes_once(
     level, weight = _intensity_rule(
         beam.local_intensity_scale(grid.r, grid.z), grid.weight, n_levels,
     )
-    gen = _build_generator(model, pulse.detuning)
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
     amps = np.sqrt(level / beam.effective_area)
 
     t0, t1 = pulse.window()
     t_eval = list(np.linspace(t0, t1, n_snapshots))
-    times, states, acc = _solve_batch(gen, initial, amps, omega0, pulse, t_eval)
+    times, states, acc = _solve_batch(
+        _Operators.production(model, pulse.detuning), initial, amps, omega0, pulse, t_eval,
+    )
     max_dev, min_eig = _check_states(states)
 
     k = scheme.line.wavenumber
@@ -785,18 +747,16 @@ def extract_effective_coefficients(
     detuning: float,
     beam: BeamGeometry = None,
     cloud: CloudGeometry = None,
-    photon_ladder=(2.5e5, 1e6, 4e6),
 ) -> EffectiveCoefficients:
     """Extract linear and leading nonlinear response at one detuning.
 
     alpha1 is the pulse-energy -> 0 limit of the per-atom rotation, beta1
-    the slope of the per-atom rotation versus photon number, both from a
-    quadratic fit over the photon ladder of default ``PulseSpec`` pulses
-    (the 54 ns Gaussian) at ``detuning``.
+    the slope of the per-atom rotation versus photon number, both from
+    the quadratic through ``_PHOTON_LADDER`` of default ``PulseSpec``
+    pulses (the 54 ns Gaussian) at ``detuning``.
 
-    Raises NonConvergence when the ladder does not resolve a clean
-    quadratic (residual above tolerance) and InvalidConfig when the
-    detuning sits within 3 Gamma of a bare resonance.
+    Raises InvalidConfig when the detuning sits within 3 Gamma of a bare
+    resonance.
     """
     scheme = model.scheme
     gamma = scheme.gamma
@@ -808,27 +768,16 @@ def extract_effective_coefficients(
     beam = beam or BeamGeometry(wavelength=scheme.wavelength)
     cloud = cloud or CloudGeometry()
 
-    ladder = np.asarray(sorted(photon_ladder), dtype=float)
-    if len(ladder) < 3:
-        raise InvalidConfig("photon ladder needs at least 3 values")
-    phis = []
-    for n in ladder:
-        pulse = PulseSpec(n_photons=float(n), detuning=detuning)
-        res = detected_stokes(pulse, beam, cloud, model)
-        phis.append(res.rotation_per_atom)
-    phis = np.asarray(phis)
-
+    ladder = np.asarray(_PHOTON_LADDER)
+    phis = [
+        detected_stokes(PulseSpec(n_photons=n, detuning=detuning), beam, cloud, model)
+        .rotation_per_atom
+        for n in _PHOTON_LADDER
+    ]
+    # three points fix the quadratic exactly: the Vandermonde has rank 3
     design = np.vander(ladder, 3, increasing=True)  # [1, N, N^2]
-    coef, res_ss, rank, _ = np.linalg.lstsq(design, phis, rcond=None)
-    alpha1, beta1 = float(coef[0]), float(coef[1])
-    fitted = design @ coef
-    resid = float(np.max(np.abs(phis - fitted)))
-    scale = max(np.max(np.abs(phis)), 1e3 * _ATOL)
-    if rank < 3 or resid > 1e-3 * scale:
-        raise NonConvergence(
-            f"photon ladder not in the quadratic regime (residual {resid:.3g})"
-        )
-    return EffectiveCoefficients(detuning=detuning, alpha1=alpha1, beta1=beta1)
+    coef = np.linalg.lstsq(design, phis, rcond=None)[0]
+    return EffectiveCoefficients(detuning=detuning, alpha1=float(coef[0]), beta1=float(coef[1]))
 
 
 def locate_crossing(
@@ -876,20 +825,6 @@ def damped_rabi_reference(omega: float, gamma: float, t) -> np.ndarray:
     return pinf * (1.0 - envelope * (np.cos(od * t) + 0.75 * gamma / od * np.sin(od * t)))
 
 
-def _two_level_generator(gamma: float) -> _Generator:
-    """The resonant two-level atom (ground 0, excited 1) as a ``_Generator``."""
-    return _Generator(
-        g=np.array([[0.0, -0.5 * gamma], [-0.5 * gamma, -gamma]], dtype=complex),
-        raising=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        gain=_gain_map([[np.array([[math.sqrt(gamma)]])]]),
-        n_ground=1,
-        detect=np.zeros((1, 1), dtype=complex),  # the oracle detects nothing
-        coherent=np.arange(2),
-        decay_only=np.arange(0),
-        size=2,
-    )
-
-
 def integrate_two_level(
     omega: float,
     gamma: float,
@@ -901,15 +836,14 @@ def integrate_two_level(
     Returns (times, excited populations).  Used to validate the integrator
     core against the closed-form damped Rabi solution.
     """
-    gen = _two_level_generator(gamma)
-    z0 = _to_vector(gen, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    coords, r0, r1, d = _real_generators(gen, omega, z0)
+    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]])
+    coords, r0, r1, d = _real_generators(_Operators.two_level(gamma), omega, rho0)
     # constant unit envelope and unit mode amplitude: drive = omega exactly
     rhs = _linear_rhs(r0, r1, d, np.array([1.0]), lambda t: 1.0)
     sol = solve_ivp(
-        rhs, (0.0, t_final), coords.encode(z0), method=_ORACLE_METHOD,
+        rhs, (0.0, t_final), coords.initial(rho0), method=_ORACLE_METHOD,
         rtol=_ORACLE_RTOL, atol=_ORACLE_ATOL, t_eval=list(np.linspace(0.0, t_final, n_stored)),
     )
     if not sol.success:
         raise StepFailure(sol.message)
-    return np.asarray(sol.t), _from_vector(gen, coords.decode(sol.y.T))[:, 1, 1].real
+    return np.asarray(sol.t), coords.states(sol.y.T)[:, 1, 1].real

@@ -4,6 +4,8 @@ The expensive far-detuned ensemble run and the located sign crossing are
 session fixtures (see conftest) because the acceptance tests reuse them.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,7 @@ def test_exact_propagator_matches_damped_rabi():
     pulse = PulseSpec(shape="flat-train", fwhm=t_final, n_photons=1.0, detuning=0.0)
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     times, states, _ = dyn._solve_batch(
-        dyn._two_level_generator(gamma), rho0, np.array([1.0]),
+        dyn._Operators.two_level(gamma), rho0, np.array([1.0]),
         omega * np.sqrt(t_final), pulse, list(np.linspace(0.0, t_final, 101)),
     )
     ref = dyn.damped_rabi_reference(omega, gamma, times)
@@ -281,10 +283,6 @@ def test_single_node_overlap_pin(scheme, ops):
 def test_extract_coefficients_validation(ops):
     with pytest.raises(InvalidConfig):
         dyn.extract_effective_coefficients(ops, 2 * np.pi * 80e6)
-    with pytest.raises(InvalidConfig):
-        dyn.extract_effective_coefficients(
-            ops, 2 * np.pi * 462e6, photon_ladder=(1e5, 2e5)
-        )
 
 
 def test_locate_crossing_requires_sign_change(ops, beam, cloud):
@@ -484,6 +482,78 @@ def test_flat_train_matches_perturbative_coefficient(ops, beam, cloud, ghz, segm
     assert abs(res.ellipticity_per_atom) < 0.02 * abs(res.rotation_per_atom)
 
 
+_Blocks = namedtuple("_Blocks", "g raising gain n_ground detect coherent decay_only")
+
+
+def _gain_map(channels):
+    """Vectorized emission map into each destination block, side by side.
+
+    ``channels[b]`` holds the emission blocks W (dest_b x excited) of
+    destination b; the map sends flat rho_ee to the flat gains
+    sum_W W rho_ee W^T of every destination, concatenated.
+    """
+    cols = []
+    for blocks in channels:
+        nd, ne = blocks[0].shape
+        m = np.zeros((nd * nd, ne * ne))
+        for w in blocks:
+            # out[a,b] = sum_cd W[a,c] rho[c,d] W[b,d]
+            m += np.einsum("ac,bd->abcd", w, w).reshape(nd * nd, ne * ne)
+        cols.append(m)
+    return np.concatenate(cols)
+
+
+def _blocks(ops, detuning):
+    """The 24-level model on two hand-picked blocks: the oracle's generator.
+
+    The coherent block lists ground F=1, then the excited levels the
+    x-polarized drive reaches from it (F'=0, 1, 2); the drive, the level
+    energies, the decay, the recycling into F=1 and the detection act on
+    it.  The 5x5 ground F=2 block (``decay_only``) only collects decay.
+    """
+    from nlfaraday.atom import excited_projector, ground_projector, jump_operators
+
+    scheme = ops.scheme
+    gamma = scheme.gamma
+    diag = scheme.static_offsets - detuning * scheme.excited_mask
+    pe = scheme.excited_mask.astype(float)
+    # the anticommutator of the dissipator is gamma * P_excited for this
+    # line; it folds into the elementwise term g
+    jumps = jump_operators(ops, gamma, split_ground_manifolds=True)
+    anti = sum(l.conj().T @ l for l in jumps)
+    assert np.allclose(anti, np.diag(gamma * pe), atol=1e-10 * gamma)
+
+    raising = (excited_projector(scheme) @ ops.d_x @ ground_projector(scheme, f=1)).real
+    ground = scheme.manifold_indices(1)
+    excited = np.flatnonzero(np.any(raising != 0.0, axis=1))
+    coherent = np.concatenate([ground, excited])
+    decay_only = scheme.manifold_indices(2)
+    g = -1j * (diag[:, None] - diag[None, :]) - 0.5 * gamma * (pe[:, None] + pe[None, :])
+    detect = ground_projector(scheme) @ ops.d_y @ excited_projector(scheme)
+    return _Blocks(
+        g=g[np.ix_(coherent, coherent)],
+        raising=raising[np.ix_(coherent, coherent)],
+        gain=_gain_map([[l[np.ix_(dest, excited)] for l in jumps] for dest in (ground, decay_only)]),
+        n_ground=ground.size,
+        detect=np.ascontiguousarray(detect.T[np.ix_(excited, ground)]),
+        coherent=coherent,
+        decay_only=decay_only,
+    )
+
+
+def _two_level_blocks(gamma):
+    """The resonant two-level atom (ground 0, excited 1) as ``_Blocks``; it detects nothing."""
+    return _Blocks(
+        g=np.array([[0.0, -0.5 * gamma], [-0.5 * gamma, -gamma]], dtype=complex),
+        raising=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        gain=_gain_map([[np.array([[np.sqrt(gamma)]])]]),
+        n_ground=1,
+        detect=np.zeros((1, 1), dtype=complex),
+        coherent=np.arange(2),
+        decay_only=np.arange(0),
+    )
+
+
 def _pack(coh, dec, acc):
     """Oracle state: [coherent blocks, decay-only blocks, accumulators] as floats."""
     return np.concatenate([coh.ravel(), dec.ravel(), acc]).view(float)
@@ -501,10 +571,10 @@ def _unpack(gen, y, n_levels):
 def _make_rhs(gen, amplitudes, omega0, envelope):
     """Block right-hand side of the reduced model: the oracle of the real flow.
 
-    Acts on the complex coherent and decay-only blocks of every level,
-    structural zeros included, with the accumulator integrating
-    T(t) * Tr[rho d_detect]; an independent transcription of the
-    generator that ``dyn._real_generators`` assembles.
+    Acts on the complex coherent and decay-only blocks (``_blocks``) of
+    every level, structural zeros included, with the accumulator
+    integrating T(t) * Tr[rho d_detect]; an independent transcription of
+    the generator that ``dyn._real_generators`` assembles.
     """
     n = amplitudes.shape[0]
     ng = gen.n_ground
@@ -549,11 +619,11 @@ def _tight_dop853_response(scheme, ops, beam, cloud, pulse):
         beam.local_intensity_scale(grid.r, grid.z), grid.weight, dyn._INTENSITY_LEVELS,
     )
     amps = np.sqrt(level / beam.effective_area)
-    gen = dyn._build_generator(ops, pulse.detuning)
+    gen = _blocks(ops, pulse.detuning)
     k = scheme.line.wavenumber
     omega0 = dyn.drive_scale(pulse.n_photons, scheme.gamma, k)
     rho0 = initial_state(scheme)
-    n, nc = amps.size, gen.coherent.size
+    n = amps.size
     coh = rho0[np.ix_(gen.coherent, gen.coherent)]
     dec = rho0[np.ix_(gen.decay_only, gen.decay_only)]
     y = _pack(
@@ -609,24 +679,54 @@ def test_gaussian_matches_tight_block_dop853(monkeypatch, scheme, ops, beam, clo
     assert res.damage_detected == pytest.approx(damage, rel=1e-8, abs=0.0)
 
 
+def test_initial_state_support_is_the_driven_block_and_f2(scheme, ops):
+    # the entries reachable from the ground-manifold blocks, computed by
+    # the flow's own rule: the 12x12 block of F=1 and F'=0, 1, 2, and the
+    # 5x5 block of F=2; F'=3 and every coherence between the two blocks
+    # stay out
+    driven = np.concatenate(
+        [scheme.manifold_indices(1)] + [scheme.manifold_indices(f, excited=True) for f in (0, 1, 2)]
+    )
+    expected = np.zeros((24, 24), dtype=bool)
+    for block in (driven, scheme.manifold_indices(2)):
+        expected[np.ix_(block, block)] = True
+    model = dyn._Operators.production(ops, 2 * np.pi * 462e6)
+    assert np.array_equal(model.admissible(), expected)
+    assert expected.sum() == 169
+
+
+_DETUNING = 2 * np.pi * 462e6
+_GAMMA = 2 * np.pi * 6.065e6
+
+
 def _coordinate_cases(scheme, ops):
-    """(generator, initial state) pairs whose coordinate maps the properties cover."""
-    gen = dyn._build_generator(ops, 2 * np.pi * 462e6)
+    """(model, its blocks, initial state) triples the properties cover."""
+    model = dyn._Operators.production(ops, _DETUNING)
+    blocks = _blocks(ops, _DETUNING)
     two_level = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     return [
-        (gen, initial_state(scheme)),
-        (gen, initial_state(scheme, 1, -1)),
-        (gen, mixed_ground_state(scheme)),
-        (gen, mixed_ground_state(scheme, f=2)),
-        (dyn._two_level_generator(2 * np.pi * 6.065e6), two_level),
+        (model, blocks, initial_state(scheme)),
+        (model, blocks, initial_state(scheme, 1, -1)),
+        (model, blocks, mixed_ground_state(scheme)),
+        (model, blocks, mixed_ground_state(scheme, f=2)),
+        (dyn._Operators.two_level(_GAMMA), _two_level_blocks(_GAMMA), two_level),
     ]
 
 
+def _kept(coords):
+    """Masks of the kept density-matrix entries and of a kept accumulator."""
+    kept = np.zeros((coords.n_states, coords.n_states), dtype=bool)
+    kept[coords.rows, coords.cols] = True
+    return kept, coords.rows.size in coords.imag
+
+
 def test_ground_f1_sample_has_89_coordinates(scheme, ops):
-    gen, rho0 = _coordinate_cases(scheme, ops)[0]
-    coords, r0, r1, d = dyn._real_generators(gen, 1.0, dyn._to_vector(gen, rho0))
+    model, _, rho0 = _coordinate_cases(scheme, ops)[0]
+    coords, r0, r1, d = dyn._real_generators(model, 1.0, rho0)
     assert r0.shape == r1.shape == d.shape == (89, 89)
-    # 88 of the 170 entries of a level vector, the accumulator among them
+    # 87 of the 576 density-matrix entries, and the accumulator
+    kept, detected = _kept(coords)
+    assert kept.size == 576 and kept.sum() == 87 and detected
     assert coords.real.size + coords.lower.size == 88
 
 
@@ -636,36 +736,72 @@ _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 @settings(max_examples=60, deadline=None)
 @given(case=st.integers(0, 4), data=st.data())
 def test_coordinate_map_is_exact(scheme, ops, case, data):
-    gen, rho0 = _coordinate_cases(scheme, ops)[case]
-    coords, r0, r1, d = dyn._real_generators(gen, 1.0, dyn._to_vector(gen, rho0))
+    model, blocks, rho0 = _coordinate_cases(scheme, ops)[case]
+    coords, r0, r1, d = dyn._real_generators(model, 1.0, rho0)
     n = r0.shape[0]
-    kept = np.zeros(coords.size, dtype=bool)
-    kept[np.concatenate([coords.real, coords.imag, coords.lower])] = True
+    kept, detected = _kept(coords)
 
-    # a Hermitian vector on the kept entries survives z -> x -> z bit for bit
-    parts = data.draw(hnp.arrays(np.float64, (2, coords.size), elements=_finite))
-    z = np.where(kept, parts[0] + 1j * parts[1], 0.0)
-    full = dyn._from_vector(gen, z)
-    full = np.triu(full, 1) + np.triu(full, 1).conj().T + np.diag(full.diagonal().real)
-    z = np.concatenate([
-        full[np.ix_(gen.coherent, gen.coherent)].ravel(),
-        full[np.ix_(gen.decay_only, gen.decay_only)].ravel(),
-        z[-1:],
-    ])
-    assert np.array_equal(coords.decode(coords.encode(z)), z)
+    # a Hermitian matrix on the kept entries, with an accumulator if one
+    # is kept, survives rho -> x -> rho bit for bit
+    parts = data.draw(hnp.arrays(np.float64, (2,) + kept.shape, elements=_finite))
+    full = np.triu(np.where(kept, parts[0] + 1j * parts[1], 0.0), 1)
+    full = full + full.conj().T + np.diag(np.where(kept.diagonal(), parts[0].diagonal(), 0.0))
+    acc = complex(*data.draw(hnp.arrays(np.float64, 2, elements=_finite))) if detected else 0.0
+    x = coords.encode(np.append(full[coords.rows, coords.cols], acc))
+    assert np.array_equal(coords.states(x), full)
+    assert coords.decode(x)[-1] == acc
 
     # every real x is an exactly Hermitian state, zero off the kept entries
     x = data.draw(hnp.arrays(np.float64, n, elements=_finite))
     z = coords.decode(x)
     assert np.array_equal(coords.encode(z), x)
-    assert np.all(z[~kept] == 0.0)
-    full = dyn._from_vector(gen, z)
+    full = coords.states(x)
     assert np.array_equal(full, full.conj().T)
+    assert np.all(full[~kept] == 0.0)
+    assert detected or z[-1] == 0.0
 
     # the real flow is the block right-hand side on those states
     a, tt = data.draw(st.floats(0.0, 3.0)), data.draw(st.floats(0.0, 2.0))
     real = dyn._linear_rhs(r0, r1, d, np.array([a]), lambda t: tt)(0.0, x)
-    blocks = _make_rhs(gen, np.array([a]), 1.0, lambda t: tt)(0.0, z.view(float))
+    coh, dec = np.ix_(blocks.coherent, blocks.coherent), np.ix_(blocks.decay_only, blocks.decay_only)
+    y = _pack(full[coh], full[dec], z[-1:])
+    dcoh, ddec, dacc = _unpack(blocks, _make_rhs(blocks, np.array([a]), 1.0, lambda t: tt)(0.0, y), 1)
+    expected = np.zeros_like(full)
+    expected[coh], expected[dec] = dcoh[0], ddec[0]
     bound = sum(np.abs(r).sum(axis=1).max() for r in (r0, a * tt * r1, tt * d))
-    error = np.max(np.abs(coords.decode(real) - blocks.view(complex)))
+    error = max(
+        np.max(np.abs(coords.states(real) - expected)), abs(coords.decode(real)[-1] - dacc[0]),
+    )
     assert error <= 1e-13 * bound * np.max(np.abs(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, 3), data=st.data())
+def test_kept_entries_are_closed_under_full_lindblad(scheme, ops, case, data):
+    # the full 24-level right-hand side from atom.hamiltonian and
+    # liouvillian_dissipator, on a random Hermitian state on the kept
+    # entries: at rounding level off them (its anticommutator is diagonal
+    # only to ~1e-16 relative), and the real flow on them
+    from nlfaraday.atom import (
+        excited_projector,
+        ground_projector,
+        hamiltonian,
+        liouvillian_dissipator,
+    )
+
+    model, _, rho0 = _coordinate_cases(scheme, ops)[case]
+    rabi = data.draw(st.floats(0.0, 5e8))
+    coords, r0, r1, d = dyn._real_generators(model, rabi, rho0)
+    kept, _ = _kept(coords)
+    x = data.draw(hnp.arrays(np.float64, r0.shape[0], elements=_finite))
+    real = dyn._linear_rhs(r0, r1, d, np.array([1.0]), lambda t: 1.0)(0.0, x)
+
+    rho = coords.states(x)
+    h = hamiltonian(scheme, ops, _DETUNING, (rabi, 0.0, 0.0))
+    drho = -1j * (h @ rho - rho @ h) + liouvillian_dissipator(ops)(rho)
+    dacc = np.trace(rho @ ground_projector(scheme) @ ops.d_y @ excited_projector(scheme))
+
+    scale = 1e-13 * sum(np.abs(r).sum(axis=1).max() for r in (r0, r1, d)) * np.max(np.abs(x))
+    assert np.max(np.abs(drho[~kept])) <= scale
+    assert np.max(np.abs(coords.states(real)[kept] - drho[kept])) <= scale
+    assert abs(coords.decode(real)[-1] - dacc) <= scale
