@@ -67,7 +67,6 @@ from .dynamics import (
 )
 from .experiment import (
     PolarimeterModel,
-    StokesRecord,
     CampaignResult,
     generate_correlation_campaign,
     polarimeter_noise_scan,
@@ -125,7 +124,7 @@ __all__ = [
     "extract_effective_coefficients", "locate_crossing",
     "integrate_two_level", "damped_rabi_reference",
     # experiment
-    "PolarimeterModel", "StokesRecord", "CampaignResult",
+    "PolarimeterModel", "CampaignResult",
     "generate_correlation_campaign", "polarimeter_noise_scan",
     "waveplate_control_run", "write_campaign_csv", "read_campaign_csv",
     # analysis

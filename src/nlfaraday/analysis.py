@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, least_squares, nnls
+from scipy.optimize import brentq, nnls
 
 from .exceptions import (
     DegenerateDesign,
@@ -203,13 +203,18 @@ def fit_saturation(
 ) -> ResponseModel:
     """Fit b(N) = (B/A) N / (1 + N/N_sat) to calibration slopes.
 
-    ``slope_points``: sequence of (N, b) pairs.  B is initialized from the
-    smallest-N slope, N_sat from the half-slope point.  When the data only
-    sample N << N_sat the saturation scale is unidentifiable; by default
-    the fit falls back to the B-only model (saturation_photons = None);
-    with ``allow_fallback=False`` that condition raises IllConditioned.
-    The damage law is not fitted: the returned model carries the default
-    ``damage_offset`` and ``damage_slope``.
+    ``slope_points``: sequence of (N, b) pairs.  The fit is separable
+    (variable projection, Golub & Pereyra 1973): for a fixed N_sat the
+    least-squares B >= 0 is A (g.b)/(g.g) with g = N / (1 + N/N_sat), so
+    only ln N_sat is searched.  A grid over ln N_sat from 10^-4 min N to
+    10^4 max N brackets the smallest residual, and the root of its
+    derivative there is the estimate.  When the data only sample
+    N << N_sat (best N_sat above 50 max N) the saturation scale is
+    unidentifiable; by default the fit falls back to the B-only model
+    (saturation_photons = None); with ``allow_fallback=False`` that
+    condition raises IllConditioned.  The damage law is not fitted: the
+    returned model carries the default ``damage_offset`` and
+    ``damage_slope``.
     """
     n, b = _as_xy(slope_points)
     if len(n) < 3:
@@ -221,39 +226,31 @@ def fit_saturation(
     a = float(linear_coefficient)
     if a <= 0:
         raise InvalidConfig("linear coefficient must be positive")
-    order = np.argsort(n)
-    n, b = n[order], b[order]
 
-    b_init = b[0] * a / n[0]
-    if b_init <= 0:
-        b_init = max(float(np.median(b * a / n)), 1e-30)
-    # half-slope point: b*A/(B N) drops to 1/2 at N = N_sat
-    ratio = b * a / (b_init * n)
-    if np.min(ratio) < 0.75:
-        ns_init = float(np.interp(0.5, ratio[::-1], n[::-1]))
-        ns_init = min(max(ns_init, np.min(n)), 100.0 * np.max(n))
+    # x = ln(N_sat / n_ref) and u = N / n_ref keep both near 1; by the
+    # envelope theorem d(rss)/dx = 2 c e^-x (c g - b).g^2 at the best c
+    n_ref = math.sqrt(np.min(n) * np.max(n))
+    u = n / n_ref
+
+    def profile(x):
+        x = np.asarray(x, dtype=float)
+        g = u / (1.0 + u * np.exp(-x)[..., None])
+        c = np.maximum(g @ b, 0.0) / np.sum(g * g, axis=-1)
+        r = c[..., None] * g - b
+        return c, np.sum(r * r, axis=-1), c * np.exp(-x) * np.sum(r * g * g, axis=-1)
+
+    decades = 4.0 * math.log(10.0)
+    grid = np.linspace(np.log(np.min(u)) - decades, np.log(np.max(u)) + decades, 81)
+    k = int(np.argmin(profile(grid)[1]))
+    if k == 0:
+        raise NonConvergence(
+            "saturation fit failed: best N_sat below 1e-4 min N (slopes do not rise with N)"
+        )
+    if k == grid.size - 1:
+        ns_hat = math.inf
     else:
-        ns_init = 10.0 * float(np.max(n))
-
-    def residual(p):
-        bb, ns = p
-        return bb / a * n / (1.0 + n / ns) - b
-
-    # the two parameters differ by >20 orders of magnitude; the solver
-    # needs per-parameter scales or xtol can never resolve the small one
-    sol = least_squares(
-        residual,
-        x0=[b_init, ns_init],
-        bounds=([0.0, 0.0], [np.inf, np.inf]),
-        x_scale=[max(b_init, 1e-30), max(ns_init, 1.0)],
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        max_nfev=2000,
-    )
-    if not sol.success:
-        raise NonConvergence(f"saturation fit failed: {sol.message}")
-    b_hat, ns_hat = sol.x
+        x = brentq(lambda x: float(profile(x)[2]), grid[k - 1], grid[k + 1], xtol=1e-14)
+        ns_hat = n_ref * math.exp(x)
 
     if ns_hat > 50.0 * np.max(n):
         # saturation invisible over the sampled range: refit pure slope
@@ -262,7 +259,7 @@ def fit_saturation(
         log.info("saturation scale unidentifiable (N_sat >> max N); B-only fallback")
         b_only = float(np.sum(b * n) / np.sum(n * n / a))
         return ResponseModel(a, b_only, None)
-    return ResponseModel(a, float(b_hat), float(ns_hat))
+    return ResponseModel(a, a * float(profile(x)[0]) / n_ref, ns_hat)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import sys
@@ -97,6 +98,7 @@ def _mrad(text: str) -> float:
     return 1e-3 * float(text)
 
 
+@functools.cache  # one parser per process, so it must read no mutable state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nlfaraday",
@@ -346,18 +348,18 @@ def cmd_analyze(args) -> int:
     out = _prepare_out(args, "analyze", cfg)
     rows = []
     for path in _campaign_files(args.data):
-        records, meta = expmt.read_campaign_csv(path)
-        by_sample = {}
-        for r in records:
-            by_sample.setdefault(r.sample_index, {})[r.probe_tag] = r
-        pairs = [
-            (v["L1"].phi, v["NL"].phi)
-            for v in by_sample.values()
-            if "L1" in v and "NL" in v and v["L1"].n_atoms > 0
-        ]
-        if not pairs:
+        readings, meta = expmt.read_campaign_csv(path)
+        l1 = readings[readings["probe_tag"] == "L1"]
+        nl = readings[readings["probe_tag"] == "NL"]
+        # the reader rejects repeated (sample_index, probe_tag) rows
+        _, i, j = np.intersect1d(
+            l1["sample_index"], nl["sample_index"], assume_unique=True, return_indices=True
+        )
+        live = l1["n_atoms"][i] > 0
+        pairs = np.column_stack([l1["phi"][i][live], nl["phi"][j][live]])
+        if not len(pairs):
             raise InvalidConfig(f"{path}: no live L1/NL pair (a sample with atoms and both readings)")
-        fit = ana.linear_regression(np.asarray(pairs))
+        fit = ana.linear_regression(pairs)
         n_nl = float(meta["n_nonlinear"])
         rows.append([n_nl, fit.slope, fit.slope_stderr, fit.intercept, fit.residual_std, len(pairs)])
     rows.sort(key=lambda r: r[0])

@@ -5,7 +5,9 @@ the collective spin, a strong nonlinear probe whose rotation grows with
 photon number, and a second linear probe revealing how much polarization
 the strong pulse destroyed.  The polarimeter model adds shot noise and
 electronic noise; campaigns sweep atom number to produce correlation
-datasets between the two rotations.
+datasets between the two rotations.  A campaign draws all its random
+numbers from one stream per seed, so campaign files written at the same
+seed by versions that drew one stream per sample hold other values.
 
 Noise conventions (two detection interfaces, matching their consumers):
 
@@ -28,6 +30,12 @@ from .exceptions import InvalidConfig
 
 CSV_SCHEMA_VERSION = 1
 _PROBE_TAGS = ("L1", "NL", "L2")
+_TAG_CODES = {tag: k for k, tag in enumerate(_PROBE_TAGS)}
+# one field per campaign CSV column, in file order
+_ROW_DTYPE = np.dtype([
+    ("probe_tag", "U2"), ("n_photons", float), ("s_x", float), ("s_y", float),
+    ("phi", float), ("n_atoms", float), ("sample_index", np.int64),
+])
 
 
 def _check_transmissions(t_h: float, t_v: float):
@@ -94,34 +102,6 @@ class PolarimeterModel:
 
 
 @dataclass(frozen=True)
-class StokesRecord:
-    """One polarimeter reading."""
-
-    probe_tag: str
-    n_photons: float
-    s_x: float
-    s_y: float
-    phi: float
-    n_atoms: float
-    sample_index: int
-    transmission_h: float = 1.0
-    transmission_v: float = 1.0
-
-    def __post_init__(self):
-        if self.probe_tag not in _PROBE_TAGS:
-            raise InvalidConfig(f"unknown probe tag {self.probe_tag!r}")
-        if self.n_photons <= 0:
-            raise InvalidConfig("photon number must be positive")
-        if abs(self.s_y) > self.s_x:
-            raise InvalidConfig("|S_y| exceeds S_x: rotation outside physical range")
-        _check_transmissions(self.transmission_h, self.transmission_v)
-
-    def phi_from_stokes(self) -> float:
-        """Reconstruct the angle from the stored Stokes pair."""
-        return self.s_y / (self.s_x * math.sqrt(self.transmission_h * self.transmission_v))
-
-
-@dataclass(frozen=True)
 class CampaignResult:
     """Correlation campaign at fixed nonlinear photon number.
 
@@ -150,7 +130,7 @@ class CampaignResult:
         """(tag, photon number, angles, S_y counts) of L1, NL and L2.
 
         S_x is the photon number; S_y = phi * N * sqrt(T_h T_v), so
-        ``StokesRecord.phi_from_stokes`` recovers the angle.
+        S_y / (S_x sqrt(T_h T_v)) recovers the angle.
         """
         root_t = math.sqrt(self.noise.transmission_h * self.noise.transmission_v)
         return [
@@ -177,12 +157,12 @@ def generate_correlation_campaign(
 
     Each sample is probed three times: linear (L1), nonlinear (NL), and
     linear again (L2), which sees the spin the nonlinear probe's damage
-    left.  Sample ``i`` draws from its own stream ``default_rng([seed,
-    i])``, so campaigns are reproducible regardless of evaluation order:
-    a live sample draws its atom number uniform over ``atom_range``, then
-    one standard normal per probe; the ``controls`` zero-atom samples draw
-    only the normals.  Each angle is the response-model mean plus its
-    normal times ``sqrt(noise.phi_variance)``.
+    left.  The whole campaign is one stream, ``default_rng(seed)``: first
+    the ``samples`` live atom numbers, uniform over ``atom_range``, then a
+    (samples + controls, 3) block of standard normals, one row per sample
+    and one column per probe; the ``controls`` zero-atom samples come
+    last.  Each angle is the response-model mean plus its normal times
+    ``sqrt(noise.phi_variance)``.
     """
     if samples < 10:
         raise InvalidConfig("campaigns need at least 10 samples")
@@ -198,13 +178,10 @@ def generate_correlation_campaign(
     seed = int(seed)
 
     total = samples + controls
+    rng = np.random.default_rng(seed)
     n_atoms = np.zeros(total)
-    draws = np.empty((total, len(_PROBE_TAGS)))
-    for i in range(total):
-        rng = np.random.default_rng([seed, i])
-        if i < samples:
-            n_atoms[i] = rng.uniform(lo, hi)
-        draws[i] = rng.standard_normal(len(_PROBE_TAGS))
+    n_atoms[:samples] = rng.uniform(lo, hi, samples)
+    draws = rng.standard_normal((total, len(_PROBE_TAGS)))
 
     eta = response.damage(n_nonlinear)
     true = (
@@ -305,9 +282,8 @@ def write_campaign_csv(path, campaign: CampaignResult):
     """Serialize a campaign, three rows per sample, under a reproducibility header.
 
     The header carries the detector transmissions and electronic
-    variances of ``campaign.noise``, once for the file:
-    ``read_campaign_csv`` applies the transmissions to every record, so a
-    reloaded record's ``phi_from_stokes`` matches its angle.
+    variances of ``campaign.noise``, once for the file; every row's S_y
+    is phi * N * sqrt(T_h T_v).  Returns the text written.
     """
     noise = campaign.noise
     buf = io.StringIO()
@@ -345,86 +321,105 @@ def _header_transmission(path, meta: dict, key: str) -> float:
     return value
 
 
-def read_campaign_csv(path):
-    """Load a campaign CSV; returns (records, metadata dict).
-
-    The ``transmission_h`` and ``transmission_v`` header values (1.0 when
-    absent) are applied to every record.  Raises InvalidConfig, naming the
-    file, for an unreadable file, a file with no column header or no data
-    rows, unexpected columns, a missing or different ``schema_version``, a
-    transmission outside (0, 1] or a pair whose sqrt(t_h t_v) underflows
-    to 0, a non-numeric ``n_linear``, and an
-    ``n_nonlinear`` that is missing, not a finite positive number, or not
-    the photon number of every NL row; and, naming the line, for a row
-    with the wrong number of cells, a non-numeric cell, or a reading
-    ``StokesRecord`` rejects.
-    """
-    meta = {}
-    records = []
+def _column(path, linenos, texts, kind) -> np.ndarray:
+    """One CSV column parsed with ``kind``; InvalidConfig names the first bad line."""
     try:
-        fh = open(path)
-    except OSError as exc:
+        return np.fromiter(map(kind, texts), kind, len(texts))
+    except (ValueError, OverflowError):
+        pass
+    for lineno, text in zip(linenos, texts):
+        try:
+            np.fromiter(map(kind, [text]), kind, 1)
+        except (ValueError, OverflowError) as exc:
+            raise InvalidConfig(f"{path}, line {lineno}: {exc}") from None
+
+
+def read_campaign_csv(path):
+    """Load a campaign CSV; returns (rows, metadata dict).
+
+    ``rows`` is a structured array with one element per data row, in file
+    order, and one field per column (``rows["phi"]`` is the angle
+    column).  The metadata maps the key of each ``# key = value`` line,
+    wherever it stands, to its value text.  Raises InvalidConfig, naming
+    the file, for an unreadable file, a file with
+    no column header or no data rows, unexpected columns, a missing or
+    different ``schema_version``, a transmission outside (0, 1] or a pair
+    whose sqrt(t_h t_v) underflows to 0 (1.0 when absent), a non-numeric
+    ``n_linear``, and an ``n_nonlinear`` that is missing or not a finite
+    positive number; and, naming the first offending line, for a row
+    with the wrong number of cells, a non-numeric cell or non-integer
+    sample index, an unknown probe tag, a photon number that is not
+    positive, |S_y| > S_x, a repeated (sample_index, probe_tag) pair, and
+    an NL row whose photon number is not ``n_nonlinear``.
+    """
+    try:
+        with open(path) as fh:
+            lines = [line.strip() for line in fh.read().split("\n")]
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read campaign CSV {path}: {exc}") from None
-    expected = ["probe_tag", "n_photons", "s_x", "s_y", "phi", "n_atoms", "sample_index"]
-    with fh:
-        header = None
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                if header != expected:
-                    raise InvalidConfig(f"unexpected campaign CSV columns: {header}")
-                version = meta.get("schema_version")
-                if version != str(CSV_SCHEMA_VERSION):
-                    raise InvalidConfig(
-                        f"{path}: schema_version {version} is not {CSV_SCHEMA_VERSION}"
-                    )
-                t_h, t_v = (_header_transmission(path, meta, f"transmission_{s}") for s in "hv")
-                try:
-                    _check_transmissions(t_h, t_v)
-                except InvalidConfig as exc:
-                    raise InvalidConfig(f"{path}: {exc}") from None
-                continue
-            cells = line.split(",")
-            if len(cells) != len(expected):
-                raise InvalidConfig(
-                    f"{path}, line {lineno}: {len(cells)} cells, expected {len(expected)}"
-                )
-            tag, n, sx, sy, phi, na, idx = cells
-            try:
-                record = StokesRecord(
-                    probe_tag=tag,
-                    n_photons=float(n),
-                    s_x=float(sx),
-                    s_y=float(sy),
-                    phi=float(phi),
-                    n_atoms=float(na),
-                    sample_index=int(idx),
-                    transmission_h=t_h,
-                    transmission_v=t_v,
-                )
-            except (ValueError, InvalidConfig) as exc:
-                raise InvalidConfig(f"{path}, line {lineno}: {exc}") from None
-            records.append(record)
-    if header is None:
+    meta = {}
+    for line in lines:
+        if line.startswith("#"):
+            key, _, val = line[1:].partition("=")
+            meta[key.strip()] = val.strip()
+    data = [k for k, line in enumerate(lines) if line and not line.startswith("#")]
+    if not data:
         raise InvalidConfig(f"{path}: no column header")
-    if not records:
+    header = lines[data[0]].split(",")
+    width = len(_ROW_DTYPE.names)
+    if header != list(_ROW_DTYPE.names):
+        raise InvalidConfig(f"{path}: unexpected campaign CSV columns: {header}")
+    version = meta.get("schema_version")
+    if version != str(CSV_SCHEMA_VERSION):
+        raise InvalidConfig(f"{path}: schema_version {version} is not {CSV_SCHEMA_VERSION}")
+    t_h, t_v = (_header_transmission(path, meta, f"transmission_{s}") for s in "hv")
+    try:
+        _check_transmissions(t_h, t_v)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"{path}: {exc}") from None
+    body = [lines[k] for k in data[1:]]
+    if not body:
         raise InvalidConfig(f"{path}: no data rows")
+    linenos = [k + 1 for k in data[1:]]
+
+    def reject(bad, message):
+        i = int(np.argmax(bad))
+        if bad[i]:
+            raise InvalidConfig(f"{path}, line {linenos[i]}: {message(i)}")
+
+    widths = np.fromiter((line.count(",") + 1 for line in body), int, len(body))
+    reject(widths != width, lambda i: f"{widths[i]} cells, expected {width}")
+    cells = ",".join(body).split(",")
+    texts = [cells[k::width] for k in range(width)]
+    rows = np.empty(len(body), _ROW_DTYPE)
+    for name, column in zip(_ROW_DTYPE.names[1:], texts[1:]):
+        rows[name] = _column(path, linenos, column, int if name == "sample_index" else float)
+    tags = texts[0]
+    codes = np.fromiter((_TAG_CODES.get(t, -1) for t in tags), int, len(tags))
+    reject(codes < 0, lambda i: f"unknown probe tag {tags[i]!r}")
+    rows["probe_tag"] = tags
+    n, index = rows["n_photons"], rows["sample_index"]
+    reject(~(n > 0), lambda i: "photon number must be positive")
+    reject(
+        np.abs(rows["s_y"]) > rows["s_x"],
+        lambda i: "|S_y| exceeds S_x: rotation outside physical range",
+    )
+    # a row repeating an earlier (sample_index, probe_tag) pair: the stable
+    # sort puts each repeat after the line it repeats
+    key = index * len(_PROBE_TAGS) + codes
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(key), dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    reject(repeat, lambda i: f"sample {index[i]} repeats its {tags[i]} reading")
+
     if "n_linear" in meta:
         _header_number(path, meta, "n_linear")
     n_nl = _header_number(path, meta, "n_nonlinear")
     if not (math.isfinite(n_nl) and n_nl > 0):
         raise InvalidConfig(f"{path}: n_nonlinear {n_nl!r} is not a finite positive number")
-    for r in records:
-        if r.probe_tag == "NL" and r.n_photons != n_nl:
-            raise InvalidConfig(
-                f"{path}: NL photon number {r.n_photons:.17g} of sample {r.sample_index} "
-                f"differs from n_nonlinear {n_nl:.17g}"
-            )
-    return records, meta
+    reject(
+        (codes == _TAG_CODES["NL"]) & (n != n_nl),
+        lambda i: f"NL photon number {n[i]:.17g} of sample {index[i]} "
+        f"differs from n_nonlinear {n_nl:.17g}",
+    )
+    return rows, meta

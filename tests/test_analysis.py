@@ -7,8 +7,10 @@ that the numeric root finder must reproduce.
 """
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from nlfaraday import analysis as ana
+from nlfaraday import experiment as expmt
 from nlfaraday.exceptions import (
     DegenerateDesign,
     IllConditioned,
@@ -16,6 +18,7 @@ from nlfaraday.exceptions import (
     InvalidConfig,
     NegativeVariance,
     NoCrossover,
+    NonConvergence,
 )
 
 PUBLISHED = ana.ResponseModel()
@@ -184,6 +187,93 @@ def test_fit_saturation_validation():
         ana.fit_saturation(narrow, A_PUB)
     with pytest.raises(InvalidConfig):
         ana.fit_saturation(np.array([[-1e6, 1.0], [1e6, 1.0], [2e7, 2.0]]), A_PUB)
+
+
+def _least_squares_saturation_fit(n, b, a, allow_fallback=True):
+    """Oracle: the two-parameter least_squares fit that the separable fit replaced."""
+    order = np.argsort(n)
+    n, b = n[order], b[order]
+    b_init = b[0] * a / n[0]
+    if b_init <= 0:
+        b_init = max(float(np.median(b * a / n)), 1e-30)
+    # half-slope point: b*A/(B N) drops to 1/2 at N = N_sat
+    ratio = b * a / (b_init * n)
+    if np.min(ratio) < 0.75:
+        ns_init = float(np.interp(0.5, ratio[::-1], n[::-1]))
+        ns_init = min(max(ns_init, np.min(n)), 100.0 * np.max(n))
+    else:
+        ns_init = 10.0 * float(np.max(n))
+
+    def residual(p):
+        bb, ns = p
+        return bb / a * n / (1.0 + n / ns) - b
+
+    sol = least_squares(
+        residual,
+        x0=[b_init, ns_init],
+        bounds=([0.0, 0.0], [np.inf, np.inf]),
+        x_scale=[max(b_init, 1e-30), max(ns_init, 1.0)],
+        xtol=1e-14,
+        ftol=1e-14,
+        gtol=1e-14,
+        max_nfev=2000,
+    )
+    assert sol.success
+    b_hat, ns_hat = sol.x
+    if ns_hat > 50.0 * np.max(n):
+        if not allow_fallback:
+            raise IllConditioned("oracle: saturation scale unidentifiable")
+        return ana.ResponseModel(a, float(np.sum(b * n) / np.sum(n * n / a)), None)
+    return ana.ResponseModel(a, float(b_hat), float(ns_hat))
+
+
+def _slope_sets():
+    """Criterion-4 campaign slopes, noisy exact curves, an unsaturated and a low-N_sat set."""
+    grid = np.logspace(6.0, 8.0, 10)
+    for rep in range(20):
+        slopes = [
+            ana.linear_regression(expmt.generate_correlation_campaign(
+                float(n), samples=50, seed=1_000_000 + 100 * rep + j
+            ).pairs()).slope
+            for j, n in enumerate(grid)
+        ]
+        yield grid, np.array(slopes)
+    rng = np.random.default_rng(42)
+    exact = PUBLISHED.calibration_slope(grid)
+    for _ in range(30):
+        yield grid, exact * (1.0 + 0.05 * rng.standard_normal(grid.size))
+    low = np.logspace(4, 6, 8)
+    yield low, (B_PUB / A_PUB) * low
+    below = ana.ResponseModel(saturation_photons=3e5).calibration_slope(grid)
+    yield grid, below * (1.0 + 0.05 * rng.standard_normal(grid.size))
+
+
+def test_fit_saturation_matches_least_squares_oracle():
+    def cost(model, n, b):
+        return float(np.sum((model.calibration_slope(n) - b) ** 2))
+
+    identified = 0
+    for count, (n, b) in enumerate(_slope_sets(), start=1):
+        points = np.column_stack([n, b])
+        fit, oracle = ana.fit_saturation(points, A_PUB), _least_squares_saturation_fit(n, b, A_PUB)
+        assert cost(fit, n, b) <= cost(oracle, n, b) * (1.0 + 1e-12)
+        assert (fit.saturation_photons is None) == (oracle.saturation_photons is None)
+        if fit.saturation_photons is None:
+            with pytest.raises(IllConditioned):
+                ana.fit_saturation(points, A_PUB, allow_fallback=False)
+            continue
+        identified += 1
+        assert fit.nonlinear_coefficient == pytest.approx(oracle.nonlinear_coefficient, rel=1e-6)
+        assert fit.saturation_photons == pytest.approx(oracle.saturation_photons, rel=1e-6)
+    assert count >= 50 and identified >= 40
+
+
+def test_fit_saturation_rejects_falling_slopes():
+    # b(N) rises with N for every B >= 0 and N_sat > 0: falling slopes put
+    # the best N_sat at the bottom of the searched range
+    n = np.logspace(6, 8, 5)
+    with pytest.raises(NonConvergence, match="below 1e-4 min N"):
+        ana.fit_saturation(np.column_stack([n, 1e6 / n]), A_PUB)
 
 
 def test_variance_fit_exact_recovery():

@@ -238,6 +238,11 @@ def _campaign_lines(schema="1"):
     ("no_n_nonlinear", "n_nonlinear None is not a number"),
     ("n_nonlinear_mismatch", "NL photon number 10000000 of sample 0 differs from n_nonlinear"),
     ("no_rows", "no data rows"),
+    ("duplicate_row", "line 12: sample 0 repeats its L1 reading"),
+    ("unknown_tag", "line 4: unknown probe tag 'X1'"),
+    ("nonpositive_photons", "line 4: photon number must be positive"),
+    ("sy_exceeds_sx", "line 4: |S_y| exceeds S_x"),
+    ("underflowing_transmissions", "underflows to 0"),
 ])
 def test_analyze_malformed_campaign_is_config_error(tmp_path, capsys, case, match):
     lines = _campaign_lines(schema={"no_schema": None, "future_schema": "99"}.get(case, "1"))
@@ -259,6 +264,16 @@ def test_analyze_malformed_campaign_is_config_error(tmp_path, capsys, case, matc
         lines[1] = "# n_nonlinear = 2e7"
     elif case == "no_rows":
         del lines[3:]
+    elif case == "duplicate_row":
+        lines.append("L1,4e6,4e6,14000,0.0035,2e5,0")  # sample 0's L1 again
+    elif case == "unknown_tag":
+        lines[3] = lines[3].replace("L1,", "X1,", 1)
+    elif case == "nonpositive_photons":
+        lines[3] = lines[3].replace("L1,4e6,", "L1,0,", 1)
+    elif case == "sy_exceeds_sx":
+        lines[3] = "L1,4e6,4e6,5e6,1.25,2e5,0"
+    elif case == "underflowing_transmissions":
+        lines[1:1] = ["# transmission_h = 0.5", "# transmission_v = 5e-324"]
     path = tmp_path / "campaign.csv"
     path.write_text("\n".join(lines) + "\n")
     rc = cli.main(["analyze", "--data", str(path), "--out", str(tmp_path / "out")])

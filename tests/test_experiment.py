@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import kstest
 
 from nlfaraday import experiment as expmt
 from nlfaraday import analysis as ana
@@ -64,19 +65,6 @@ def test_response_model_values():
         expmt.ResponseModel(damage_slope=-0.1)
 
 
-def test_stokes_record_validation():
-    with pytest.raises(InvalidConfig):
-        expmt.StokesRecord("X1", 1e6, 1e6, 0.0, 0.0, 0.0, 0)
-    with pytest.raises(InvalidConfig):
-        expmt.StokesRecord("L1", 0.0, 1e6, 0.0, 0.0, 0.0, 0)
-    with pytest.raises(InvalidConfig):
-        expmt.StokesRecord("L1", 1e6, 1e6, 2e6, 0.0, 0.0, 0)
-    for field in ("transmission_h", "transmission_v"):
-        for value in (0.0, -1.0):
-            with pytest.raises(InvalidConfig, match="transmissions"):
-                expmt.StokesRecord("L1", 1e6, 1e6, 0.0, 0.0, 0.0, 0, **{field: value})
-
-
 def test_campaign_noiseless_correlation():
     quiet = expmt.PolarimeterModel().noiseless()
     camp = expmt.generate_correlation_campaign(1e7, samples=20, noise=quiet, seed=42)
@@ -133,20 +121,22 @@ _TRANSMISSION = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     t_v=_TRANSMISSION,
     quiet=st.booleans(),
 )
-def test_campaign_draws_follow_the_per_sample_streams(seed, samples, n_nonlinear, t_h, t_v, quiet):
+def test_campaign_draws_follow_the_campaign_stream(seed, samples, n_nonlinear, t_h, t_v, quiet):
     assume(math.sqrt(t_h * t_v) > 0.0)  # an underflowing pair is rejected, see below
-    # sample i: atom number (live samples only), then one normal per
-    # probe, all from default_rng([seed, i]); angle = model mean + sd * normal
+    # one stream per campaign: the live atom numbers, then one normal per
+    # sample and probe; angle = model mean + sd * normal
     noise = expmt.PolarimeterModel(transmission_h=t_h, transmission_v=t_v)
     noise = noise.noiseless() if quiet else noise
     camp = expmt.generate_correlation_campaign(
         n_nonlinear, samples=samples, seed=seed, noise=noise, controls=3
     )
+    rng = np.random.default_rng(seed)
+    live = rng.uniform(1.5e5, 3.5e5, samples)
+    draws = rng.standard_normal((samples + 3, 3))
     resp = expmt.ResponseModel()
     eta = resp.damage(n_nonlinear)
     for i in range(samples + 3):
-        rng = np.random.default_rng([seed, i])
-        n_atoms = rng.uniform(1.5e5, 3.5e5) if i < samples else 0.0
+        n_atoms = live[i] if i < samples else 0.0
         assert camp.n_atoms[i] == n_atoms
         assert camp.is_control[i] == (i >= samples)
         probes = (
@@ -155,8 +145,37 @@ def test_campaign_draws_follow_the_per_sample_streams(seed, samples, n_nonlinear
              camp.phi_nonlinear[i]),
             ("L2", 4e6, resp.linear_rotation(n_atoms * (1.0 - eta)), camp.phi_linear_after[i]),
         )
-        for tag, n, mean, phi in probes:
-            assert phi == mean + math.sqrt(noise.phi_variance(n, tag)) * rng.standard_normal()
+        for k, (tag, n, mean, phi) in enumerate(probes):
+            assert phi == mean + math.sqrt(noise.phi_variance(n, tag)) * draws[i, k]
+
+
+def test_campaign_draws_are_distributed_as_the_model():
+    # pooled over 200 seeds: standardized angle residuals are N(0, 1) and
+    # live atom numbers uniform on atom_range
+    noise = expmt.PolarimeterModel()
+    resp = expmt.ResponseModel()
+    n_nl, lo, hi = 1e7, 1.5e5, 3.5e5
+    eta = resp.damage(n_nl)
+    z = {"L1": [], "NL": [], "L2": []}
+    live = []
+    for seed in range(200):
+        camp = expmt.generate_correlation_campaign(n_nl, samples=20, seed=seed, noise=noise)
+        na = camp.n_atoms
+        live.append(na[~camp.is_control])
+        for tag, n, mean, phi in (
+            ("L1", 4e6, resp.linear_rotation(na), camp.phi_linear),
+            ("NL", n_nl, resp.nonlinear_rotation(na, n_nl), camp.phi_nonlinear),
+            ("L2", 4e6, resp.linear_rotation(na * (1.0 - eta)), camp.phi_linear_after),
+        ):
+            z[tag].append((phi - mean) / math.sqrt(noise.phi_variance(n, tag)))
+    for tag, parts in z.items():
+        r = np.concatenate(parts)
+        m = r.size
+        assert abs(np.mean(r)) <= 4.0 / math.sqrt(m), tag
+        assert abs(np.var(r, ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (m - 1)), tag
+    live = np.concatenate(live)
+    assert live.size == 200 * 20
+    assert kstest(live, "uniform", args=(lo, hi - lo)).pvalue > 1e-3
 
 
 def test_polarimeter_noise_scan_matches_model():
@@ -184,17 +203,21 @@ def test_waveplate_control_run_basics():
         expmt.waveplate_control_run(rotation=0.0)
 
 
-def _assert_records_match(records, camp):
-    """Three records per sample, in L1/NL/L2 order, carrying the campaign's arrays."""
-    t_h, t_v = camp.noise.transmission_h, camp.noise.transmission_v
-    assert len(records) == 3 * camp.n_atoms.size
+def _assert_rows_match(rows, meta, camp):
+    """Three rows per sample, in L1/NL/L2 order, carrying the campaign's arrays."""
+    t_h, t_v = (float(meta.get(f"transmission_{s}", 1.0)) for s in "hv")
+    assert (t_h, t_v) == (camp.noise.transmission_h, camp.noise.transmission_v)
+    root_t = math.sqrt(t_h * t_v)
+    assert len(rows) == 3 * camp.n_atoms.size
     for k, (tag, n, phi, s_y) in enumerate(camp.probes()):
-        for i, rec in enumerate(records[k::3]):
-            assert (rec.probe_tag, rec.n_photons, rec.s_x) == (tag, n, n)
-            assert rec.phi == phi[i]              # %.17g round-trips doubles
-            assert rec.s_y == s_y[i] == phi[i] * n * math.sqrt(t_h * t_v)
-            assert (rec.n_atoms, rec.sample_index) == (camp.n_atoms[i], i)
-            assert (rec.transmission_h, rec.transmission_v) == (t_h, t_v)
+        probe = rows[k::3]
+        assert np.all(probe["probe_tag"] == tag)
+        assert np.all(probe["n_photons"] == n) and np.all(probe["s_x"] == n)
+        assert np.array_equal(probe["phi"], phi)      # %.17g round-trips doubles
+        assert np.array_equal(probe["s_y"], s_y)
+        assert np.array_equal(s_y, phi * n * root_t)
+        assert np.array_equal(probe["n_atoms"], camp.n_atoms)
+        assert np.array_equal(probe["sample_index"], np.arange(camp.n_atoms.size))
 
 
 def test_campaign_csv_round_trip(tmp_path):
@@ -202,8 +225,8 @@ def test_campaign_csv_round_trip(tmp_path):
     camp = expmt.generate_correlation_campaign(1e7, samples=10, controls=2, seed=5, noise=noise)
     path = tmp_path / "campaign.csv"
     expmt.write_campaign_csv(path, camp)
-    records, meta = expmt.read_campaign_csv(path)
-    _assert_records_match(records, camp)
+    rows, meta = expmt.read_campaign_csv(path)
+    _assert_rows_match(rows, meta, camp)
     assert meta["seed"] == "5"
     assert float(meta["n_nonlinear"]) == 1e7
     assert float(meta["v_nonlinear"]) == noise.v_nonlinear
@@ -214,17 +237,17 @@ def test_campaign_csv_keeps_detector_transmissions(tmp_path):
     camp = expmt.generate_correlation_campaign(1e7, samples=10, controls=2, seed=5, noise=noise)
     path = tmp_path / "campaign.csv"
     expmt.write_campaign_csv(path, camp)
-    records, meta = expmt.read_campaign_csv(path)
+    rows, meta = expmt.read_campaign_csv(path)
     assert float(meta["transmission_h"]) == 0.81 and float(meta["transmission_v"]) == 0.9
-    _assert_records_match(records, camp)
-    for rec in records:
-        assert rec.phi_from_stokes() == pytest.approx(rec.phi, rel=1e-12)
-    # a file without the lines reads as full transmission
+    _assert_rows_match(rows, meta, camp)
+    root_t = math.sqrt(0.81 * 0.9)
+    assert rows["s_y"] / (rows["s_x"] * root_t) == pytest.approx(rows["phi"], rel=1e-12)
+    # a file without the lines is read (as full transmission)
     text = path.read_text()
     bare = "".join(ln for ln in text.splitlines(True) if "transmission" not in ln)
     path.write_text(bare)
-    records, _ = expmt.read_campaign_csv(path)
-    assert all(r.transmission_h == r.transmission_v == 1.0 for r in records)
+    rows, meta = expmt.read_campaign_csv(path)
+    assert "transmission_h" not in meta and len(rows) == 3 * 12
     for value in ("0", "1.2", "-0.5", "nan", "high"):
         path.write_text(re.sub(r"transmission_v = .*", f"transmission_v = {value}", text))
         with pytest.raises(InvalidConfig, match="transmission_v"):
@@ -244,8 +267,8 @@ def test_campaign_csv_round_trip_property(tmp_path_factory, seed, samples, t_h, 
     camp = expmt.generate_correlation_campaign(1e7, samples=samples, seed=seed, noise=noise)
     path = tmp_path_factory.mktemp("csv") / "campaign.csv"
     expmt.write_campaign_csv(path, camp)
-    records, meta = expmt.read_campaign_csv(path)
-    _assert_records_match(records, camp)
+    rows, meta = expmt.read_campaign_csv(path)
+    _assert_rows_match(rows, meta, camp)
     assert int(meta["seed"]) == seed
 
 
@@ -255,8 +278,6 @@ def test_underflowing_transmissions_rejected(tmp_path):
     pair = {"transmission_h": 0.5, "transmission_v": 5e-324}
     with pytest.raises(InvalidConfig, match="underflows"):
         expmt.PolarimeterModel(**pair)
-    with pytest.raises(InvalidConfig, match="underflows"):
-        expmt.StokesRecord("L1", 1e6, 1e6, 0.0, 0.0, 0.0, 0, **pair)
     camp = expmt.generate_correlation_campaign(1e7, samples=10, seed=5)
     path = tmp_path / "campaign.csv"
     expmt.write_campaign_csv(path, camp)
