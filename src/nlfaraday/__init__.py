@@ -91,13 +91,13 @@ from .analysis import (
     crossover,
     crossover_numeric,
     write_fit_report,
-    write_curve_csv,
 )
 from .config import (
     parse_config_text,
     load_config,
     format_config,
     write_manifest,
+    write_table,
 )
 
 __all__ = [
@@ -133,7 +133,8 @@ __all__ = [
     "VarianceDecomposition", "fit_variance_model", "sensitivity_curve",
     "subtract_electronic_noise", "time_normalized_prefactor",
     "CrossoverResult", "crossover", "crossover_numeric",
-    "write_fit_report", "write_curve_csv",
+    "write_fit_report",
     # config
     "parse_config_text", "load_config", "format_config", "write_manifest",
+    "write_table",
 ]

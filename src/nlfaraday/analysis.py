@@ -33,6 +33,8 @@ from .exceptions import (
 
 log = logging.getLogger(__name__)
 
+MIN_FIT_POINTS = 3  # slope points a saturation fit needs
+
 
 @dataclass(frozen=True)
 class RegressionResult:
@@ -146,7 +148,7 @@ class ResponseModel:
 
 @dataclass(frozen=True)
 class ScalingCurve:
-    """Sensitivity versus photon number with local and global slopes."""
+    """Sensitivity versus photon number with its local log-log slopes."""
 
     n_photons: np.ndarray
     sensitivity: np.ndarray     # fractional: delta F_z / <F_z> (or delta phi / phi)
@@ -168,9 +170,6 @@ class ScalingCurve:
         """Log-log slope between adjacent points."""
         return np.diff(np.log(self.sensitivity)) / np.diff(np.log(self.n_photons))
 
-    def global_exponent(self, window=None):
-        return scaling_exponent(self, window)
-
 
 @dataclass(frozen=True)
 class ExponentFit:
@@ -180,12 +179,9 @@ class ExponentFit:
     window: tuple
 
 
-def scaling_exponent(curve, window=None) -> ExponentFit:
+def scaling_exponent(curve: ScalingCurve, window=None) -> ExponentFit:
     """Least-squares log-log slope of a sensitivity curve over a window."""
-    if isinstance(curve, ScalingCurve):
-        n, s = curve.n_photons, curve.sensitivity
-    else:
-        n, s = (np.asarray(a, dtype=float) for a in curve)
+    n, s = curve.n_photons, curve.sensitivity
     if window is not None:
         lo, hi = window
         keep = (n >= lo) & (n <= hi)
@@ -217,8 +213,8 @@ def fit_saturation(
     ``damage_slope``.
     """
     n, b = _as_xy(slope_points)
-    if len(n) < 3:
-        raise InsufficientPoints("saturation fit needs >=3 slope points")
+    if len(n) < MIN_FIT_POINTS:
+        raise InsufficientPoints(f"saturation fit needs >={MIN_FIT_POINTS} slope points")
     if np.min(n) <= 0:
         raise InvalidConfig("photon numbers must be positive")
     if len(np.unique(n)) < 3 or np.max(n) / np.min(n) < 10.0:
@@ -413,18 +409,3 @@ def write_fit_report(path, parameters: dict, header: str = ""):
         fh.write(text)
     return text
 
-
-def write_curve_csv(path, curve: ScalingCurve, extra_columns: dict = None):
-    """Curve table as CSV; extra columns must match the curve length."""
-    cols = {"n_photons": curve.n_photons, "sensitivity": curve.sensitivity}
-    if extra_columns:
-        for name, arr in extra_columns.items():
-            arr = np.asarray(arr)
-            if arr.shape != curve.n_photons.shape:
-                raise InvalidConfig(f"extra column {name!r} has wrong length")
-            cols[name] = arr
-    names = list(cols)
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for i in range(len(curve.n_photons)):
-            fh.write(",".join(f"{cols[c][i]:.17g}" for c in names) + "\n")

@@ -1,12 +1,14 @@
 """Command-line entry point: simulations, campaigns, fits, figure tables.
 
-Every run resolves its configuration (defaults < config file < flags),
-creates the output directory, and writes three things next to the data:
-``manifest.txt`` (full resolved config, re-parseable), ``run.log``, and
-the subcommand's CSV/report files.  A subcommand declares only the flags
-it reads, and each flag's argparse ``dest`` is the config key it sets.
-Exit codes: 0 success, 2 for configuration problems (an unknown flag
-exits 2 through argparse), 3 for numerical failures.
+Every run resolves and checks its configuration (defaults < config file
+< flags), creates the output directory, and writes three things next to
+the data: ``manifest.txt`` (full resolved config, re-parseable),
+``run.log``, and the subcommand's CSV/report files, each CSV one
+``config.write_table`` call on the columns the subcommand holds.  A
+subcommand declares only the flags it reads, and each flag's argparse
+``dest`` is the config key it sets.  Exit codes: 0 success, 2 for
+configuration problems (an unknown flag; a non-finite number, negative
+seed or count below its minimum, before any output), 3 for numerical failures.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import analysis as ana
 from . import experiment as expmt
-from .config import load_config, write_manifest
+from .config import load_config, write_manifest, write_table
 from .exceptions import DataIntegrityError, InvalidConfig, NlfaradayError
 from .geometry import BeamGeometry, CloudGeometry, PulseSpec
 
@@ -160,8 +162,8 @@ def _checked_file_config(path) -> dict:
 
 def _resolve_config(args) -> dict:
     cfg = dict(DEFAULTS)
-    if args.config is not None:
-        cfg.update(_checked_file_config(args.config))
+    from_file = {} if args.config is None else _checked_file_config(args.config)
+    cfg.update(from_file)
     # mode flags are set on the command line; a config file (a manifest)
     # may only repeat them.  A subcommand without the flag keeps no such
     # key, and accepts only 0 for it from a file
@@ -176,8 +178,28 @@ def _resolve_config(args) -> dict:
             cfg[key] = flag
         elif (value := cfg.pop(key, 0)) != 0:
             raise InvalidConfig(f"{args.config}: {key} = {value} is not read by {args.command}")
-    cfg.update({k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None})
+    flags = {k: v for k, v in vars(args).items() if k in DEFAULTS and v is not None}
+    cfg.update(flags)
+    _check_numbers(args, cfg, set(from_file) - set(flags))
     return cfg
+
+
+def _check_numbers(args, cfg: dict, file_keys: set) -> None:
+    """Reject, before any output, a non-finite number, a negative seed and
+    a count below the minimum of the code that reads it."""
+    minimums = {"seed": 0}
+    if hasattr(args, "samples") and not cfg.get("ideal"):  # runs campaigns
+        minimums.update(samples=expmt.MIN_SAMPLES, controls=0)
+    if hasattr(args, "grid_points"):
+        minimums["grid_points"] = ana.MIN_FIT_POINTS
+    if hasattr(args, "scan_points"):
+        minimums["scan_points"] = 0
+    for key, value in cfg.items():
+        where = f"{args.config}: " if key in file_keys else ""
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidConfig(f"{where}{key} = {value} is not a finite number")
+        if key in minimums and value < minimums[key]:
+            raise InvalidConfig(f"{where}{key} = {value} is below its usable minimum {minimums[key]}")
 
 
 def _prepare_out(args, command: str, cfg: dict) -> Path:
@@ -240,19 +262,27 @@ def _campaign(cfg: dict, n_nonlinear: float, seed: int):
     return camp, ana.linear_regression(camp.pairs())
 
 
-def _write_rows(path: Path, header: list, rows: list):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, str):
-                    cells.append(cell)
-                elif isinstance(cell, (int, np.integer)):
-                    cells.append(str(int(cell)))
-                else:
-                    cells.append(f"{float(cell):.17g}")
-            fh.write(",".join(cells) + "\n")
+def _fit_columns(fits) -> dict:
+    """Slope-table columns of a sequence of phi_NL-on-phi_L fits."""
+    fits = list(fits)
+    return {
+        name: np.array([getattr(fit, name) for fit in fits])
+        for name in ("slope", "slope_stderr", "intercept", "residual_std")
+    }
+
+
+def _campaign_grid(cfg: dict, grid) -> dict:
+    """Fit columns of one campaign per photon number, seeded seed, seed + 1, ..."""
+    return _fit_columns(_campaign(cfg, float(n), cfg["seed"] + i)[1] for i, n in enumerate(grid))
+
+
+def _fitted_coefficients(model: ana.ResponseModel) -> dict:
+    """Report entries of a saturation fit; an unidentified N_sat is nan."""
+    sat = model.saturation_photons
+    return {
+        "nonlinear_coefficient": model.nonlinear_coefficient,
+        "saturation_photons": float("nan") if sat is None else sat,
+    }
 
 
 def cmd_simulate(args) -> int:
@@ -264,46 +294,27 @@ def cmd_simulate(args) -> int:
     pulse, beam, cloud = _scenario(cfg)
     res = dyn.detected_stokes(pulse, beam, cloud, ops)
     log.info("integrated %d intensity levels for %d cloud nodes", res.levels, res.grid.r.size)
-    _write_rows(
-        out / "stokes.csv",
-        [
-            "n_photons", "detuning_mhz", "n_atoms", "s_x", "s_y",
-            "rotation", "ellipticity", "rotation_per_atom", "damage_mean",
-            "damage_detected", "ground_f1", "ground_f2", "excited",
-            "max_trace_deviation", "min_eigenvalue",
-        ],
-        [[
-            pulse.n_photons, pulse.detuning / _TWO_PI / 1e6, cloud.n_atoms,
-            res.s_x, res.s_y, res.rotation, res.ellipticity,
-            res.rotation_per_atom, res.damage_mean, res.damage_detected,
-            res.end_populations["ground_f1"], res.end_populations["ground_f2"],
-            res.end_populations["excited"], res.max_trace_deviation,
-            res.min_eigenvalue,
-        ]],
-    )
+    stokes = {
+        "n_photons": pulse.n_photons, "detuning_mhz": pulse.detuning / _TWO_PI / 1e6,
+        "n_atoms": cloud.n_atoms, "s_x": res.s_x, "s_y": res.s_y, "rotation": res.rotation,
+        "ellipticity": res.ellipticity, "rotation_per_atom": res.rotation_per_atom,
+        "damage_mean": res.damage_mean, "damage_detected": res.damage_detected,
+        **{key: res.end_populations[key] for key in ("ground_f1", "ground_f2", "excited")},
+        "max_trace_deviation": res.max_trace_deviation, "min_eigenvalue": res.min_eigenvalue,
+    }
+    write_table(out / "stokes.csv", {name: [value] for name, value in stokes.items()})
     if args.dump_trajectory:
         from .atom import initial_state
 
         traj = dyn.integrate_node(
             initial_state(ops.scheme, 1, 1), pulse, 1.0, ops, beam=beam,
         )
-        rows = []
-        for i, t in enumerate(traj.times):
-            rows.append([
-                t,
-                float(np.real(traj.field[i])),
-                traj.manifold_population(1)[i],
-                traj.manifold_population(2)[i],
-                traj.excited_population()[i],
-                traj.sublevel_population(1, 1)[i],
-                traj.sublevel_population(1, 0)[i],
-                traj.sublevel_population(1, -1)[i],
-            ])
-        _write_rows(
-            out / "populations.csv",
-            ["time", "rabi", "ground_f1", "ground_f2", "excited", "m_plus1", "m_0", "m_minus1"],
-            rows,
-        )
+        write_table(out / "populations.csv", {
+            "time": traj.times, "rabi": np.real(traj.field),
+            "ground_f1": traj.manifold_population(1), "ground_f2": traj.manifold_population(2),
+            "excited": traj.excited_population(), "m_plus1": traj.sublevel_population(1, 1),
+            "m_0": traj.sublevel_population(1, 0), "m_minus1": traj.sublevel_population(1, -1),
+        })
     print(f"rotation = {res.rotation:.6e} rad  (per atom {res.rotation_per_atom:.6e})")
     print(f"S_y/S_x = {res.s_y / res.s_x:.6e}, damage = {res.damage_detected:.4e}")
     print(f"outputs in {out}")
@@ -346,7 +357,7 @@ def _campaign_files(paths) -> list:
 def cmd_analyze(args) -> int:
     cfg = _resolve_config(args)
     out = _prepare_out(args, "analyze", cfg)
-    rows = []
+    n_nonlinear, fits, n_pairs = [], [], []
     for path in _campaign_files(args.data):
         readings, meta = expmt.read_campaign_csv(path)
         l1 = readings[readings["probe_tag"] == "L1"]
@@ -359,26 +370,24 @@ def cmd_analyze(args) -> int:
         pairs = np.column_stack([l1["phi"][i][live], nl["phi"][j][live]])
         if not len(pairs):
             raise InvalidConfig(f"{path}: no live L1/NL pair (a sample with atoms and both readings)")
-        fit = ana.linear_regression(pairs)
-        n_nl = float(meta["n_nonlinear"])
-        rows.append([n_nl, fit.slope, fit.slope_stderr, fit.intercept, fit.residual_std, len(pairs)])
-    rows.sort(key=lambda r: r[0])
-    _write_rows(
-        out / "slopes.csv",
-        ["n_nonlinear", "slope", "slope_stderr", "intercept", "residual_std", "n_pairs"],
-        rows,
-    )
-    report = {"n_campaigns": len(rows)}
-    if len(rows) >= 3:
+        n_nonlinear.append(float(meta["n_nonlinear"]))
+        fits.append(ana.linear_regression(pairs))
+        n_pairs.append(len(pairs))
+    order = np.argsort(n_nonlinear, kind="stable")
+    slopes = {
+        "n_nonlinear": np.array(n_nonlinear)[order],
+        **_fit_columns(fits[i] for i in order),
+        "n_pairs": np.array(n_pairs)[order],
+    }
+    write_table(out / "slopes.csv", slopes)
+    report = {"n_campaigns": len(fits)}
+    if len(fits) >= 3:
         model = ana.fit_saturation(
-            [(r[0], r[1]) for r in rows], cfg["linear_coefficient"]
+            np.column_stack([slopes["n_nonlinear"], slopes["slope"]]), cfg["linear_coefficient"]
         )
-        report["nonlinear_coefficient"] = model.nonlinear_coefficient
-        report["saturation_photons"] = (
-            model.saturation_photons if model.saturation_photons is not None else float("nan")
-        )
+        report.update(_fitted_coefficients(model))
     ana.write_fit_report(out / "analysis_report.txt", report, header="campaign analysis")
-    print(f"analyzed {len(rows)} campaign file(s); outputs in {out}")
+    print(f"analyzed {len(fits)} campaign file(s); outputs in {out}")
     return EXIT_OK
 
 
@@ -387,30 +396,19 @@ def cmd_fig2(args) -> int:
     out = _prepare_out(args, "reproduce-fig2", cfg)
     response = _response_from(cfg)
     grid = np.logspace(6.0, 8.0, cfg["grid_points"])
-    rows = []
-    for i, n_nl in enumerate(grid):
-        _, fit = _campaign(cfg, float(n_nl), cfg["seed"] + i)
-        rows.append([
-            n_nl, fit.slope, fit.slope_stderr, fit.intercept,
-            fit.residual_std, response.calibration_slope(float(n_nl)),
-            response.damage(float(n_nl)),
-        ])
-    _write_rows(
-        out / "fig2_slopes.csv",
-        ["n_nonlinear", "slope", "slope_stderr", "intercept", "residual_std", "slope_true", "damage_true"],
-        rows,
-    )
-    model = ana.fit_saturation([(r[0], r[1]) for r in rows], cfg["linear_coefficient"])
+    fits = _campaign_grid(cfg, grid)
+    write_table(out / "fig2_slopes.csv", {
+        "n_nonlinear": grid, **fits,
+        "slope_true": response.calibration_slope(grid), "damage_true": response.damage(grid),
+    })
+    model = ana.fit_saturation(np.column_stack([grid, fits["slope"]]), cfg["linear_coefficient"])
     injected_sat = (
         response.saturation_photons if response.saturation_photons is not None else math.inf
     )
     ana.write_fit_report(
         out / "fig2_report.txt",
         {
-            "nonlinear_coefficient": model.nonlinear_coefficient,
-            "saturation_photons": model.saturation_photons
-            if model.saturation_photons is not None
-            else float("nan"),
+            **_fitted_coefficients(model),
             "injected_nonlinear_coefficient": cfg["nonlinear_coefficient"],
             "injected_saturation_photons": injected_sat,
         },
@@ -440,26 +438,19 @@ def cmd_fig3(args) -> int:
     ideal_curve = ana.sensitivity_curve(ideal_model, n_grid, f_z)
     model_curve = ana.sensitivity_curve(curve_model, n_grid, f_z)
 
-    measured = np.full_like(n_grid, np.nan)
-    fitted = None
-    if not cfg["ideal"]:
-        slopes, intrinsics = [], []
-        for i, n_nl in enumerate(n_grid):
-            _, fit = _campaign(cfg, float(n_nl), cfg["seed"] + i)
-            slopes.append((float(n_nl), fit.slope))
-            intrinsics.append(
-                float(
-                    ana.subtract_electronic_noise(
-                        fit.residual_std, float(n_nl), cfg["v_nonlinear"]
-                    )
-                )
-            )
+    if cfg["ideal"]:
+        measured = model_curve.sensitivity
+    else:
+        fits = _campaign_grid(cfg, n_grid)
+        # one call per point: run.log keeps one clipping line per clipped point
+        intrinsic = np.array([
+            float(ana.subtract_electronic_noise(std, float(n_nl), cfg["v_nonlinear"]))
+            for std, n_nl in zip(fits["residual_std"], n_grid)
+        ])
         # calibrate the per-spin response once from the pooled saturation
         # fit; per-point slopes are far too noisy below ~10^6 photons
-        fitted = ana.fit_saturation(slopes, a)
-        for i, n_nl in enumerate(n_grid):
-            response_per_spin = 0.5 * a * float(fitted.calibration_slope(n_nl))
-            measured[i] = intrinsics[i] / response_per_spin / f_z
+        fitted = ana.fit_saturation(np.column_stack([n_grid, fits["slope"]]), a)
+        measured = intrinsic / (0.5 * a * fitted.calibration_slope(n_grid)) / f_z
 
     anchor = model_curve.sensitivity[0]
     n0 = n_grid[0]
@@ -468,23 +459,11 @@ def cmd_fig3(args) -> int:
     sh_line = anchor * (n_grid / n0) ** -1.5
     damage = response.damage(n_grid)
 
-    sens_col = model_curve.sensitivity if cfg["ideal"] else measured
-    _write_rows(
-        out / "fig3_scaling.csv",
-        [
-            "n_nonlinear", "fractional_sensitivity", "damage",
-            "model_sensitivity", "ideal_sensitivity",
-            "sql_line", "hl_line", "sh_line",
-        ],
-        [
-            [
-                n_grid[i], sens_col[i], damage[i],
-                model_curve.sensitivity[i], ideal_curve.sensitivity[i],
-                sql_line[i], hl_line[i], sh_line[i],
-            ]
-            for i in range(len(n_grid))
-        ],
-    )
+    write_table(out / "fig3_scaling.csv", {
+        "n_nonlinear": n_grid, "fractional_sensitivity": measured, "damage": damage,
+        "model_sensitivity": model_curve.sensitivity, "ideal_sensitivity": ideal_curve.sensitivity,
+        "sql_line": sql_line, "hl_line": hl_line, "sh_line": sh_line,
+    })
 
     report = {}
     exp_ideal = ana.scaling_exponent(ideal_curve, (1e6, 1e7))
@@ -523,14 +502,10 @@ def cmd_control(args) -> int:
     intrinsic = ana.subtract_electronic_noise(
         curve.sensitivity * abs(cfg["rotation"]), curve.n_photons, noise.v_nonlinear
     ) / abs(cfg["rotation"])
-    _write_rows(
-        out / "control.csv",
-        ["n_photons", "mean_angle", "fractional_sensitivity", "intrinsic_sensitivity"],
-        [
-            [curve.n_photons[i], means[i], curve.sensitivity[i], intrinsic[i]]
-            for i in range(len(means))
-        ],
-    )
+    write_table(out / "control.csv", {
+        "n_photons": curve.n_photons, "mean_angle": means,
+        "fractional_sensitivity": curve.sensitivity, "intrinsic_sensitivity": intrinsic,
+    })
     ok = intrinsic > 0
     exp = ana.scaling_exponent(ana.ScalingCurve(curve.n_photons[ok], intrinsic[ok]))
     spread = float(np.max(np.abs(means - cfg["rotation"])) / abs(cfg["rotation"]))
@@ -555,23 +530,17 @@ def cmd_scan(args) -> int:
     out = _prepare_out(args, "coefficients-scan", cfg)
     ops = _atomic_model()
     _, beam, cloud = _scenario(cfg)
-    detunings = list(np.linspace(cfg["scan_lo"], cfg["scan_hi"], cfg["scan_points"]))
-    detunings.append(_TWO_PI * 1.5e9)  # the far-detuned linear-probe marker
-    rows = []
-    for delta in detunings:
-        coeff = dyn.extract_effective_coefficients(ops, float(delta), beam=beam, cloud=cloud)
-        rows.append([
-            delta / _TWO_PI / 1e6,
-            coeff.alpha1,
-            coeff.beta1,
-            "+" if coeff.alpha1 >= 0 else "-",
-            "+" if coeff.beta1 >= 0 else "-",
-        ])
-    _write_rows(
-        out / "coefficients.csv",
-        ["detuning_mhz", "alpha1", "beta1", "alpha1_sign", "beta1_sign"],
-        rows,
+    detunings = np.append(
+        np.linspace(cfg["scan_lo"], cfg["scan_hi"], cfg["scan_points"]),
+        _TWO_PI * 1.5e9,  # the far-detuned linear-probe marker
     )
+    coeffs = [dyn.extract_effective_coefficients(ops, float(d), beam=beam, cloud=cloud) for d in detunings]
+    alpha1 = np.array([c.alpha1 for c in coeffs])
+    beta1 = np.array([c.beta1 for c in coeffs])
+    write_table(out / "coefficients.csv", {
+        "detuning_mhz": detunings / _TWO_PI / 1e6, "alpha1": alpha1, "beta1": beta1,
+        "alpha1_sign": np.where(alpha1 >= 0, "+", "-"), "beta1_sign": np.where(beta1 >= 0, "+", "-"),
+    })
     crossing = dyn.locate_crossing(ops, beam, cloud, lo=cfg["scan_lo"], hi=cfg["scan_hi"])
     beta_at = dyn.extract_effective_coefficients(ops, crossing, beam=beam, cloud=cloud)
     ana.write_fit_report(

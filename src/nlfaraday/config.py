@@ -17,10 +17,15 @@ rescales to internal units:
 Unsuffixed numbers are taken to be in internal units already, so a
 manifest written by ``format_config`` (plain SI, no suffixes) parses
 back to the identical configuration.
+
+``_format_value`` writes every manifest value and, through
+``write_table``, every cell and metadata line of every CSV table.
 """
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .exceptions import InvalidConfig
 
@@ -101,12 +106,12 @@ def load_config(path) -> dict:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
+    """Text of one manifest value or table cell: floats as %.17g, ints exact."""
+    # floats first: they are most of the cells of every table
     if isinstance(value, float):
         return f"{value:.17g}"
+    if isinstance(value, bool):
+        return str(int(value))
     return str(value)
 
 
@@ -125,5 +130,34 @@ def write_manifest(path, config: dict, version: str, command: str = ""):
     resolved["package_version"] = version
     text = format_config(resolved, header=header)
     with open(path, "w") as fh:
+        fh.write(text)
+    return text
+
+
+def _column_text(values) -> list:
+    """``_format_value`` of each value; an array formats each distinct value once."""
+    if not isinstance(values, np.ndarray):
+        return list(map(_format_value, values))
+    # campaign columns repeat most values (the probe photon numbers, the atom
+    # number of each sample); keyed by bit pattern, 0.0 and -0.0 stay apart
+    key = values.view(np.int64) if values.dtype == np.float64 else values
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    texts = np.array(list(map(_format_value, values[first].tolist())), dtype=object)
+    return texts[inverse].tolist()
+
+
+def write_table(path, columns: dict, metadata: dict = None) -> str:
+    """Write a CSV table of ``columns`` (name -> equal-length values); return its text.
+
+    ``metadata`` entries become ``# key = value`` lines above the header,
+    in the order given.  Unequal columns raise ValueError before anything
+    is written.  Every value is formatted by ``_format_value``.
+    """
+    lines = [f"# {key} = {_format_value(value)}" for key, value in (metadata or {}).items()]
+    lines.append(",".join(columns))
+    cells = [_column_text(values) for values in columns.values()]
+    lines.extend(map(",".join, zip(*cells, strict=True)))
+    text = "\n".join(lines) + "\n"
+    with open(path, "w", newline="") as fh:
         fh.write(text)
     return text

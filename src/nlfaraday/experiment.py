@@ -8,6 +8,8 @@ electronic noise; campaigns sweep atom number to produce correlation
 datasets between the two rotations.  A campaign draws all its random
 numbers from one stream per seed, so campaign files written at the same
 seed by versions that drew one stream per sample hold other values.
+``write_campaign_csv`` hands a campaign as columns to
+``config.write_table``, the writer of every CSV table the package makes.
 
 Noise conventions (two detection interfaces, matching their consumers):
 
@@ -19,16 +21,17 @@ Noise conventions (two detection interfaces, matching their consumers):
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import ResponseModel, ScalingCurve
+from .config import write_table
 from .exceptions import InvalidConfig
 
 CSV_SCHEMA_VERSION = 1
+MIN_SAMPLES = 10  # live samples a correlation campaign needs
 _PROBE_TAGS = ("L1", "NL", "L2")
 _TAG_CODES = {tag: k for k, tag in enumerate(_PROBE_TAGS)}
 # one field per campaign CSV column, in file order
@@ -164,8 +167,8 @@ def generate_correlation_campaign(
     last.  Each angle is the response-model mean plus its normal times
     ``sqrt(noise.phi_variance)``.
     """
-    if samples < 10:
-        raise InvalidConfig("campaigns need at least 10 samples")
+    if samples < MIN_SAMPLES:
+        raise InvalidConfig(f"campaigns need at least {MIN_SAMPLES} samples")
     lo, hi = (float(a) for a in atom_range)
     if not 0 <= lo < hi:
         raise InvalidConfig("atom range must satisfy 0 <= lo < hi")
@@ -279,31 +282,29 @@ def waveplate_control_run(
 
 
 def write_campaign_csv(path, campaign: CampaignResult):
-    """Serialize a campaign, three rows per sample, under a reproducibility header.
+    """Serialize a campaign under a reproducibility header; return the text written.
 
-    The header carries the detector transmissions and electronic
-    variances of ``campaign.noise``, once for the file; every row's S_y
-    is phi * N * sqrt(T_h T_v).  Returns the text written.
+    Rows are sample-major: the L1, NL and L2 readings of sample 0, then
+    of sample 1, and so on.  The header carries the detector
+    transmissions and electronic variances of ``campaign.noise``, once
+    for the file; every row's S_y is phi * N * sqrt(T_h T_v).
     """
     noise = campaign.noise
-    buf = io.StringIO()
-    buf.write(f"# schema_version = {CSV_SCHEMA_VERSION}\n")
-    buf.write(f"# n_nonlinear = {campaign.n_nonlinear:.17g}\n")
-    buf.write(f"# n_linear = {campaign.n_linear:.17g}\n")
-    buf.write(f"# seed = {campaign.seed}\n")
-    buf.write(f"# transmission_h = {noise.transmission_h:.17g}\n")
-    buf.write(f"# transmission_v = {noise.transmission_v:.17g}\n")
-    buf.write(f"# v_linear = {noise.v_linear:.17g}\n")
-    buf.write(f"# v_nonlinear = {noise.v_nonlinear:.17g}\n")
-    buf.write("probe_tag,n_photons,s_x,s_y,phi,n_atoms,sample_index\n")
-    columns = [(tag, n, phi.tolist(), s_y.tolist()) for tag, n, phi, s_y in campaign.probes()]
-    for i, na in enumerate(campaign.n_atoms.tolist()):
-        for tag, n, phi, s_y in columns:
-            buf.write(f"{tag},{n:.17g},{n:.17g},{s_y[i]:.17g},{phi[i]:.17g},{na:.17g},{i}\n")
-    text = buf.getvalue()
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-    return text
+    tags, n, phi, s_y = zip(*campaign.probes())
+    samples, k = campaign.n_atoms.size, len(_PROBE_TAGS)
+    columns = {
+        "probe_tag": np.tile(tags, samples), "n_photons": np.tile(n, samples),
+        "s_x": np.tile(n, samples), "s_y": np.stack(s_y, axis=1).ravel(),
+        "phi": np.stack(phi, axis=1).ravel(), "n_atoms": np.repeat(campaign.n_atoms, k),
+        "sample_index": np.repeat(np.arange(samples), k),
+    }
+    metadata = {
+        "schema_version": CSV_SCHEMA_VERSION, "n_nonlinear": campaign.n_nonlinear,
+        "n_linear": campaign.n_linear, "seed": campaign.seed,
+        **{key: float(getattr(noise, key))
+           for key in ("transmission_h", "transmission_v", "v_linear", "v_nonlinear")},
+    }
+    return write_table(path, columns, metadata)
 
 
 def _header_number(path, meta: dict, key: str, default=None) -> float:

@@ -42,6 +42,8 @@ class PulseSpec:
     def __post_init__(self):
         if self.shape not in ("gaussian", "flat-train"):
             raise InvalidConfig(f"unknown pulse shape {self.shape!r}")
+        if not np.all(np.isfinite([self.fwhm, self.n_photons, self.detuning, self.train_period])):
+            raise InvalidConfig("pulse fwhm, photon number, detuning and train period must be finite")
         if self.fwhm <= 0 or self.n_photons <= 0:
             raise InvalidConfig("pulse fwhm and photon number must be positive")
         if self.shape == "flat-train":

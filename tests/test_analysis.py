@@ -11,6 +11,7 @@ from scipy.optimize import least_squares
 
 from nlfaraday import analysis as ana
 from nlfaraday import experiment as expmt
+from nlfaraday.config import write_table
 from nlfaraday.exceptions import (
     DegenerateDesign,
     IllConditioned,
@@ -108,7 +109,7 @@ def test_sensitivity_reference_points():
 def test_sensitivity_curve_and_exponents():
     linear_only = ana.ResponseModel(A_PUB, 0.0, None)
     curve = ana.sensitivity_curve(linear_only, np.logspace(5, 8, 16))
-    fit = curve.global_exponent()
+    fit = ana.scaling_exponent(curve)
     assert fit.exponent == pytest.approx(-0.5, abs=1e-12)
     assert np.allclose(curve.local_exponents(), -0.5, atol=1e-12)
     assert curve.meta["collective_spin"] == 7e5
@@ -363,12 +364,30 @@ def test_report_and_csv_writers(tmp_path):
     assert parsed["offset"] == (1.5, None)
     assert parsed["count"] == (7.0, None)
 
-    curve = ana.ScalingCurve(np.logspace(5, 7, 5), 2.0 * np.logspace(5, 7, 5) ** -1.5)
-    path = tmp_path / "curve.csv"
-    ana.write_curve_csv(path, curve, extra_columns={"flag": np.arange(5.0)})
+    n = np.logspace(5, 7, 5)
+    columns = {
+        "n_photons": n,
+        "sensitivity": 2.0 * n**-1.5,
+        "signed": np.array([-0.0, 0.0, -0.5, np.nan, -np.inf]),
+        "count": np.array([3, 1, 3, 0, 1]),
+        "tag": ["L1", "NL", "L2", "NL", "L1"],
+    }
+    path = tmp_path / "table.csv"
+    text = write_table(path, columns, metadata={"seed": 7, "b_first": 0.1, "a_second": "x"})
+    assert path.read_text() == text
+    # metadata lines in the order given, values by the manifest formatter
+    assert text.startswith("# seed = 7\n# b_first = 0.10000000000000001\n# a_second = x\n")
     cols = read_csv_columns(path)
-    assert cols["n_photons"] == pytest.approx(curve.n_photons, rel=1e-15)
-    assert cols["sensitivity"] == pytest.approx(curve.sensitivity, rel=1e-15)
-    assert cols["flag"] == pytest.approx(np.arange(5.0))
-    with pytest.raises(InvalidConfig):
-        ana.write_curve_csv(path, curve, extra_columns={"bad": np.arange(3.0)})
+    assert list(cols) == list(columns)
+    for name in ("n_photons", "sensitivity", "count"):
+        assert np.array_equal(cols[name], columns[name])
+    assert np.array_equal(cols["signed"], columns["signed"], equal_nan=True)
+    assert np.array_equal(np.signbit(cols["signed"]), np.signbit(columns["signed"]))
+    assert cols["tag"] == columns["tag"]
+    # ints are written exactly, and -0.0 keeps its sign beside 0.0
+    rows = [row.split(",") for row in text.splitlines()[4:]]
+    assert [row[2] for row in rows] == ["-0", "0", "-0.5", "nan", "-inf"]
+    assert [row[3] for row in rows] == ["3", "1", "3", "0", "1"]
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "bad.csv", {"a": np.arange(5.0), "b": np.arange(3.0)})
+    assert not (tmp_path / "bad.csv").exists()

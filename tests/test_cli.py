@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, file outputs, determinism."""
 import logging
+import signal
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -164,6 +165,52 @@ def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, argv):
         cli.main([*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == cli.EXIT_CONFIG
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def deadline():
+    """Fail a command that is still running after 20 s instead of waiting on it."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["simulate", "--n-photons", "nan"], None, "n_photons"),
+    (["simulate", "--n-photons", "inf"], None, "n_photons"),
+    (["simulate", "--detuning-mhz", "nan"], None, "detuning"),
+    (["simulate"], "n_photons = nan", "{config}: n_photons"),
+    (["campaign"], "saturation_photons = inf", "{config}: saturation_photons"),
+    (["reproduce-fig2", "--points", "-1"], None, "grid_points"),
+    (["reproduce-fig2", "--points", "0"], None, "grid_points"),
+    (["reproduce-fig3", "--ideal", "--points", "-2"], None, "grid_points"),
+    (["coefficients-scan", "--scan-points", "-1"], None, "scan_points"),
+    (["campaign", "--seed", "-1"], None, "seed"),
+    (["campaign", "--samples", "5"], None, "samples"),
+    (["reproduce-fig2"], "samples = 9", "{config}: samples"),
+    (["campaign"], "controls = -1", "{config}: controls"),
+])
+def test_bad_number_exits_2_before_any_output(tmp_path, capsys, deadline, argv, config, key):
+    path = tmp_path / "bad.cfg"
+    if config is not None:
+        path.write_text(config + "\n")
+        argv = [*argv, "--config", str(path)]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert f"configuration error: {key.format(config=path)} = " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_counts_are_checked_only_where_read(tmp_path):
+    # control-run runs no campaign and no grid: the parent ignored these keys
+    config = tmp_path / "counts.cfg"
+    config.write_text("samples = 5\ncontrols = -1\ngrid_points = 0\nscan_points = -1\n")
+    assert cli.main(["control-run", "--config", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("argv, mode_keys", [

@@ -272,6 +272,54 @@ def test_campaign_csv_round_trip_property(tmp_path_factory, seed, samples, t_h, 
     assert int(meta["seed"]) == seed
 
 
+def _per_row_campaign_text(campaign):
+    """Campaign CSV text of the former per-row writer: the column writer's oracle."""
+    noise = campaign.noise
+    lines = [
+        f"# schema_version = {expmt.CSV_SCHEMA_VERSION}\n",
+        f"# n_nonlinear = {campaign.n_nonlinear:.17g}\n",
+        f"# n_linear = {campaign.n_linear:.17g}\n",
+        f"# seed = {campaign.seed}\n",
+        f"# transmission_h = {noise.transmission_h:.17g}\n",
+        f"# transmission_v = {noise.transmission_v:.17g}\n",
+        f"# v_linear = {noise.v_linear:.17g}\n",
+        f"# v_nonlinear = {noise.v_nonlinear:.17g}\n",
+        "probe_tag,n_photons,s_x,s_y,phi,n_atoms,sample_index\n",
+    ]
+    columns = [(tag, n, phi.tolist(), s_y.tolist()) for tag, n, phi, s_y in campaign.probes()]
+    for i, na in enumerate(campaign.n_atoms.tolist()):
+        for tag, n, phi, s_y in columns:
+            lines.append(f"{tag},{n:.17g},{n:.17g},{s_y[i]:.17g},{phi[i]:.17g},{na:.17g},{i}\n")
+    return "".join(lines)
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    samples=st.integers(min_value=10, max_value=40),
+    controls=st.integers(min_value=0, max_value=6),
+    n_nonlinear=st.sampled_from([1e6, 1e7, 6e7, 1e8]),
+    t_h=_TRANSMISSION,
+    t_v=_TRANSMISSION,
+    quiet=st.booleans(),
+)
+def test_campaign_csv_matches_per_row_oracle(
+    tmp_path_factory, seed, samples, controls, n_nonlinear, t_h, t_v, quiet
+):
+    assume(math.sqrt(t_h * t_v) > 0.0)  # rejected: test_underflowing_transmissions_rejected
+    noise = expmt.PolarimeterModel(transmission_h=t_h, transmission_v=t_v)
+    noise = noise.noiseless() if quiet else noise
+    camp = expmt.generate_correlation_campaign(
+        n_nonlinear, samples=samples, controls=controls, seed=seed, noise=noise
+    )
+    path = tmp_path_factory.mktemp("oracle") / "campaign.csv"
+    text = expmt.write_campaign_csv(path, camp)
+    # line lists: a failing comparison then names the first differing line
+    # without a character diff of the whole file
+    assert text.splitlines(True) == _per_row_campaign_text(camp).splitlines(True)
+    assert path.read_bytes() == text.encode()
+
+
 def test_underflowing_transmissions_rejected(tmp_path):
     # each transmission lies in (0, 1], but sqrt(t_h * t_v) is 0, so every
     # S_y would be written as 0 and no angle could be read back

@@ -54,6 +54,10 @@ def test_pulse_validation():
         PulseSpec(shape="flat-train", train_count=0)
     with pytest.raises(InvalidConfig):
         PulseSpec(shape="flat-train", train_count=2, train_period=10e-9, fwhm=54e-9)
+    for field in ("fwhm", "n_photons", "detuning", "train_period"):
+        for value in (np.nan, np.inf):
+            with pytest.raises(InvalidConfig, match="finite"):
+                PulseSpec(**{field: value})
 
 
 def test_beam_mode_normalization(beam):
