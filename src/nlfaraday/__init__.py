@@ -34,7 +34,6 @@ from .atom import (
     build_level_scheme,
     OperatorSet,
     build_dipole_operators,
-    hamiltonian,
     jump_operators,
     ground_projector,
     excited_projector,
@@ -110,8 +109,8 @@ __all__ = [
     "NegativeVariance", "InsufficientPoints", "NoCrossover",
     # atom
     "LineData", "load_line_data", "LevelScheme", "build_level_scheme",
-    "OperatorSet", "build_dipole_operators", "hamiltonian",
-    "jump_operators", "ground_projector", "excited_projector",
+    "OperatorSet", "build_dipole_operators", "jump_operators",
+    "ground_projector", "excited_projector",
     "initial_state", "mixed_ground_state", "EffectiveCoefficients",
     "perturbative_path_weights", "pt_rotation_weight",
     "vector_crossing_detuning",

@@ -33,7 +33,7 @@ from .exceptions import (
 
 log = logging.getLogger(__name__)
 
-MIN_FIT_POINTS = 3  # slope points a saturation fit needs
+MIN_FIT_POINTS = 3  # points a saturation fit or an exponent window needs
 
 
 @dataclass(frozen=True)
@@ -188,8 +188,8 @@ def scaling_exponent(curve: ScalingCurve, window=None) -> ExponentFit:
         n, s = n[keep], s[keep]
     else:
         lo, hi = (float(n[0]), float(n[-1])) if len(n) else (0.0, 0.0)
-    if len(n) < 3:
-        raise InsufficientPoints(f"need >=3 points in window, got {len(n)}")
+    if len(n) < MIN_FIT_POINTS:
+        raise InsufficientPoints(f"need >={MIN_FIT_POINTS} points in window, got {len(n)}")
     fit = linear_regression(np.log(n), np.log(s))
     return ExponentFit(fit.slope, fit.slope_stderr, len(n), (float(lo), float(hi)))
 

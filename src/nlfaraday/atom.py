@@ -14,8 +14,10 @@ Conventions used throughout the package:
 * Detunings are measured from the F=1 -> F'=0 transition.
 * The rotating frame puts the F=1 manifold at zero energy, the F=2
   manifold at +omega_hf, and the excited manifold F'=j at delta_j - Delta.
-* A drive field is a complex Cartesian 3-vector in Rabi units; the
-  coupling is -(field . d_raising + h.c.) / 2.
+
+The operators are those ``dynamics`` integrates: the x-polarized probe
+drives ground F=1 through ``d_x``, ``d_y`` detects, and spontaneous
+emission is split by destination ground manifold.
 """
 from __future__ import annotations
 
@@ -70,7 +72,9 @@ def load_line_data(path=None) -> LineData:
     """Parse the bundled atomic-data file (key = value, frequencies in MHz).
 
     The file checksum is logged so a run can be traced back to the exact
-    constants it used.  Raises DataIntegrityError on malformed content.
+    constants it used.  Raises DataIntegrityError on malformed content
+    and on a wavelength, linewidth or splitting that is not positive and
+    finite, naming the key.
     """
     if path is None:
         source = resources.files("nlfaraday").joinpath("data/rb87_d2.dat")
@@ -98,12 +102,13 @@ def load_line_data(path=None) -> LineData:
     if missing:
         raise DataIntegrityError(f"{name}: missing keys {missing}")
 
+    for key in _DATA_KEYS[1:]:  # every constant after data_version
+        if not 0.0 < values[key] < np.inf:
+            raise DataIntegrityError(f"{name}: {key} = {values[key]} must be positive and finite")
     mhz = 2.0e6 * np.pi  # MHz -> rad/s
     d01 = values["excited_splitting_0_1_mhz"]
     d12 = values["excited_splitting_1_2_mhz"]
     d23 = values["excited_splitting_2_3_mhz"]
-    if min(d01, d12, d23) <= 0:
-        raise DataIntegrityError(f"{name}: excited splittings must be positive")
     offsets = (0.0, d01 * mhz, (d01 + d12) * mhz, (d01 + d12 + d23) * mhz)
     return LineData(
         wavelength=values["wavelength_nm"] * 1e-9,
@@ -118,17 +123,17 @@ def load_line_data(path=None) -> LineData:
 class LevelScheme:
     """The 24-level scheme with the detuning origin at F=1 -> F'=0.
 
-    ``levels`` lists (label, F, m_F, static energy offset in rad/s).  The
-    offsets are frame offsets before the detuning shift: 0 for ground F=1,
-    +omega_hf for ground F=2, delta_j for excited F'=j (so F'=0 sits at 0).
+    One entry per sublevel in each array: ground F=1 and F=2, then excited
+    F'=0..3, m_F ascending within a manifold.  ``static_offsets`` are the
+    frame energies before the detuning shift: 0 for ground F=1, +omega_hf
+    for ground F=2, delta_j for excited F'=j (so F'=0 sits at 0).
     """
 
-    levels: tuple
     line: LineData
-    f_numbers: np.ndarray = field(repr=False, default=None)
-    m_numbers: np.ndarray = field(repr=False, default=None)
-    excited_mask: np.ndarray = field(repr=False, default=None)
-    static_offsets: np.ndarray = field(repr=False, default=None)
+    f_numbers: np.ndarray = field(repr=False)
+    m_numbers: np.ndarray = field(repr=False)
+    excited_mask: np.ndarray = field(repr=False)
+    static_offsets: np.ndarray = field(repr=False)
 
     @property
     def gamma(self) -> float:
@@ -138,45 +143,36 @@ class LevelScheme:
     def wavelength(self) -> float:
         return self.line.wavelength
 
+    def _mask(self, f=None, excited: bool = False) -> np.ndarray:
+        mask = self.excited_mask == excited
+        return mask if f is None else mask & (self.f_numbers == f)
+
     def index_of(self, f: int, m: int, excited: bool = False) -> int:
-        for i, (label, fi, mi, _) in enumerate(self.levels):
-            if fi == f and mi == m and label.startswith("e" if excited else "g"):
-                return i
-        raise KeyError(f"no state F={f}, m={m}, excited={excited}")
+        found = np.flatnonzero(self._mask(f, excited) & (self.m_numbers == m))
+        if not found.size:
+            raise KeyError(f"no state F={f}, m={m}, excited={excited}")
+        return int(found[0])
 
     def manifold_indices(self, f: int, excited: bool = False) -> np.ndarray:
-        out = [
-            i
-            for i, (label, fi, _, _) in enumerate(self.levels)
-            if fi == f and label.startswith("e" if excited else "g")
-        ]
-        return np.asarray(out, dtype=int)
+        return np.flatnonzero(self._mask(f, excited))
 
 
 def build_level_scheme(path=None) -> LevelScheme:
     """Construct the 24-level scheme from the bundled line data."""
     line = load_line_data(path)
-    levels = []
+    rows = []  # (F, m_F, excited, static offset), one per sublevel
     for f in (1, 2):
-        offset = 0.0 if f == 1 else line.ground_splitting
-        for m in range(-f, f + 1):
-            levels.append((f"g{f}m{m:+d}", f, m, offset))
+        rows += [(f, m, False, 0.0 if f == 1 else line.ground_splitting) for m in range(-f, f + 1)]
     for fp in range(4):
-        for m in range(-fp, fp + 1):
-            levels.append((f"e{fp}m{m:+d}", fp, m, line.excited_offsets[fp]))
-    assert len(levels) == N_STATES
-
-    f_numbers = np.array([lv[1] for lv in levels], dtype=int)
-    m_numbers = np.array([lv[2] for lv in levels], dtype=int)
-    excited_mask = np.array([lv[0].startswith("e") for lv in levels], dtype=bool)
-    static_offsets = np.array([lv[3] for lv in levels], dtype=float)
+        rows += [(fp, m, True, line.excited_offsets[fp]) for m in range(-fp, fp + 1)]
+    assert len(rows) == N_STATES
+    f, m, excited, offsets = zip(*rows)
     return LevelScheme(
-        levels=tuple(levels),
         line=line,
-        f_numbers=f_numbers,
-        m_numbers=m_numbers,
-        excited_mask=excited_mask,
-        static_offsets=static_offsets,
+        f_numbers=np.array(f, dtype=int),
+        m_numbers=np.array(m, dtype=int),
+        excited_mask=np.array(excited, dtype=bool),
+        static_offsets=np.array(offsets, dtype=float),
     )
 
 
@@ -201,22 +197,16 @@ def _clebsch_gordan(f_excited: int, f_ground: int, m_excited: int, q: int, m_gro
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Dipole and pseudo-spin operators on the 24-state basis.
+    """Dipole operators and F_z on the 24-state basis.
 
     ``lowering[q]`` holds the excited->ground block of the spherical
-    component d_q (real matrices); ``d_x, d_y, d_z`` are the Hermitian
-    Cartesian components with both blocks.  j ops act on the pseudo-spin
-    1/2 spanned by |1,-1> and |1,+1>; f_z is m on the F=1 manifold.
+    component d_q (real matrices); ``d_x, d_y`` are the Hermitian
+    Cartesian components with both blocks; f_z is m on the F=1 manifold.
     """
 
     lowering: dict
     d_x: np.ndarray
     d_y: np.ndarray
-    d_z: np.ndarray
-    j_x: np.ndarray
-    j_y: np.ndarray
-    j_z: np.ndarray
-    j_0: np.ndarray
     f_z: np.ndarray
     scheme: LevelScheme
 
@@ -224,173 +214,50 @@ class OperatorSet:
 def build_dipole_operators(scheme: LevelScheme) -> OperatorSet:
     """Assemble dipole matrix elements from exact angular-momentum algebra."""
     lowering = {q: np.zeros((N_STATES, N_STATES)) for q in (-1, 0, 1)}
-    reduced = {
-        (f, fp): _reduced_factor(f, fp)
-        for f in (1, 2)
-        for fp in range(4)
-        if abs(f - fp) <= 1
-    }
-    for g, (glabel, fg, mg, _) in enumerate(scheme.levels):
-        if not glabel.startswith("g"):
-            continue
-        for e, (elabel, fe, me, _) in enumerate(scheme.levels):
-            if not elabel.startswith("e"):
-                continue
-            if abs(fg - fe) > 1:
-                continue
-            q = mg - me
-            if q not in (-1, 0, 1):
-                continue
-            lowering[q][g, e] = reduced[(fg, fe)] * _clebsch_gordan(fe, fg, me, q, mg)
+    f, m = scheme.f_numbers.tolist(), scheme.m_numbers.tolist()
+    excited = np.flatnonzero(scheme.excited_mask)
+    for g in np.flatnonzero(~scheme.excited_mask):
+        for e in excited:
+            q = m[g] - m[e]
+            if abs(f[g] - f[e]) <= 1 and abs(q) <= 1:
+                lowering[q][g, e] = _reduced_factor(f[g], f[e]) * _clebsch_gordan(
+                    f[e], f[g], m[e], q, m[g]
+                )
 
     def full(q):
         return lowering[q] + (-1) ** q * lowering[-q].T
 
     d_x = (full(-1) - full(1)) / np.sqrt(2.0)
     d_y = 1j * (full(-1) + full(1)) / np.sqrt(2.0)
-    d_z = full(0).astype(complex)
-
-    up = scheme.index_of(1, 1)
-    dn = scheme.index_of(1, -1)
-    j_x = np.zeros((N_STATES, N_STATES), dtype=complex)
-    j_y = np.zeros((N_STATES, N_STATES), dtype=complex)
-    j_z = np.zeros((N_STATES, N_STATES), dtype=complex)
-    j_0 = np.zeros((N_STATES, N_STATES), dtype=complex)
-    j_x[up, dn] = j_x[dn, up] = 0.5
-    j_y[up, dn] = -0.5j
-    j_y[dn, up] = 0.5j
-    j_z[up, up] = 0.5
-    j_z[dn, dn] = -0.5
-    j_0[up, up] = j_0[dn, dn] = 0.5
-
-    f_z = np.zeros((N_STATES, N_STATES), dtype=complex)
-    for i in scheme.manifold_indices(1):
-        f_z[i, i] = scheme.m_numbers[i]
-
-    return OperatorSet(
-        lowering=lowering,
-        d_x=d_x.astype(complex),
-        d_y=d_y,
-        d_z=d_z,
-        j_x=j_x,
-        j_y=j_y,
-        j_z=j_z,
-        j_0=j_0,
-        f_z=f_z,
-        scheme=scheme,
-    )
+    f_z = np.diag(scheme.m_numbers * scheme._mask(1)).astype(complex)
+    return OperatorSet(lowering=lowering, d_x=d_x.astype(complex), d_y=d_y, f_z=f_z, scheme=scheme)
 
 
 def ground_projector(scheme: LevelScheme, f=None) -> np.ndarray:
-    p = np.zeros((N_STATES, N_STATES))
-    for i, (label, fi, _, _) in enumerate(scheme.levels):
-        if label.startswith("g") and (f is None or fi == f):
-            p[i, i] = 1.0
-    return p
+    return np.diag(scheme._mask(f).astype(float))
 
 
 def excited_projector(scheme: LevelScheme, f=None) -> np.ndarray:
-    p = np.zeros((N_STATES, N_STATES))
-    for i, (label, fi, _, _) in enumerate(scheme.levels):
-        if label.startswith("e") and (f is None or fi == f):
-            p[i, i] = 1.0
-    return p
+    return np.diag(scheme._mask(f, excited=True).astype(float))
 
 
-def hamiltonian(
-    scheme: LevelScheme,
-    ops: OperatorSet,
-    detuning: float,
-    drive,
-    couple_upper_ground: bool = False,
-) -> np.ndarray:
-    """Rotating-frame Hamiltonian for a classical drive.
-
-    Args:
-        detuning: angular detuning from F=1 -> F'=0.
-        drive: complex Cartesian 3-vector (Omega_x, Omega_y, Omega_z) in
-            Rabi units, multiplying the raising part of d.
-        couple_upper_ground: include the optical coupling out of ground
-            F=2.  Off by default: that manifold is detuned by the full
-            hyperfine splitting, its coupling is dropped in the secular
-            approximation, and keeping it forces sub-ps steps on explicit
-            integrators.
-
-    Raises:
-        ValueError: non-finite drive components.
-    """
-    drive = np.asarray(drive, dtype=complex)
-    if drive.shape != (3,):
-        raise ValueError("drive must be a complex 3-vector")
-    if not np.all(np.isfinite(drive.view(float))):
-        raise ValueError("drive components must be finite")
-
-    h = np.zeros((N_STATES, N_STATES), dtype=complex)
-    diag = scheme.static_offsets.copy()
-    diag[scheme.excited_mask] -= detuning
-    np.fill_diagonal(h, diag)
-
-    p_e = excited_projector(scheme)
-    p_g = ground_projector(scheme) if couple_upper_ground else ground_projector(scheme, f=1)
-    for amp, d_i in zip(drive, (ops.d_x, ops.d_y, ops.d_z)):
-        if amp == 0:
-            continue
-        raising = p_e @ d_i @ p_g
-        h -= 0.5 * (amp * raising + np.conj(amp) * raising.conj().T)
-    return h
-
-
-def jump_operators(
-    ops: OperatorSet,
-    gamma=None,
-    split_ground_manifolds: bool = True,
-):
+def jump_operators(ops: OperatorSet):
     """Spontaneous-emission jump operators, scaled to total rate Gamma.
 
-    With ``split_ground_manifolds`` the three spherical channels are split
-    by destination ground manifold (six operators).  The split form is
-    still exactly of Lindblad type and differs from the unsplit one only
-    by dropping ground-state F=1/F=2 coherence feeding, which is secular
-    at the hyperfine splitting; it keeps those matrix elements exactly
-    zero during integration.
+    The three spherical channels are split by destination ground manifold
+    (six operators, F=1 first).  The split form is still exactly of
+    Lindblad type and differs from the unsplit one only by dropping
+    ground-state F=1/F=2 coherence feeding, which is secular at the
+    hyperfine splitting; it keeps those matrix elements exactly zero
+    during integration.
     """
     scheme = ops.scheme
-    gamma = scheme.gamma if gamma is None else gamma
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    scale = np.sqrt(2.0 * gamma)
-    outs = []
-    if split_ground_manifolds:
-        for f in (1, 2):
-            p = ground_projector(scheme, f=f)
-            for q in (-1, 0, 1):
-                outs.append(scale * (p @ ops.lowering[q]))
-    else:
-        for q in (-1, 0, 1):
-            outs.append(scale * ops.lowering[q])
-    return outs
-
-
-def liouvillian_dissipator(
-    ops: OperatorSet,
-    gamma=None,
-    split_ground_manifolds: bool = True,
-):
-    """Return the dissipator action rho -> L(rho) as a callable.
-
-    Standard Lindblad form summed over the spherical emission channels;
-    trace-free for any input and zero on purely ground-state matrices.
-    """
-    jumps = jump_operators(ops, gamma, split_ground_manifolds)
-    anticomm = sum(l.conj().T @ l for l in jumps)
-
-    def dissipator(rho: np.ndarray) -> np.ndarray:
-        out = -0.5 * (anticomm @ rho + rho @ anticomm)
-        for l in jumps:
-            out += l @ rho @ l.conj().T
-        return out
-
-    return dissipator
+    scale = np.sqrt(2.0 * scheme.gamma)
+    return [
+        scale * (ground_projector(scheme, f=f) @ ops.lowering[q])
+        for f in (1, 2)
+        for q in (-1, 0, 1)
+    ]
 
 
 @dataclass(frozen=True)

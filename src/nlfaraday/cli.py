@@ -24,7 +24,9 @@ import numpy as np
 
 from . import __version__
 from . import analysis as ana
+from . import dynamics as dyn
 from . import experiment as expmt
+from .atom import build_dipole_operators, build_level_scheme, initial_state
 from .config import load_config, write_manifest, write_table
 from .exceptions import DataIntegrityError, InvalidConfig, NlfaradayError
 from .geometry import BeamGeometry, CloudGeometry, PulseSpec
@@ -227,10 +229,7 @@ def _noise_from(cfg: dict) -> expmt.PolarimeterModel:
 
 
 def _atomic_model():
-    from .atom import build_dipole_operators, build_level_scheme
-
-    scheme = build_level_scheme()
-    return build_dipole_operators(scheme)
+    return build_dipole_operators(build_level_scheme())
 
 
 def _scenario(cfg: dict):
@@ -286,8 +285,6 @@ def _fitted_coefficients(model: ana.ResponseModel) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    from . import dynamics as dyn
-
     cfg = _resolve_config(args)
     out = _prepare_out(args, "simulate", cfg)
     ops = _atomic_model()
@@ -304,8 +301,6 @@ def cmd_simulate(args) -> int:
     }
     write_table(out / "stokes.csv", {name: [value] for name, value in stokes.items()})
     if args.dump_trajectory:
-        from .atom import initial_state
-
         traj = dyn.integrate_node(
             initial_state(ops.scheme, 1, 1), pulse, 1.0, ops, beam=beam,
         )
@@ -425,10 +420,19 @@ def cmd_fig2(args) -> int:
 
 def cmd_fig3(args) -> int:
     cfg = _resolve_config(args)
+    # photon-number windows of the exponent fits: one decade, and the
+    # measured curve's wide one
+    window, wide = (1e6, 1e7), (5e5, 5e7)
+    n_grid = np.logspace(math.log10(5e5), 8.0, cfg["grid_points"])
+    inside = int(np.count_nonzero((n_grid >= window[0]) & (n_grid <= window[1])))
+    if inside < ana.MIN_FIT_POINTS:
+        raise InvalidConfig(
+            f"grid_points = {cfg['grid_points']} puts {inside} photon numbers in the exponent "
+            f"window [{window[0]:g}, {window[1]:g}]; its fit needs {ana.MIN_FIT_POINTS}"
+        )
     out = _prepare_out(args, "reproduce-fig3", cfg)
     f_z = cfg["collective_spin"]
     a = cfg["linear_coefficient"]
-    n_grid = np.logspace(math.log10(5e5), 8.0, cfg["grid_points"])
 
     # model curves: the working detuning has no linear response, so the
     # ideal law is pure N^(-3/2); the saturated variant bends above N_sat
@@ -466,7 +470,7 @@ def cmd_fig3(args) -> int:
     })
 
     report = {}
-    exp_ideal = ana.scaling_exponent(ideal_curve, (1e6, 1e7))
+    exp_ideal = ana.scaling_exponent(ideal_curve, window)
     report["exponent_ideal_window"] = (exp_ideal.exponent, exp_ideal.stderr)
     exp_ideal_full = ana.scaling_exponent(ideal_curve)
     report["exponent_ideal_full"] = (exp_ideal_full.exponent, exp_ideal_full.stderr)
@@ -475,8 +479,8 @@ def cmd_fig3(args) -> int:
         # carry no scaling information, so leave them out of the fit
         ok = measured > 0
         meas_curve = ana.ScalingCurve(n_grid[ok], measured[ok])
-        exp_win = ana.scaling_exponent(meas_curve, (1e6, 1e7))
-        exp_wide = ana.scaling_exponent(meas_curve, (5e5, 5e7))
+        exp_win = ana.scaling_exponent(meas_curve, window)
+        exp_wide = ana.scaling_exponent(meas_curve, wide)
         report["exponent_measured_window"] = (exp_win.exponent, exp_win.stderr)
         report["exponent_measured_wide"] = (exp_wide.exponent, exp_wide.stderr)
     ana.write_fit_report(out / "exponent_report.txt", report, header="scaling exponents")
@@ -524,8 +528,6 @@ def cmd_control(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    from . import dynamics as dyn
-
     cfg = _resolve_config(args)
     out = _prepare_out(args, "coefficients-scan", cfg)
     ops = _atomic_model()

@@ -149,7 +149,7 @@ class _Operators:
         return cls(
             h0=scheme.static_offsets - detuning * scheme.excited_mask,
             s=raising + raising.T,
-            jumps=tuple(jump_operators(ops, scheme.gamma, split_ground_manifolds=True)),
+            jumps=tuple(jump_operators(ops)),
             detect=ground_projector(scheme) @ ops.d_y @ excited_projector(scheme),
             manifolds=(scheme.manifold_indices(1), scheme.manifold_indices(2)),
         )
@@ -357,28 +357,36 @@ class Trajectory:
     scheme: LevelScheme = field(default=None, repr=False)
 
     def manifold_population(self, f: int, excited: bool = False) -> np.ndarray:
-        idx = self.scheme.manifold_indices(f, excited=excited)
-        return np.real(self.states[:, idx, idx].sum(axis=1))
+        return _population(self.states, self.scheme.manifold_indices(f, excited=excited))
 
     def sublevel_population(self, f: int, m: int, excited: bool = False) -> np.ndarray:
         i = self.scheme.index_of(f, m, excited=excited)
         return np.real(self.states[:, i, i])
 
     def excited_population(self) -> np.ndarray:
-        mask = self.scheme.excited_mask
-        return np.real(self.states[:, mask, mask].sum(axis=1))
+        return _population(self.states, self.scheme.excited_mask)
 
     def fz_ground_expectation(self, ops: OperatorSet) -> np.ndarray:
-        return np.real(np.einsum("tij,ji->t", self.states, ops.f_z))
+        return _expectation(self.states, ops.f_z)
+
+
+def _population(states: np.ndarray, idx) -> np.ndarray:
+    """Summed population of the basis states ``idx`` in each of ``states`` (..., n, n)."""
+    return np.real(states[..., idx, idx].sum(axis=-1))
+
+
+def _expectation(states: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Real part of Tr[rho op] for each rho of ``states`` (..., n, n)."""
+    return np.real(np.einsum("...ij,ji->...", states, op))
 
 
 def _check_states(states: np.ndarray):
-    """Return (max trace deviation, min eigenvalue) over stored states."""
-    flat = states.reshape(-1, states.shape[-1], states.shape[-1])
-    traces = np.einsum("kii->k", flat).real
-    max_dev = float(np.max(np.abs(traces - 1.0))) if flat.size else 0.0
-    herm = 0.5 * (flat + flat.conj().transpose(0, 2, 1))
-    min_eig = float(np.min(np.linalg.eigvalsh(herm))) if flat.size else 0.0
+    """Return (max trace deviation, min eigenvalue) over stored states.
+
+    The states are exactly Hermitian (``_Coordinates.states``).
+    """
+    max_dev = float(np.max(np.abs(np.einsum("...ii->...", states).real - 1.0)))
+    min_eig = float(np.min(np.linalg.eigvalsh(states)))
     if min_eig < -_POSITIVITY_ABORT:
         raise PositivityViolation(f"density matrix eigenvalue {min_eig:.3e}")
     if max_dev > _TRACE_ABORT:
@@ -491,6 +499,11 @@ def _propagate_train(x0, r0, r1, d, amplitudes, pulse, t_eval):
     return times, stored, final
 
 
+def _default_beam(scheme: LevelScheme) -> BeamGeometry:
+    """The beam of a call that passes none: the default waist at the line's wavelength."""
+    return BeamGeometry(wavelength=scheme.wavelength)
+
+
 def integrate_node(
     rho0: np.ndarray,
     pulse: PulseSpec,
@@ -510,8 +523,8 @@ def integrate_node(
     """
     if not 0.0 <= local_intensity_scale <= 1.0:
         raise InvalidConfig("local_intensity_scale must lie in [0, 1]")
-    beam = beam or BeamGeometry(wavelength=model.scheme.wavelength)
     scheme = model.scheme
+    beam = beam or _default_beam(scheme)
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
     amp = np.array([math.sqrt(local_intensity_scale / beam.effective_area)])
 
@@ -671,9 +684,9 @@ def _detected_stokes_once(
     rotation_pa = float(np.real(response))
     ellipticity_pa = float(np.imag(response))
 
-    fz0 = float(np.real(np.einsum("ij,ji->", initial, model.f_z)))
+    fz0 = float(_expectation(initial, model.f_z))
     end = states[-1]
-    fz_end = np.real(np.einsum("nij,ji->n", end, model.f_z))
+    fz_end = _expectation(end, model.f_z)
     if abs(fz0) > 1e-12:
         loss = 1.0 - fz_end / fz0
         w_mode = weight * level
@@ -682,14 +695,11 @@ def _detected_stokes_once(
     else:
         damage_mean = damage_detected = float("nan")
 
-    pops = {}
-    for f, excited in ((1, False), (2, False)):
-        idx = scheme.manifold_indices(f, excited=excited)
-        pops[f"ground_f{f}"] = float(
-            np.sum(weight * np.real(end[:, idx, idx].sum(axis=1)))
-        )
-    mask = scheme.excited_mask
-    pops["excited"] = float(np.sum(weight * np.real(end[:, mask, mask].sum(axis=1))))
+    pops = {
+        f"ground_f{f}": float(np.sum(weight * _population(end, scheme.manifold_indices(f))))
+        for f in (1, 2)
+    }
+    pops["excited"] = float(np.sum(weight * _population(end, scheme.excited_mask)))
 
     n_atoms = cloud.n_atoms
     rotation = rotation_pa * n_atoms
@@ -765,7 +775,7 @@ def extract_effective_coefficients(
             raise InvalidConfig(
                 f"detuning {detuning:.4g} rad/s within 3 Gamma of a resonance"
             )
-    beam = beam or BeamGeometry(wavelength=scheme.wavelength)
+    beam = beam or _default_beam(scheme)
     cloud = cloud or CloudGeometry()
 
     ladder = np.asarray(_PHOTON_LADDER)
@@ -794,8 +804,7 @@ def locate_crossing(
     residual nonlinear offset shifts the root by well under the location
     tolerance ``_CROSSING_XTOL`` used in the acceptance checks.
     """
-    scheme = model.scheme
-    beam = beam or BeamGeometry(wavelength=scheme.wavelength)
+    beam = beam or _default_beam(model.scheme)
     cloud = cloud or CloudGeometry()
 
     def rot(delta):

@@ -1,8 +1,10 @@
-"""Level scheme, dipole algebra, Hamiltonian and dissipator checks.
+"""Level scheme, dipole algebra, and the Hamiltonian and dissipator oracle.
 
 The line-strength fractions asserted here were recomputed by hand from
 Clebsch-Gordan / 6j tables for a J=1/2 -> J'=3/2 line with nuclear spin
 3/2, so they are independent of the sympy evaluation inside the package.
+The general Hamiltonian and dissipator live in ``oracles``; their
+structure is checked here.
 """
 import numpy as np
 import pytest
@@ -14,10 +16,8 @@ from nlfaraday.atom import (
     build_level_scheme,
     excited_projector,
     ground_projector,
-    hamiltonian,
     initial_state,
     jump_operators,
-    liouvillian_dissipator,
     load_line_data,
     mixed_ground_state,
     perturbative_path_weights,
@@ -25,6 +25,7 @@ from nlfaraday.atom import (
     vector_crossing_detuning,
 )
 from nlfaraday.exceptions import DataIntegrityError, NonConvergence
+from oracles import cartesian_dipoles, hamiltonian, liouvillian_dissipator, unsplit_jump_operators
 
 MHZ = 2e6 * np.pi
 
@@ -41,11 +42,12 @@ S_TABLE = {
 
 
 def test_level_ordering_and_counts(scheme):
-    assert len(scheme.levels) == N_STATES == 24
-    labels = [lv[0] for lv in scheme.levels]
-    assert labels[0] == "g1m-1" and labels[2] == "g1m+1"
-    assert labels[3] == "g2m-2" and labels[7] == "g2m+2"
-    assert labels[8] == "e0m+0" and labels[23] == "e3m+3"
+    # ground F=1, F=2, then excited F'=0..3, m_F ascending in each manifold
+    manifolds = (1, 2, 0, 1, 2, 3)
+    assert scheme.f_numbers.size == N_STATES == 24
+    assert list(scheme.f_numbers) == [f for f in manifolds for _ in range(2 * f + 1)]
+    assert list(scheme.m_numbers) == [m for f in manifolds for m in range(-f, f + 1)]
+    assert list(scheme.excited_mask) == [False] * 8 + [True] * 16
     assert scheme.index_of(1, 1) == 2
     assert scheme.index_of(2, -2) == 3
     assert scheme.index_of(0, 0, excited=True) == 8
@@ -126,24 +128,22 @@ def test_stretched_state_channel_strengths(scheme, ops):
 
 
 def test_cartesian_dipoles_hermitian(ops):
-    for d in (ops.d_x, ops.d_y, ops.d_z):
+    # d_z exists only in the oracle, which drives along any axis
+    d_z = cartesian_dipoles(ops)[2]
+    for d in (ops.d_x, ops.d_y, d_z):
         assert np.allclose(d, d.conj().T, atol=1e-15)
     # d_z is pure pi, d_x couples only m -> m +- 1
     sch = ops.scheme
     for a in range(N_STATES):
         for b in range(N_STATES):
-            if ops.d_z[a, b] != 0:
+            if d_z[a, b] != 0:
                 assert sch.m_numbers[a] == sch.m_numbers[b]
             if ops.d_x[a, b] != 0:
                 assert abs(sch.m_numbers[a] - sch.m_numbers[b]) == 1
 
 
-def test_pseudospin_operators(scheme, ops):
-    up, dn = scheme.index_of(1, 1), scheme.index_of(1, -1)
-    assert ops.j_z[up, up] == 0.5 and ops.j_z[dn, dn] == -0.5
-    comm = ops.j_x @ ops.j_y - ops.j_y @ ops.j_x
-    assert np.allclose(comm, 1j * ops.j_z, atol=1e-15)
-    assert np.trace(ops.j_0).real == pytest.approx(1.0)
+def test_fz_is_m_on_ground_f1(ops):
+    assert np.all(ops.f_z == np.diag(np.diag(ops.f_z)))
     fz_diag = np.real(np.diag(ops.f_z))
     assert list(fz_diag[:3]) == [-1.0, 0.0, 1.0]
     assert np.all(fz_diag[3:] == 0.0)
@@ -183,10 +183,11 @@ def test_hamiltonian_rejects_bad_drive(scheme, ops):
 def test_jump_operator_shapes(ops):
     split = jump_operators(ops)
     assert len(split) == 6
-    unsplit = jump_operators(ops, split_ground_manifolds=False)
+    unsplit = unsplit_jump_operators(ops)
     assert len(unsplit) == 3
-    with pytest.raises(ValueError):
-        jump_operators(ops, gamma=-1.0)
+    # channel q into F=1 plus channel q into F=2 is the unsplit channel q
+    for k in range(3):
+        assert np.array_equal(split[k] + split[3 + k], unsplit[k])
 
 
 def test_dissipator_trace_free_and_ground_dark(scheme, ops):
@@ -332,13 +333,26 @@ def test_load_line_data_error_paths(tmp_path):
     with pytest.raises(DataIntegrityError, match="missing"):
         load_line_data(p)
 
-    p.write_text(good.replace("156.947", "-156.947"))
-    with pytest.raises(DataIntegrityError, match="positive"):
-        load_line_data(p)
+    # every constant but the version must be positive and finite, and the
+    # error names its key
+    for key, bad in [
+        ("excited_splitting_1_2_mhz", "-156.947"),
+        ("wavelength_nm", "-780"),
+        ("wavelength_nm", "0"),
+        ("natural_linewidth_mhz", "0"),
+        ("natural_linewidth_mhz", "nan"),
+        ("ground_hyperfine_splitting_mhz", "-6834.682610904"),
+        ("ground_hyperfine_splitting_mhz", "inf"),
+    ]:
+        lines = [f"{key} = {bad}" if ln.startswith(key) else ln for ln in good.splitlines()]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataIntegrityError, match=f"{key} = .* must be positive"):
+            load_line_data(p)
 
 
 def test_build_scheme_matches_bundled_data(scheme):
     rebuilt = build_level_scheme()
-    assert rebuilt.levels == scheme.levels
+    for name in ("f_numbers", "m_numbers", "excited_mask", "static_offsets"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(scheme, name))
     ops = build_dipole_operators(rebuilt)
     assert ops.scheme is rebuilt

@@ -194,6 +194,8 @@ def deadline():
     (["campaign", "--samples", "5"], None, "samples"),
     (["reproduce-fig2"], "samples = 9", "{config}: samples"),
     (["campaign"], "controls = -1", "{config}: controls"),
+    (["reproduce-fig3", "--ideal", "--points", "3"], None, "grid_points"),
+    (["reproduce-fig3", "--ideal", "--points", "6"], None, "grid_points"),
 ])
 def test_bad_number_exits_2_before_any_output(tmp_path, capsys, deadline, argv, config, key):
     path = tmp_path / "bad.cfg"

@@ -20,6 +20,7 @@ from nlfaraday.exceptions import (
     QuadratureNotConverged,
 )
 from nlfaraday.geometry import CloudGeometry, PulseSpec, cloud_quadrature
+from oracles import hamiltonian, liouvillian_dissipator
 
 MHZ = 2e6 * np.pi
 
@@ -128,7 +129,6 @@ def test_peak_rabi_consistent_with_saturation_intensity(scheme, ops, beam):
     this line.  This ties the photon-flux drive normalization to an
     independently published quantity with no shared bookkeeping.
     """
-    from nlfaraday.atom import hamiltonian
     from nlfaraday.geometry import peak_intensity
 
     pulse = PulseSpec(fwhm=54e-9, n_photons=1e7)
@@ -372,17 +372,13 @@ def test_ground_f2_sample_is_dark(scheme, ops):
 def _lindblad_reference(scheme, ops, pulse, local_intensity_scale, times):
     """Brute-force 24-level Lindblad integration of one node.
 
-    Independent of the reduced model in ``dynamics``: the full Hamiltonian
-    and dissipator from ``atom`` act on the full density matrix, at tight
+    Independent of the reduced model in ``dynamics``: the Hamiltonian and
+    dissipator of ``oracles`` act on the full density matrix, at tight
     tolerances, through the pulse windows and (undriven) through the gaps
-    of a train.  Returns (states at ``times``, detection overlap).
+    of a train.  The drive enters H linearly, H = H0 + Omega(t) H1, so both
+    are built once.  Returns (states at ``times``, detection overlap).
     """
-    from nlfaraday.atom import (
-        excited_projector,
-        ground_projector,
-        hamiltonian,
-        liouvillian_dissipator,
-    )
+    from nlfaraday.atom import excited_projector, ground_projector
     from nlfaraday.geometry import BeamGeometry
     from scipy.integrate import solve_ivp
 
@@ -394,6 +390,8 @@ def _lindblad_reference(scheme, ops, pulse, local_intensity_scale, times):
     )
     dissipator = liouvillian_dissipator(ops)
     detect = ground_projector(scheme) @ ops.d_y @ excited_projector(scheme)
+    h0 = hamiltonian(scheme, ops, pulse.detuning, (0.0, 0.0, 0.0))
+    h1 = hamiltonian(scheme, ops, pulse.detuning, (peak, 0.0, 0.0)) - h0
 
     if pulse.shape == "gaussian":
         pieces = [(*pulse.window(), lambda t: float(pulse.envelope(t)))]
@@ -409,7 +407,7 @@ def _lindblad_reference(scheme, ops, pulse, local_intensity_scale, times):
     def rhs(t, y, envelope):
         rho = y[:-2].view(complex).reshape(n, n)
         tt = envelope(t)
-        h = hamiltonian(scheme, ops, pulse.detuning, (peak * tt, 0.0, 0.0))
+        h = h0 + tt * h1
         drho = -1j * (h @ rho - rho @ h) + dissipator(rho)
         dacc = tt * np.trace(rho @ detect)
         return np.concatenate([drho.ravel(), [dacc]]).view(float)
@@ -519,7 +517,7 @@ def _blocks(ops, detuning):
     pe = scheme.excited_mask.astype(float)
     # the anticommutator of the dissipator is gamma * P_excited for this
     # line; it folds into the elementwise term g
-    jumps = jump_operators(ops, gamma, split_ground_manifolds=True)
+    jumps = jump_operators(ops)
     anti = sum(l.conj().T @ l for l in jumps)
     assert np.allclose(anti, np.diag(gamma * pe), atol=1e-10 * gamma)
 
@@ -778,16 +776,11 @@ def test_coordinate_map_is_exact(scheme, ops, case, data):
 @settings(max_examples=40, deadline=None)
 @given(case=st.integers(0, 3), data=st.data())
 def test_kept_entries_are_closed_under_full_lindblad(scheme, ops, case, data):
-    # the full 24-level right-hand side from atom.hamiltonian and
+    # the full 24-level right-hand side from the oracle's hamiltonian and
     # liouvillian_dissipator, on a random Hermitian state on the kept
     # entries: at rounding level off them (its anticommutator is diagonal
     # only to ~1e-16 relative), and the real flow on them
-    from nlfaraday.atom import (
-        excited_projector,
-        ground_projector,
-        hamiltonian,
-        liouvillian_dissipator,
-    )
+    from nlfaraday.atom import excited_projector, ground_projector
 
     model, _, rho0 = _coordinate_cases(scheme, ops)[case]
     rabi = data.draw(st.floats(0.0, 5e8))
