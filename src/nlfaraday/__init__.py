@@ -18,11 +18,9 @@ from .exceptions import (
     IntegrationError,
     StepFailure,
     PositivityViolation,
-    QuadratureNotConverged,
     NonConvergence,
     FitError,
     DegenerateDesign,
-    IllConditioned,
     NegativeVariance,
     InsufficientPoints,
     NoCrossover,
@@ -61,8 +59,6 @@ from .dynamics import (
     pt_linear_coefficient,
     extract_effective_coefficients,
     locate_crossing,
-    integrate_two_level,
-    damped_rabi_reference,
 )
 from .experiment import (
     PolarimeterModel,
@@ -88,7 +84,6 @@ from .analysis import (
     time_normalized_prefactor,
     CrossoverResult,
     crossover,
-    crossover_numeric,
     write_fit_report,
 )
 from .config import (
@@ -104,8 +99,7 @@ __all__ = [
     # exceptions
     "NlfaradayError", "InvalidConfig", "DataIntegrityError",
     "IntegrationError", "StepFailure", "PositivityViolation",
-    "QuadratureNotConverged", "NonConvergence", "FitError",
-    "DegenerateDesign", "IllConditioned",
+    "NonConvergence", "FitError", "DegenerateDesign",
     "NegativeVariance", "InsufficientPoints", "NoCrossover",
     # atom
     "LineData", "load_line_data", "LevelScheme", "build_level_scheme",
@@ -121,7 +115,6 @@ __all__ = [
     "drive_scale", "Trajectory", "integrate_node", "StokesResult",
     "detected_stokes", "pt_linear_coefficient",
     "extract_effective_coefficients", "locate_crossing",
-    "integrate_two_level", "damped_rabi_reference",
     # experiment
     "PolarimeterModel", "CampaignResult",
     "generate_correlation_campaign", "polarimeter_noise_scan",
@@ -131,7 +124,7 @@ __all__ = [
     "ScalingCurve", "ExponentFit", "scaling_exponent", "fit_saturation",
     "VarianceDecomposition", "fit_variance_model", "sensitivity_curve",
     "subtract_electronic_noise", "time_normalized_prefactor",
-    "CrossoverResult", "crossover", "crossover_numeric",
+    "CrossoverResult", "crossover",
     "write_fit_report",
     # config
     "parse_config_text", "load_config", "format_config", "write_manifest",

@@ -23,12 +23,12 @@ from scipy.optimize import brentq, nnls
 
 from .exceptions import (
     DegenerateDesign,
-    IllConditioned,
     InsufficientPoints,
     InvalidConfig,
     NegativeVariance,
     NonConvergence,
     NoCrossover,
+    require_finite,
 )
 
 log = logging.getLogger(__name__)
@@ -106,6 +106,11 @@ class ResponseModel:
     damage_slope: float = 0.08
 
     def __post_init__(self):
+        require_finite(
+            self, "linear_coefficient", "nonlinear_coefficient", "damage_offset", "damage_slope",
+        )
+        if self.saturation_photons is not None:
+            require_finite(self, "saturation_photons")
         if self.linear_coefficient < 0 or self.nonlinear_coefficient < 0:
             raise InvalidConfig("response coefficients must be non-negative")
         if self.saturation_photons is not None and self.saturation_photons <= 0:
@@ -194,9 +199,7 @@ def scaling_exponent(curve: ScalingCurve, window=None) -> ExponentFit:
     return ExponentFit(fit.slope, fit.slope_stderr, len(n), (float(lo), float(hi)))
 
 
-def fit_saturation(
-    slope_points, linear_coefficient: float, allow_fallback: bool = True
-) -> ResponseModel:
+def fit_saturation(slope_points, linear_coefficient: float) -> ResponseModel:
     """Fit b(N) = (B/A) N / (1 + N/N_sat) to calibration slopes.
 
     ``slope_points``: sequence of (N, b) pairs.  The fit is separable
@@ -206,9 +209,8 @@ def fit_saturation(
     10^4 max N brackets the smallest residual, and the root of its
     derivative there is the estimate.  When the data only sample
     N << N_sat (best N_sat above 50 max N) the saturation scale is
-    unidentifiable; by default the fit falls back to the B-only model
-    (saturation_photons = None); with ``allow_fallback=False`` that
-    condition raises IllConditioned.  The damage law is not fitted: the
+    unidentifiable, and the fit falls back to the B-only model
+    (saturation_photons = None).  The damage law is not fitted: the
     returned model carries the default ``damage_offset`` and
     ``damage_slope``.
     """
@@ -250,8 +252,6 @@ def fit_saturation(
 
     if ns_hat > 50.0 * np.max(n):
         # saturation invisible over the sampled range: refit pure slope
-        if not allow_fallback:
-            raise IllConditioned("all N << N_sat; saturation scale unidentifiable")
         log.info("saturation scale unidentifiable (N_sat >> max N); B-only fallback")
         b_only = float(np.sum(b * n) / np.sum(n * n / a))
         return ResponseModel(a, b_only, None)
@@ -373,23 +373,6 @@ def crossover(model_linear, model_nonlinear, mode: str = "time-limited") -> Cros
     else:
         raise InvalidConfig(f"unknown crossover mode {mode!r}")
     return CrossoverResult(float(n_star), float(sens), mode)
-
-
-def crossover_numeric(model_linear, model_nonlinear, mode: str = "time-limited") -> float:
-    """Root-finding cross-check of the closed-form crossover point."""
-    a, tau_l = (float(v) for v in model_linear)
-    b, tau_nl = (float(v) for v in model_nonlinear)
-    if b == 0:
-        raise NoCrossover("nonlinear coefficient is zero: curves never cross")
-    wl = math.sqrt(tau_l) if mode == "time-limited" else 1.0
-    wnl = math.sqrt(tau_nl) if mode == "time-limited" else 1.0
-
-    def gap(log_n):
-        n = math.exp(log_n)
-        return math.log(wl / (a * math.sqrt(n))) - math.log(wnl / (b * n**1.5))
-
-    root = brentq(gap, math.log(1e-2), math.log(1e18), xtol=1e-14, rtol=8.9e-16)
-    return float(math.exp(root))
 
 
 def write_fit_report(path, parameters: dict, header: str = ""):

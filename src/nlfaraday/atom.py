@@ -119,7 +119,7 @@ def load_line_data(path=None) -> LineData:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelScheme:
     """The 24-level scheme with the detuning origin at F=1 -> F'=0.
 
@@ -127,6 +127,7 @@ class LevelScheme:
     F'=0..3, m_F ascending within a manifold.  ``static_offsets`` are the
     frame energies before the detuning shift: 0 for ground F=1, +omega_hf
     for ground F=2, delta_j for excited F'=j (so F'=0 sits at 0).
+    Equality and hashing are by identity, so a scheme can key a dict.
     """
 
     line: LineData
@@ -195,13 +196,14 @@ def _clebsch_gordan(f_excited: int, f_ground: int, m_excited: int, q: int, m_gro
     return float(clebsch_gordan(f_excited, 1, f_ground, m_excited, q, m_ground))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorSet:
     """Dipole operators and F_z on the 24-state basis.
 
     ``lowering[q]`` holds the excited->ground block of the spherical
     component d_q (real matrices); ``d_x, d_y`` are the Hermitian
     Cartesian components with both blocks; f_z is m on the F=1 manifold.
+    Equality and hashing are by identity, as for ``LevelScheme``.
     """
 
     lowering: dict

@@ -87,7 +87,6 @@ from .exceptions import (
     InvalidConfig,
     NonConvergence,
     PositivityViolation,
-    QuadratureNotConverged,
     StepFailure,
 )
 from .geometry import BeamGeometry, CloudGeometry, PulseSpec, QuadratureGrid, cloud_quadrature
@@ -101,16 +100,11 @@ _ATOL = 1e-9
 # relative difference below which two flat-segment intervals share one
 # propagator; consecutive stored times differ by a few ulps
 _SAME_INTERVAL = 1e-12
-# the two-level oracle runs a different, tighter integrator, so it does
-# not share the production settings it validates
-_ORACLE_METHOD = "RK45"
-_ORACLE_RTOL = 1e-10
-_ORACLE_ATOL = 1e-12
-# relative S_y change on node and level doubling that verify_quadrature tolerates
-_QUADRATURE_RTOL = 5e-3
 # Gauss levels of local intensity integrated per pulse; 12 levels match
 # the 9x9 product rule to 1.5e-8 in ellipticity at 1e8 photons, 8 do not
 _INTENSITY_LEVELS = 12
+# stored times of a cloud solve, the states its trace and positivity guards check
+_CLOUD_SNAPSHOTS = 5
 # Gauss-Hermite nodes in z of the perturbative oracle's cloud average
 _PT_LONG_NODES = 33
 # extract_effective_coefficients: photon numbers of the quadratic fit
@@ -152,17 +146,6 @@ class _Operators:
             jumps=tuple(jump_operators(ops)),
             detect=ground_projector(scheme) @ ops.d_y @ excited_projector(scheme),
             manifolds=(scheme.manifold_indices(1), scheme.manifold_indices(2)),
-        )
-
-    @classmethod
-    def two_level(cls, gamma: float) -> "_Operators":
-        """The resonant two-level atom (ground 0, excited 1); it detects nothing."""
-        return cls(
-            h0=np.zeros(2),
-            s=np.array([[0.0, 1.0], [1.0, 0.0]]),
-            jumps=(np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]),),
-            detect=np.zeros((2, 2)),
-            manifolds=(np.arange(1),),
         )
 
     def reach(self, filled: np.ndarray) -> np.ndarray:
@@ -510,7 +493,6 @@ def integrate_node(
     local_intensity_scale: float,
     model: OperatorSet,
     beam: BeamGeometry = None,
-    t_eval=None,
     n_stored: int = 200,
 ) -> Trajectory:
     """Integrate one spatial node through a pulse and store its history.
@@ -528,11 +510,9 @@ def integrate_node(
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
     amp = np.array([math.sqrt(local_intensity_scale / beam.effective_area)])
 
-    t0, t1 = pulse.window()
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, n_stored)
+    t_eval = list(np.linspace(*pulse.window(), n_stored))
     times, states, acc = _solve_batch(
-        _Operators.production(model, pulse.detuning), rho0, amp, omega0, pulse, list(t_eval),
+        _Operators.production(model, pulse.detuning), rho0, amp, omega0, pulse, t_eval,
     )
     states = states[:, 0]
     max_dev, min_eig = _check_states(states)
@@ -616,7 +596,6 @@ def detected_stokes(
     initial=None,
     n_radial: int = 9,
     n_long: int = 9,
-    verify_quadrature: bool = False,
 ) -> StokesResult:
     """Drive the cloud through the pulse and assemble (S_x, S_y).
 
@@ -631,43 +610,19 @@ def detected_stokes(
 
     Raises InvalidConfig, before integrating, when ``initial`` is not a
     Hermitian, unit-trace, positive 24x24 matrix that is zero outside the
-    entries the ground manifolds reach (see the module docstring).  Raises
-    QuadratureNotConverged when ``verify_quadrature`` is set and
-    doubling both node counts and the level count moves S_y by more than
-    5e-3 relatively (with an absolute floor tied to integration
-    tolerance).
+    entries the ground manifolds reach (see the module docstring).
     """
-    out = _detected_stokes_once(
-        pulse, beam, cloud, model, initial, n_radial, n_long, _INTENSITY_LEVELS,
-    )
-    if verify_quadrature:
-        fine = _detected_stokes_once(
-            pulse, beam, cloud, model, initial, 2 * n_radial, 2 * n_long,
-            2 * _INTENSITY_LEVELS, n_snapshots=2,
-        )
-        scale = max(abs(out.s_y), abs(fine.s_y), _ATOL * max(out.s_x, 1.0))
-        if abs(out.s_y - fine.s_y) > _QUADRATURE_RTOL * scale:
-            raise QuadratureNotConverged(
-                f"S_y moved {out.s_y:.6e} -> {fine.s_y:.6e} on node and level doubling"
-            )
-    return out
-
-
-def _detected_stokes_once(
-    pulse, beam, cloud, model, initial, n_radial, n_long, n_levels, n_snapshots=5,
-):
     scheme = model.scheme
     if initial is None:
         initial = initial_state(scheme, 1, 1)
     grid = cloud_quadrature(cloud, n_radial=n_radial, n_long=n_long)
     level, weight = _intensity_rule(
-        beam.local_intensity_scale(grid.r, grid.z), grid.weight, n_levels,
+        beam.local_intensity_scale(grid.r, grid.z), grid.weight, _INTENSITY_LEVELS,
     )
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
     amps = np.sqrt(level / beam.effective_area)
 
-    t0, t1 = pulse.window()
-    t_eval = list(np.linspace(t0, t1, n_snapshots))
+    t_eval = list(np.linspace(*pulse.window(), _CLOUD_SNAPSHOTS))
     times, states, acc = _solve_batch(
         _Operators.production(model, pulse.detuning), initial, amps, omega0, pulse, t_eval,
     )
@@ -815,44 +770,3 @@ def locate_crossing(
     if flo * fhi > 0:
         raise NonConvergence("rotation does not change sign across the window")
     return float(brentq(rot, lo, hi, xtol=_CROSSING_XTOL))
-
-
-def damped_rabi_reference(omega: float, gamma: float, t) -> np.ndarray:
-    """Closed-form excited population of the resonant two-level atom.
-
-    Exact solution of the optical Bloch equations at zero detuning from
-    the ground state: the (population, coherence) pair decays at 3/4 of
-    the linewidth while precessing at sqrt(omega^2 - gamma^2/16).
-    """
-    t = np.asarray(t, dtype=float)
-    pinf = omega**2 / (2.0 * omega**2 + gamma**2)
-    osc = omega**2 - gamma**2 / 16.0
-    if osc <= 0:
-        raise ValueError("reference valid for omega > gamma/4")
-    od = math.sqrt(osc)
-    envelope = np.exp(-0.75 * gamma * t)
-    return pinf * (1.0 - envelope * (np.cos(od * t) + 0.75 * gamma / od * np.sin(od * t)))
-
-
-def integrate_two_level(
-    omega: float,
-    gamma: float,
-    t_final: float,
-    n_stored: int = 101,
-):
-    """Drive a bare two-level atom with the same batched machinery.
-
-    Returns (times, excited populations).  Used to validate the integrator
-    core against the closed-form damped Rabi solution.
-    """
-    rho0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    coords, r0, r1, d = _real_generators(_Operators.two_level(gamma), omega, rho0)
-    # constant unit envelope and unit mode amplitude: drive = omega exactly
-    rhs = _linear_rhs(r0, r1, d, np.array([1.0]), lambda t: 1.0)
-    sol = solve_ivp(
-        rhs, (0.0, t_final), coords.initial(rho0), method=_ORACLE_METHOD,
-        rtol=_ORACLE_RTOL, atol=_ORACLE_ATOL, t_eval=list(np.linspace(0.0, t_final, n_stored)),
-    )
-    if not sol.success:
-        raise StepFailure(sol.message)
-    return np.asarray(sol.t), coords.states(sol.y.T)[:, 1, 1].real

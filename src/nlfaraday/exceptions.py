@@ -2,8 +2,11 @@
 
 Numerical routines raise specific subclasses so callers can distinguish
 "the physics model refused" from "the fit did not converge" without
-string-matching messages.
+string-matching messages.  ``require_finite`` is the finiteness check
+of the configuration dataclasses: a NaN compares false with every
+bound, so an order check alone lets it through.
 """
+import math
 
 
 class NlfaradayError(Exception):
@@ -30,10 +33,6 @@ class PositivityViolation(IntegrationError):
     """A density matrix developed negative population beyond tolerance."""
 
 
-class QuadratureNotConverged(NlfaradayError):
-    """Doubling the spatial quadrature changed the answer too much."""
-
-
 class NonConvergence(NlfaradayError):
     """An iterative extraction, root search or nonlinear fit did not converge."""
 
@@ -46,10 +45,6 @@ class DegenerateDesign(FitError):
     """Regression design matrix is rank-deficient (e.g. all x equal)."""
 
 
-class IllConditioned(FitError):
-    """Fit converged but the parameter covariance is unusable."""
-
-
 class NegativeVariance(FitError):
     """A variance decomposition produced a negative component."""
 
@@ -60,3 +55,11 @@ class InsufficientPoints(FitError):
 
 class NoCrossover(NlfaradayError):
     """The requested regime crossover does not occur in the given range."""
+
+
+def require_finite(obj, *names):
+    """Raise InvalidConfig, naming the field, if a field of ``obj`` is not a finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise InvalidConfig(f"{name} = {value} is not a finite number")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .analysis import ResponseModel, ScalingCurve
 from .config import write_table
-from .exceptions import InvalidConfig
+from .exceptions import InvalidConfig, require_finite
 
 CSV_SCHEMA_VERSION = 1
 MIN_SAMPLES = 10  # live samples a correlation campaign needs
@@ -72,6 +72,7 @@ class PolarimeterModel:
     electronic_noise: bool = True
 
     def __post_init__(self):
+        require_finite(self, "v_linear", "v_nonlinear", "technical_coefficient")
         if self.v_linear < 0 or self.v_nonlinear < 0:
             raise InvalidConfig("electronic variances must be non-negative")
         if self.technical_coefficient < 0:

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .exceptions import InvalidConfig
+from .exceptions import InvalidConfig, require_finite
 
 _LN2 = float(np.log(2.0))
 # half-width of a Gaussian pulse's integration window, in units of sigma_time
@@ -42,8 +42,7 @@ class PulseSpec:
     def __post_init__(self):
         if self.shape not in ("gaussian", "flat-train"):
             raise InvalidConfig(f"unknown pulse shape {self.shape!r}")
-        if not np.all(np.isfinite([self.fwhm, self.n_photons, self.detuning, self.train_period])):
-            raise InvalidConfig("pulse fwhm, photon number, detuning and train period must be finite")
+        require_finite(self, "fwhm", "n_photons", "detuning", "train_period")
         if self.fwhm <= 0 or self.n_photons <= 0:
             raise InvalidConfig("pulse fwhm and photon number must be positive")
         if self.shape == "flat-train":
@@ -95,6 +94,7 @@ class BeamGeometry:
     wavelength: float = 780.241209686e-9
 
     def __post_init__(self):
+        require_finite(self, "waist", "wavelength")
         if self.waist <= 0 or self.wavelength <= 0:
             raise InvalidConfig("waist and wavelength must be positive")
 
@@ -136,6 +136,7 @@ class CloudGeometry:
     sigma_long: float = 300e-6
 
     def __post_init__(self):
+        require_finite(self, "n_atoms", "sigma_trans", "sigma_long")
         if self.sigma_trans <= 0 or self.sigma_long <= 0:
             raise InvalidConfig("cloud widths must be positive")
         if self.n_atoms < 0:

@@ -356,3 +356,11 @@ def test_build_scheme_matches_bundled_data(scheme):
         assert np.array_equal(getattr(rebuilt, name), getattr(scheme, name))
     ops = build_dipole_operators(rebuilt)
     assert ops.scheme is rebuilt
+
+
+def test_scheme_and_operators_compare_by_identity(scheme, ops):
+    # array fields have no single truth value: equality and hashing go by identity
+    for built, fresh in ((scheme, build_level_scheme()), (ops, build_dipole_operators(scheme))):
+        assert built == built
+        assert built != fresh
+        assert {built: 1, fresh: 2}[built] == 1

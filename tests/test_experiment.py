@@ -12,6 +12,7 @@ from nlfaraday import experiment as expmt
 from nlfaraday import analysis as ana
 from nlfaraday.analysis import linear_regression
 from nlfaraday.exceptions import InvalidConfig
+from nlfaraday.geometry import BeamGeometry, CloudGeometry
 
 PUBLISHED = expmt.ResponseModel()
 A_PUB = PUBLISHED.linear_coefficient
@@ -48,6 +49,28 @@ def test_polarimeter_validation():
         expmt.PolarimeterModel(transmission_h=0.0)
     with pytest.raises(InvalidConfig):
         expmt.PolarimeterModel(transmission_v=1.2)
+
+
+@pytest.mark.parametrize("make, field", [
+    (BeamGeometry, "waist"),
+    (BeamGeometry, "wavelength"),
+    (CloudGeometry, "n_atoms"),
+    (CloudGeometry, "sigma_trans"),
+    (CloudGeometry, "sigma_long"),
+    (expmt.ResponseModel, "linear_coefficient"),
+    (expmt.ResponseModel, "nonlinear_coefficient"),
+    (expmt.ResponseModel, "saturation_photons"),
+    (expmt.ResponseModel, "damage_offset"),
+    (expmt.ResponseModel, "damage_slope"),
+    (expmt.PolarimeterModel, "v_linear"),
+    (expmt.PolarimeterModel, "v_nonlinear"),
+    (expmt.PolarimeterModel, "technical_coefficient"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_configuration_rejects_non_finite_field(make, field, value):
+    # nan <= 0 is False, so an order check alone lets a NaN through
+    with pytest.raises(InvalidConfig, match=field):
+        make(**{field: value})
 
 
 def test_response_model_values():
