@@ -57,6 +57,10 @@ def _as_xy(pairs, y=None):
         x, y = arr[:, 0], arr[:, 1]
     if x.shape != y.shape or x.ndim != 1:
         raise InvalidConfig("x and y must be 1-d arrays of equal length")
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidConfig(f"point {i} ({x[i]:g}, {y[i]:g}) is not finite")
     return x, y
 
 

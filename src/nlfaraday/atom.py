@@ -21,26 +21,22 @@ emission is split by destination ground manifold.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import logging
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import brentq
-from sympy import Rational, sqrt as sym_sqrt
-from sympy.physics.wigner import clebsch_gordan, wigner_6j
 
 from .exceptions import DataIntegrityError, NonConvergence
 
 log = logging.getLogger(__name__)
 
 N_STATES = 24
-_J_GROUND = Rational(1, 2)
-_J_EXCITED = Rational(3, 2)
-_I_NUCLEAR = Rational(3, 2)
 
 _DATA_KEYS = (
     "data_version",
@@ -177,23 +173,73 @@ def build_level_scheme(path=None) -> LevelScheme:
     )
 
 
-@functools.lru_cache(maxsize=None)
+def _signed_root(signed: Fraction, square: Fraction) -> float:
+    """sign(signed) * sqrt(square), correctly rounded to the nearest float.
+
+    The integer root of the square scaled by 4**k has at least 55 bits,
+    two more than a float keeps; a sticky low bit marks an inexact root
+    (rounding to odd), so the one int -> float rounding that follows
+    rounds as the exact root would.
+    """
+    n, d = square.numerator, square.denominator
+    k = max(0, (110 + d.bit_length() - n.bit_length()) // 2)
+    root = math.isqrt((n << 2 * k) // d)
+    root |= root * root * d != n << 2 * k
+    return ((signed > 0) - (signed < 0)) * math.ldexp(root, -k)
+
+
+def _factorials(*args: int) -> int:
+    return math.prod(map(math.factorial, args))
+
+
+def _racah_sum(lows, highs, numerator=lambda t: 1) -> Fraction:
+    """Sum over t of (-1)^t numerator(t) / (prod (t-l)! prod (h-t)!), exactly."""
+    total = Fraction(0)
+    for t in range(max(lows), min(highs) + 1):
+        den = _factorials(*[t - low for low in lows], *[high - t for high in highs])
+        total += Fraction((-1) ** t * numerator(t), den)
+    return total
+
+
 def _reduced_factor(f_ground: int, f_excited: int) -> float:
-    # <F||d||F'> / <J||d||J'> for the hyperfine transition, standard
-    # 6j contraction over the decoupled nuclear spin.
-    phase = (-1) ** int(f_excited + 1 + 2)  # F' + J + 1 + I with J+I = 2
-    value = (
-        phase
-        * sym_sqrt((2 * f_excited + 1) * (2 * _J_GROUND + 1))
-        * wigner_6j(_J_GROUND, _J_EXCITED, 1, f_excited, f_ground, _I_NUCLEAR)
+    """<F||d||F'> / <J||d||J'> for J=1/2, J'=3/2 and nuclear spin I=3/2.
+
+    (-1)^(F'+J+1+I) sqrt((2F'+1)(2J+1)) {J J' 1; F' F I}, with the 6j
+    symbol from Racah's formula on doubled arguments (every factorial
+    argument is then an integer).  The square is exact; the root is
+    rounded once.
+    """
+    a, b, c, d, e, f = 1, 3, 2, 2 * f_excited, 2 * f_ground, 3  # 2J, 2J', 2, 2F', 2F, 2I
+    triads = ((a, b, c), (a, e, f), (d, b, f), (d, e, c))
+    square = Fraction((d + 1) * (a + 1))
+    for x, y, z in triads:  # triangle coefficients Delta(xyz)^2
+        square *= Fraction(
+            _factorials((x + y - z) // 2, (x - y + z) // 2, (y + z - x) // 2),
+            math.factorial((x + y + z) // 2 + 1),
+        )
+    total = _racah_sum(
+        [sum(triad) // 2 for triad in triads],
+        ((a + b + d + e) // 2, (a + c + d + f) // 2, (b + c + e + f) // 2),
+        numerator=lambda t: math.factorial(t + 1),
     )
-    return float(value)
+    phase = (-1) ** ((d + a + c + f) // 2)
+    return _signed_root(phase * total, square * total**2)
 
 
-@functools.lru_cache(maxsize=None)
 def _clebsch_gordan(f_excited: int, f_ground: int, m_excited: int, q: int, m_ground: int) -> float:
-    # <F' m', 1 q | F m>; exact sympy algebra, so each value is computed once
-    return float(clebsch_gordan(f_excited, 1, f_ground, m_excited, q, m_ground))
+    """<F' m', 1 q | F m> with Condon-Shortley phases, for m = m' + q.
+
+    Racah's formula: its factorial prefactor squared times its alternating
+    sum squared is exact; the root is rounded once.
+    """
+    j1, j, m1, m = f_excited, f_ground, m_excited, m_ground
+    square = Fraction(
+        (2 * j + 1) * _factorials(j + j1 - 1, j - j1 + 1, j1 + 1 - j)
+        * _factorials(j + m, j - m, j1 - m1, j1 + m1, 1 - q, 1 + q),
+        math.factorial(j1 + j + 2),
+    )
+    total = _racah_sum((0, 1 - j - m1, j1 + q - j), (j1 + 1 - j, j1 - m1, 1 + q))
+    return _signed_root(total, square * total**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,15 +260,21 @@ class OperatorSet:
 
 
 def build_dipole_operators(scheme: LevelScheme) -> OperatorSet:
-    """Assemble dipole matrix elements from exact angular-momentum algebra."""
+    """Assemble the dipole matrix elements <F m| d_q |F' m'>.
+
+    Each element is the hyperfine reduced factor times the Clebsch-Gordan
+    coefficient <F' m', 1 q | F m>, both from Racah's formulas in exact
+    rational arithmetic and each rounded once to the nearest float.
+    """
     lowering = {q: np.zeros((N_STATES, N_STATES)) for q in (-1, 0, 1)}
     f, m = scheme.f_numbers.tolist(), scheme.m_numbers.tolist()
+    reduced = {(fg, fe): _reduced_factor(fg, fe) for fg in (1, 2) for fe in range(fg - 1, fg + 2)}
     excited = np.flatnonzero(scheme.excited_mask)
     for g in np.flatnonzero(~scheme.excited_mask):
         for e in excited:
             q = m[g] - m[e]
             if abs(f[g] - f[e]) <= 1 and abs(q) <= 1:
-                lowering[q][g, e] = _reduced_factor(f[g], f[e]) * _clebsch_gordan(
+                lowering[q][g, e] = reduced[f[g], f[e]] * _clebsch_gordan(
                     f[e], f[g], m[e], q, m[g]
                 )
 

@@ -316,6 +316,13 @@ def _header_number(path, meta: dict, key: str, default=None) -> float:
         raise InvalidConfig(f"{path}: {key} {text!r} is not a number") from None
 
 
+def _header_photons(path, meta: dict, key: str) -> float:
+    value = _header_number(path, meta, key)
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidConfig(f"{path}: {key} {value!r} is not a finite positive number")
+    return value
+
+
 def _header_transmission(path, meta: dict, key: str) -> float:
     value = _header_number(path, meta, key, "1.0")
     if not 0.0 < value <= 1.0:
@@ -346,10 +353,11 @@ def read_campaign_csv(path):
     the file, for an unreadable file, a file with
     no column header or no data rows, unexpected columns, a missing or
     different ``schema_version``, a transmission outside (0, 1] or a pair
-    whose sqrt(t_h t_v) underflows to 0 (1.0 when absent), a non-numeric
-    ``n_linear``, and an ``n_nonlinear`` that is missing or not a finite
-    positive number; and, naming the first offending line, for a row
-    with the wrong number of cells, a non-numeric cell or non-integer
+    whose sqrt(t_h t_v) underflows to 0 (1.0 when absent), an
+    ``n_linear`` that is present but not a finite positive number, and an
+    ``n_nonlinear`` that is missing or not a finite positive number; and,
+    naming the first offending line, for a row with the wrong number of
+    cells, a non-numeric cell, a NaN or infinite number or a non-integer
     sample index, an unknown probe tag, a photon number that is not
     positive, |S_y| > S_x, a repeated (sample_index, probe_tag) pair, and
     an NL row whose photon number is not ``n_nonlinear``.
@@ -396,6 +404,9 @@ def read_campaign_csv(path):
     rows = np.empty(len(body), _ROW_DTYPE)
     for name, column in zip(_ROW_DTYPE.names[1:], texts[1:]):
         rows[name] = _column(path, linenos, column, int if name == "sample_index" else float)
+    floats = [name for name in _ROW_DTYPE.names if _ROW_DTYPE[name] == float]
+    non_finite = ~np.isfinite(np.column_stack([rows[name] for name in floats]))
+    reject(non_finite.any(axis=1), lambda i: f"{floats[np.argmax(non_finite[i])]} is not finite")
     tags = texts[0]
     codes = np.fromiter((_TAG_CODES.get(t, -1) for t in tags), int, len(tags))
     reject(codes < 0, lambda i: f"unknown probe tag {tags[i]!r}")
@@ -415,10 +426,8 @@ def read_campaign_csv(path):
     reject(repeat, lambda i: f"sample {index[i]} repeats its {tags[i]} reading")
 
     if "n_linear" in meta:
-        _header_number(path, meta, "n_linear")
-    n_nl = _header_number(path, meta, "n_nonlinear")
-    if not (math.isfinite(n_nl) and n_nl > 0):
-        raise InvalidConfig(f"{path}: n_nonlinear {n_nl!r} is not a finite positive number")
+        _header_photons(path, meta, "n_linear")
+    n_nl = _header_photons(path, meta, "n_nonlinear")
     reject(
         (codes == _TAG_CODES["NL"]) & (n != n_nl),
         lambda i: f"NL photon number {n[i]:.17g} of sample {index[i]} "

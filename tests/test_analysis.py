@@ -188,6 +188,25 @@ def test_fit_saturation_validation():
         ana.fit_saturation(np.array([[-1e6, 1.0], [1e6, 1.0], [2e7, 2.0]]), A_PUB)
 
 
+def _regression(points):
+    return ana.linear_regression(points)
+
+
+def _saturation(points):
+    return ana.fit_saturation(points, A_PUB)
+
+
+@pytest.mark.parametrize("fit", [_regression, _saturation, ana.fit_variance_model])
+@pytest.mark.parametrize("column, bad", [(0, np.nan), (1, np.nan), (1, np.inf), (1, -np.inf)])
+def test_fits_reject_non_finite_point(fit, column, bad):
+    n = np.logspace(6, 8, 6)
+    points = np.column_stack([n, PUBLISHED.calibration_slope(n)])
+    fit(points)  # the clean points fit
+    points[2, column] = bad
+    with pytest.raises(InvalidConfig, match="point 2 .* is not finite"):
+        fit(points)
+
+
 def _least_squares_saturation_fit(n, b, a):
     """Oracle: the two-parameter least_squares fit that the separable fit replaced."""
     order = np.argsort(n)

@@ -2,16 +2,23 @@
 
 The line-strength fractions asserted here were recomputed by hand from
 Clebsch-Gordan / 6j tables for a J=1/2 -> J'=3/2 line with nuclear spin
-3/2, so they are independent of the sympy evaluation inside the package.
-The general Hamiltonian and dissipator live in ``oracles``; their
-structure is checked here.
+3/2, and the Clebsch-Gordan coefficients are checked against the
+Condon-Shortley closed forms for coupling a unit spin, so both are
+independent of the Racah sums evaluated inside the package.  The general
+Hamiltonian and dissipator live in ``oracles``; their structure is
+checked here.
 """
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from nlfaraday.atom import (
     N_STATES,
+    _clebsch_gordan,
+    _reduced_factor,
     build_dipole_operators,
     build_level_scheme,
     excited_projector,
@@ -39,6 +46,63 @@ S_TABLE = {
     (2, 2): 1 / 4,
     (2, 3): 7 / 10,
 }
+
+
+def _unit_coupling(j1, j, m, q):
+    """(sign, exact square) of <j1 m-q, 1 q | j m> from the Condon-Shortley table."""
+    if j == j1 + 1:
+        den = (2 * j1 + 1) * (2 * j1 + 2)
+        num = {1: (j1 + m) * (j1 + m + 1), 0: 2 * (j1 - m + 1) * (j1 + m + 1),
+               -1: (j1 - m) * (j1 - m + 1)}[q]
+        sign = 1
+    elif j == j1:
+        den = 2 * j1 * (j1 + 1)
+        num = {1: (j1 + m) * (j1 - m + 1), 0: 2 * m * m, -1: (j1 - m) * (j1 + m + 1)}[q]
+        sign = {1: -1, 0: (m > 0) - (m < 0), -1: 1}[q]
+    else:  # j == j1 - 1
+        den = 2 * j1 * (2 * j1 + 1)
+        num = {1: (j1 - m) * (j1 - m + 1), 0: 2 * (j1 - m) * (j1 + m),
+               -1: (j1 + m + 1) * (j1 + m)}[q]
+        sign = {1: 1, 0: -1, -1: 1}[q]
+    square = Fraction(num, den)
+    return (sign if square else 0), square
+
+
+def _assert_correctly_rounded(value, sign, square):
+    """value is sign * sqrt(square) rounded to nearest: exact comparisons in Fraction."""
+    assert (value > 0) - (value < 0) == sign
+    assert math.copysign(1.0, value) == (-1.0 if sign < 0 else 1.0)  # no -0.0
+    v = abs(value)
+    lower = (Fraction(v) + Fraction(math.nextafter(v, 0.0))) / 2
+    upper = (Fraction(v) + Fraction(math.nextafter(v, math.inf))) / 2
+    assert lower**2 <= square <= upper**2
+
+
+def test_clebsch_gordan_correctly_rounded():
+    """All 56 coefficients the package builds: ground F, excited F' = F-1..F+1, |q| <= 1."""
+    count = 0
+    for f in (1, 2):
+        for fp in range(f - 1, f + 2):
+            for m in range(-f, f + 1):
+                for q in (-1, 0, 1):
+                    if abs(m - q) > fp:
+                        continue
+                    value = _clebsch_gordan(fp, f, m - q, q, m)
+                    _assert_correctly_rounded(value, *_unit_coupling(fp, f, m, q))
+                    count += 1
+    assert count == 56
+    # sqrt(3/7) is 5.4e-17 from this magnitude and 5.7e-17 from the float
+    # below it, -0.6546536707079771, which a float evaluation can return
+    assert _clebsch_gordan(3, 2, 0, 0, 0) == -0.6546536707079772
+
+
+def test_reduced_factors_signs_and_squares():
+    # the coefficients out of one ground sublevel are orthonormal, so the
+    # summed strength S_{F,F'} is the reduced factor squared; with the
+    # (-1)^(F'+J+1+I) phase every factor of this line is positive
+    for f, fp in S_TABLE:
+        square = Fraction(S_TABLE[f, fp]).limit_denominator(100)
+        _assert_correctly_rounded(_reduced_factor(f, fp), 1, square)
 
 
 def test_level_ordering_and_counts(scheme):

@@ -23,6 +23,14 @@ def test_version_subprocess():
     )
     assert proc.returncode == 0
     assert "nlfaraday" in proc.stdout
+    # the coupling coefficients need no computer algebra, not even lazily
+    proc = subprocess.run(
+        [sys.executable, "-c", "import nlfaraday.cli, sys; from nlfaraday import atom; "
+         "atom.build_dipole_operators(atom.build_level_scheme()); print('sympy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
 
 
 def test_every_exported_name_resolves():
@@ -290,6 +298,7 @@ def _campaign_lines(schema="1"):
     ("duplicate_row", "line 12: sample 0 repeats its L1 reading"),
     ("unknown_tag", "line 4: unknown probe tag 'X1'"),
     ("nonpositive_photons", "line 4: photon number must be positive"),
+    ("nan_angle", "line 4: phi is not finite"),
     ("sy_exceeds_sx", "line 4: |S_y| exceeds S_x"),
     ("underflowing_transmissions", "underflows to 0"),
 ])
@@ -319,6 +328,8 @@ def test_analyze_malformed_campaign_is_config_error(tmp_path, capsys, case, matc
         lines[3] = lines[3].replace("L1,", "X1,", 1)
     elif case == "nonpositive_photons":
         lines[3] = lines[3].replace("L1,4e6,", "L1,0,", 1)
+    elif case == "nan_angle":
+        lines[3] = lines[3].replace(",0.003,", ",nan,", 1)
     elif case == "sy_exceeds_sx":
         lines[3] = "L1,4e6,4e6,5e6,1.25,2e5,0"
     elif case == "underflowing_transmissions":

@@ -365,3 +365,22 @@ def test_campaign_csv_errors(tmp_path):
     bad.write_text("# seed = 1\nwrong,header,line\n")
     with pytest.raises(InvalidConfig, match="columns"):
         expmt.read_campaign_csv(bad)
+
+    camp = expmt.generate_correlation_campaign(1e7, samples=10, seed=1)
+    expmt.write_campaign_csv(bad, camp)
+    lines = bad.read_text().splitlines()
+    row = next(k for k, line in enumerate(lines) if line.startswith("L1,"))
+    for column, text, match in [
+        (4, "nan", f"line {row + 1}: phi is not finite"),
+        (1, "inf", f"line {row + 1}: n_photons is not finite"),
+    ]:
+        cells = lines[row].split(",")
+        cells[column] = text
+        bad.write_text("\n".join(lines[:row] + [",".join(cells)] + lines[row + 1:]) + "\n")
+        with pytest.raises(InvalidConfig, match=match):
+            expmt.read_campaign_csv(bad)
+    for text in ("nan", "inf", "0"):
+        header = [re.sub("n_linear = .*", f"n_linear = {text}", line) for line in lines]
+        bad.write_text("\n".join(header) + "\n")
+        with pytest.raises(InvalidConfig, match=f"n_linear {text}.* is not a finite positive"):
+            expmt.read_campaign_csv(bad)
