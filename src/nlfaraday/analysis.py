@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, nnls
 
 from .exceptions import (
     DegenerateDesign,
@@ -251,6 +250,8 @@ def fit_saturation(slope_points, linear_coefficient: float) -> ResponseModel:
     if k == grid.size - 1:
         ns_hat = math.inf
     else:
+        from scipy.optimize import brentq  # only fits need scipy.optimize; keeps start-up small
+
         x = brentq(lambda x: float(profile(x)[2]), grid[k - 1], grid[k + 1], xtol=1e-14)
         ns_hat = n_ref * math.exp(x)
 
@@ -302,6 +303,8 @@ def fit_variance_model(points) -> VarianceDecomposition:
     w = np.maximum(v, floor)
     design = design / w[:, None]
     target = v / w
+    from scipy.optimize import nnls  # only fits need scipy.optimize; keeps start-up small
+
     # column scaling keeps nnls well conditioned across ~10 decades
     scale = np.max(design, axis=0)
     coef, _ = nnls(design / scale, target)

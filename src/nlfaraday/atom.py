@@ -22,7 +22,6 @@ emission is split by destination ground manifold.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,11 +29,8 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .exceptions import DataIntegrityError, NonConvergence
-
-log = logging.getLogger(__name__)
 
 N_STATES = 24
 
@@ -58,6 +54,8 @@ class LineData:
     ground_splitting: float     # rad/s
     excited_offsets: tuple      # rad/s, (delta_0..delta_3) with delta_0 = 0
     data_version: int = 1
+    source: str = ""            # the file the constants were read from
+    sha256: str = ""            # hex digest of that file's bytes
 
     @property
     def wavenumber(self) -> float:
@@ -67,10 +65,10 @@ class LineData:
 def load_line_data(path=None) -> LineData:
     """Parse the bundled atomic-data file (key = value, frequencies in MHz).
 
-    The file checksum is logged so a run can be traced back to the exact
-    constants it used.  Raises DataIntegrityError on malformed content
-    and on a wavelength, linewidth or splitting that is not positive and
-    finite, naming the key.
+    The file name and its sha256 are kept on the result (``source``,
+    ``sha256``), so a run can record the exact constants it used.  Raises
+    DataIntegrityError on malformed content and on a wavelength, linewidth
+    or splitting that is not positive and finite, naming the key.
     """
     if path is None:
         source = resources.files("nlfaraday").joinpath("data/rb87_d2.dat")
@@ -79,7 +77,6 @@ def load_line_data(path=None) -> LineData:
     else:
         raw = Path(path).read_bytes()
         name = str(path)
-    log.info("atomic data %s sha256=%s", name, hashlib.sha256(raw).hexdigest())
 
     values = {}
     for lineno, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
@@ -112,6 +109,8 @@ def load_line_data(path=None) -> LineData:
         ground_splitting=values["ground_hyperfine_splitting_mhz"] * mhz,
         excited_offsets=offsets,
         data_version=int(values["data_version"]),
+        source=name,
+        sha256=hashlib.sha256(raw).hexdigest(),
     )
 
 
@@ -378,6 +377,8 @@ def vector_crossing_detuning(
     ground_index=None,
 ) -> float:
     """Locate the zero of the vector rotation weight inside [lo, hi]."""
+    from scipy.optimize import brentq  # a root search is rare; keeps start-up small
+
     g = scheme.index_of(1, 1) if ground_index is None else ground_index
     fun = lambda d: np.real(pt_rotation_weight(scheme, ops, d, g))
     flo, fhi = fun(lo), fun(hi)

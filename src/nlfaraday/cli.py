@@ -228,8 +228,16 @@ def _noise_from(cfg: dict) -> expmt.PolarimeterModel:
     return expmt.PolarimeterModel(**_pick(cfg, _NOISE_KEYS))
 
 
-def _atomic_model():
+@functools.cache  # one operator set per process; no caller mutates it
+def _operator_set():
     return build_dipole_operators(build_level_scheme())
+
+
+def _atomic_model():
+    """The operator set; logs its line data's file and sha256 to this run's log."""
+    ops = _operator_set()
+    log.info("atomic data %s sha256=%s", ops.scheme.line.source, ops.scheme.line.sha256)
+    return ops
 
 
 def _scenario(cfg: dict):

@@ -68,10 +68,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal, expm
-from scipy.optimize import brentq
-from scipy.sparse import csr_matrix
 
 from .atom import (
     EffectiveCoefficients,
@@ -309,6 +306,8 @@ def _linear_rhs(r0, r1, d, amplitudes: np.ndarray, envelope):
     state per call.  Drive amplitudes are real (see the module docstring
     for why a mode phase would cancel).
     """
+    from scipy.sparse import csr_matrix  # only Gaussian pulses need it; keeps start-up small
+
     n = r0.shape[0]
     stacked = csr_matrix(np.vstack([r0, r1, d]))
 
@@ -398,6 +397,19 @@ def _solve_batch(
     if not times:
         times, stored = [pulse.window()[1]], final[None]
     return np.asarray(times), coords.states(stored), coords.decode(final)[:, -1]
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first Gaussian solve.
+
+    scipy.integrate also loads scipy.optimize and scipy.sparse, which a
+    process that solves no Gaussian pulse never needs.  It stays a module
+    attribute that ``_integrate_gaussian`` looks up at call time, so a
+    caller can substitute it.
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _integrate_gaussian(x0, r0, r1, d, amplitudes, pulse, t_eval):
@@ -500,11 +512,14 @@ def integrate_node(
     ``local_intensity_scale`` is the dimensionless local intensity
     relative to the on-axis focus of ``beam`` (default beam if omitted);
     1.0 means the node sits at the focus on axis.  Raises InvalidConfig
-    for a scale outside [0, 1] and for an initial state the model cannot
-    hold (see the module docstring), before integrating.
+    for a scale outside [0, 1], for ``n_stored`` below 1 and for an
+    initial state the model cannot hold (see the module docstring),
+    before integrating.
     """
     if not 0.0 <= local_intensity_scale <= 1.0:
         raise InvalidConfig("local_intensity_scale must lie in [0, 1]")
+    if not n_stored >= 1:
+        raise InvalidConfig(f"n_stored = {n_stored} must be at least 1")
     scheme = model.scheme
     beam = beam or _default_beam(scheme)
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
@@ -690,10 +705,12 @@ def pt_linear_coefficient(
     the natural linewidth is assembled with the detection prefactor and
     the exact Gaussian cloud average (transverse closed form, longitudinal
     quadrature).  Real part is the plane rotation per atom, imaginary part
-    the ellipticity.
+    the ellipticity.  Raises InvalidConfig for a non-finite detuning.
     """
     from numpy.polynomial.hermite import hermgauss
 
+    if not math.isfinite(detuning):
+        raise InvalidConfig(f"detuning = {detuning} is not a finite number")
     scheme = model.scheme
     gamma = scheme.gamma
     v = pt_rotation_weight(scheme, model, detuning, scheme.index_of(1, 1), linewidth=gamma)
@@ -765,6 +782,8 @@ def locate_crossing(
     def rot(delta):
         pulse = PulseSpec(n_photons=_CROSSING_PHOTONS, detuning=delta)
         return detected_stokes(pulse, beam, cloud, model).rotation_per_atom
+
+    from scipy.optimize import brentq  # a root search is rare; keeps start-up small
 
     flo, fhi = rot(lo), rot(hi)
     if flo * fhi > 0:

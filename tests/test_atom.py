@@ -8,6 +8,7 @@ independent of the Racah sums evaluated inside the package.  The general
 Hamiltonian and dissipator live in ``oracles``; their structure is
 checked here.
 """
+import hashlib
 import math
 from fractions import Fraction
 
@@ -384,6 +385,7 @@ def test_load_line_data_error_paths(tmp_path):
     p.write_text(good)
     line = load_line_data(p)
     assert line.excited_offsets[3] == pytest.approx(495.815 * MHZ)
+    assert (line.source, line.sha256) == (str(p), hashlib.sha256(good.encode()).hexdigest())
 
     p.write_text(good + "not a key value pair\n")
     with pytest.raises(DataIntegrityError, match="expected"):

@@ -1,8 +1,10 @@
 """End-to-end command-line checks: exit codes, file outputs, determinism."""
+import hashlib
 import logging
 import signal
 import subprocess
 import sys
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +33,23 @@ def test_version_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
+    # a process that integrates no Gaussian pulse and fits nothing never
+    # loads SciPy's integrator, optimizer or sparse matrices
+    proc = subprocess.run(
+        [sys.executable, "-c", "import nlfaraday.cli, sys; import numpy as np; "
+         "from nlfaraday import atom, dynamics as dyn; "
+         "from nlfaraday.geometry import BeamGeometry, CloudGeometry, PulseSpec; "
+         "ops = atom.build_dipole_operators(atom.build_level_scheme()); "
+         "pulse = PulseSpec(shape='flat-train', fwhm=37.5e-9, n_photons=2e6, "
+         "detuning=2 * np.pi * 1.5e9, train_count=2, train_period=137.5e-9); "
+         "dyn.detected_stokes(pulse, BeamGeometry(wavelength=ops.scheme.wavelength), "
+         "CloudGeometry(), ops, n_radial=1, n_long=1); "
+         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
+         "if m in sys.modules))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_every_exported_name_resolves():
@@ -514,6 +533,18 @@ def test_simulate_with_trajectory_dump(tmp_path):
     assert pops["m_plus1"][0] == pytest.approx(1.0, abs=1e-9)
     assert pops["m_0"][0] == pytest.approx(0.0, abs=1e-9)
     assert "integrated 12 intensity levels for 81 cloud nodes" in (out / "run.log").read_text()
+
+
+def test_every_simulate_run_logs_the_line_data_digest(tmp_path):
+    # the operators are built once per process; each run's log still
+    # names the data file and its checksum
+    data = resources.files("nlfaraday").joinpath("data/rb87_d2.dat").read_bytes()
+    line = f"atomic data data/rb87_d2.dat sha256={hashlib.sha256(data).hexdigest()}"
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert cli.main(["simulate", "--n-photons", "1e6", "--out", str(out)]) == cli.EXIT_OK
+        assert line in (out / "run.log").read_text()
+    assert cli._operator_set.cache_info().misses == 1
 
 
 def test_simulate_detuning_flag(tmp_path):

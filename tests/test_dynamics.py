@@ -97,10 +97,23 @@ def test_uncoupled_coherence_blocks_stay_exactly_zero(scheme, ops):
     assert traj.manifold_population(2)[-1] > 1e-4
 
 
-def test_integrate_node_validation(scheme, ops):
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started on an invalid argument")
+
+
+def test_integrate_node_validation(monkeypatch, scheme, ops):
     pulse = PulseSpec(fwhm=54e-9, n_photons=1e4)
-    with pytest.raises(InvalidConfig):
-        dyn.integrate_node(initial_state(scheme), pulse, 1.5, ops)
+    monkeypatch.setattr(dyn, "_solve_batch", _no_work)
+    for scale, n_stored in [(1.5, 200), (1.0, 0), (1.0, -1)]:
+        with pytest.raises(InvalidConfig):
+            dyn.integrate_node(initial_state(scheme), pulse, scale, ops, n_stored=n_stored)
+
+
+@pytest.mark.parametrize("detuning", [np.nan, np.inf, -np.inf])
+def test_pt_linear_coefficient_rejects_non_finite_detuning(monkeypatch, ops, beam, cloud, detuning):
+    monkeypatch.setattr(dyn, "pt_rotation_weight", _no_work)
+    with pytest.raises(InvalidConfig, match="detuning"):
+        dyn.pt_linear_coefficient(ops, detuning, beam, cloud)
 
 
 def test_flat_train_gap_propagation(scheme, ops):
