@@ -38,8 +38,9 @@ parts, and the detection accumulator give a level's real coordinates
 T(t) (a R1 x + D x).  Under a flat-train segment the envelope is
 constant, so each segment and each gap is advanced by exact matrix
 exponentials of that generator.  A Gaussian pulse is integrated with
-DOP853, one sparse product of [R0; R1; D] with all levels per call; it
-is the only use of the adaptive integrator.
+the package's DOP853 (``_dop853``, SciPy's algorithm step for step),
+one sparse product of [R0; R1; D] with all levels per call; it is the
+only use of the adaptive integrator.
 
 Drive normalization: a pulse of N photons in beam mode M(r, z) with
 envelope T(t) produces the local Rabi amplitude
@@ -65,11 +66,14 @@ exactly, leaving no free normalization anywhere in the detection chain.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
+# looked up at each Gaussian solve, so a caller can substitute it
+from ._dop853 import solve_ivp
 from .atom import (
     EffectiveCoefficients,
     LevelScheme,
@@ -90,8 +94,7 @@ from .geometry import BeamGeometry, CloudGeometry, PulseSpec, QuadratureGrid, cl
 
 _POSITIVITY_ABORT = 1e-6
 _TRACE_ABORT = 1e-6
-# the integrator of Gaussian pulses, cloud and single-node alike
-_METHOD = "DOP853"
+# tolerances of the Gaussian-pulse integrator, cloud and single-node alike
 _RTOL = 1e-6
 _ATOL = 1e-9
 # relative difference below which two flat-segment intervals share one
@@ -399,21 +402,8 @@ def _solve_batch(
     return np.asarray(times), coords.states(stored), coords.decode(final)[:, -1]
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first Gaussian solve.
-
-    scipy.integrate also loads scipy.optimize and scipy.sparse, which a
-    process that solves no Gaussian pulse never needs.  It stays a module
-    attribute that ``_integrate_gaussian`` looks up at call time, so a
-    caller can substitute it.
-    """
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
-
-
 def _integrate_gaussian(x0, r0, r1, d, amplitudes, pulse, t_eval):
-    """DOP853 through the Gaussian window, all levels in one state.
+    """DOP853 (``solve_ivp``) through the Gaussian window, all levels in one state.
 
     Returns (stored times, coordinates (n_t, levels, n) at each, final
     coordinates (levels, n)).
@@ -423,8 +413,7 @@ def _integrate_gaussian(x0, r0, r1, d, amplitudes, pulse, t_eval):
     inside = {t for t in t_eval if t0 <= t <= t1}
     sol = solve_ivp(
         _linear_rhs(r0, r1, d, amplitudes, _gaussian_envelope(pulse)), (t0, t1),
-        np.repeat(x0, levels), method=_METHOD, rtol=_RTOL, atol=_ATOL,
-        t_eval=sorted(inside | {t1}),
+        np.repeat(x0, levels), rtol=_RTOL, atol=_ATOL, t_eval=sorted(inside | {t1}),
     )
     if not sol.success:
         raise StepFailure(f"integrator failed: {sol.message}")
@@ -512,14 +501,14 @@ def integrate_node(
     ``local_intensity_scale`` is the dimensionless local intensity
     relative to the on-axis focus of ``beam`` (default beam if omitted);
     1.0 means the node sits at the focus on axis.  Raises InvalidConfig
-    for a scale outside [0, 1], for ``n_stored`` below 1 and for an
-    initial state the model cannot hold (see the module docstring),
-    before integrating.
+    for a scale outside [0, 1], for an ``n_stored`` that is not an
+    integer of at least 1 and for an initial state the model cannot hold
+    (see the module docstring), before integrating.
     """
     if not 0.0 <= local_intensity_scale <= 1.0:
         raise InvalidConfig("local_intensity_scale must lie in [0, 1]")
-    if not n_stored >= 1:
-        raise InvalidConfig(f"n_stored = {n_stored} must be at least 1")
+    if not isinstance(n_stored, numbers.Integral) or n_stored < 1:
+        raise InvalidConfig(f"n_stored = {n_stored!r} must be an integer of at least 1")
     scheme = model.scheme
     beam = beam or _default_beam(scheme)
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)

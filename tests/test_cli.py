@@ -34,22 +34,27 @@ def test_version_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
     # a process that integrates no Gaussian pulse and fits nothing never
-    # loads SciPy's integrator, optimizer or sparse matrices
+    # loads SciPy's integrator, optimizer or sparse matrices; a Gaussian
+    # pulse adds the sparse matrices, but the integrator is the package's own
     proc = subprocess.run(
         [sys.executable, "-c", "import nlfaraday.cli, sys; import numpy as np; "
          "from nlfaraday import atom, dynamics as dyn; "
          "from nlfaraday.geometry import BeamGeometry, CloudGeometry, PulseSpec; "
          "ops = atom.build_dipole_operators(atom.build_level_scheme()); "
+         "beam = BeamGeometry(wavelength=ops.scheme.wavelength); "
+         "loaded = lambda: sorted(m for m in "
+         "('scipy.integrate', 'scipy.optimize', 'scipy.sparse') if m in sys.modules); "
          "pulse = PulseSpec(shape='flat-train', fwhm=37.5e-9, n_photons=2e6, "
          "detuning=2 * np.pi * 1.5e9, train_count=2, train_period=137.5e-9); "
-         "dyn.detected_stokes(pulse, BeamGeometry(wavelength=ops.scheme.wavelength), "
-         "CloudGeometry(), ops, n_radial=1, n_long=1); "
-         "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse') "
-         "if m in sys.modules))"],
+         "dyn.detected_stokes(pulse, beam, CloudGeometry(), ops, n_radial=1, n_long=1); "
+         "print(loaded()); "
+         "pulse = PulseSpec(n_photons=5.7e6, detuning=2 * np.pi * 462e6); "
+         "dyn.detected_stokes(pulse, beam, CloudGeometry(), ops, n_radial=1, n_long=1); "
+         "print(loaded())"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n['scipy.sparse']\n"
 
 
 def test_every_exported_name_resolves():

@@ -4,6 +4,7 @@ The expensive far-detuned ensemble run and the located sign crossing are
 session fixtures (see conftest) because the acceptance tests reuse them.
 """
 
+import gc
 from collections import namedtuple
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from nlfaraday import dynamics as dyn
 from nlfaraday.atom import initial_state, mixed_ground_state
-from nlfaraday.exceptions import InvalidConfig, NonConvergence
+from nlfaraday.exceptions import InvalidConfig, NonConvergence, StepFailure
 from nlfaraday.geometry import CloudGeometry, PulseSpec, cloud_quadrature
 from oracles import (
     damped_rabi_reference,
@@ -104,7 +105,7 @@ def _no_work(*args, **kwargs):
 def test_integrate_node_validation(monkeypatch, scheme, ops):
     pulse = PulseSpec(fwhm=54e-9, n_photons=1e4)
     monkeypatch.setattr(dyn, "_solve_batch", _no_work)
-    for scale, n_stored in [(1.5, 200), (1.0, 0), (1.0, -1)]:
+    for scale, n_stored in [(1.5, 200), (1.0, 0), (1.0, -1), (1.0, 2.5)]:
         with pytest.raises(InvalidConfig):
             dyn.integrate_node(initial_state(scheme), pulse, scale, ops, n_stored=n_stored)
 
@@ -687,6 +688,83 @@ def test_gaussian_matches_tight_block_dop853(monkeypatch, scheme, ops, beam, clo
     assert res.rotation_per_atom == pytest.approx(rotation, rel=1e-8, abs=0.0)
     assert res.ellipticity_per_atom == pytest.approx(ellipticity, rel=1e-8, abs=0.0)
     assert res.damage_detected == pytest.approx(damage, rel=1e-8, abs=0.0)
+
+
+def _recorded_solves(monkeypatch, run):
+    """(fun, t_span, y0, options, solution) of each ``dyn.solve_ivp`` call ``run`` makes."""
+    calls = []
+    own = dyn.solve_ivp
+
+    def recording(fun, t_span, y0, **options):
+        sol = own(fun, t_span, y0, **options)
+        calls.append((fun, t_span, y0, options, sol))
+        return sol
+
+    monkeypatch.setattr(dyn, "solve_ivp", recording)
+    run()
+    monkeypatch.setattr(dyn, "solve_ivp", own)
+    return calls
+
+
+def test_own_dop853_matches_scipy(monkeypatch, scheme, ops, beam, cloud):
+    from scipy.integrate import solve_ivp
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    from nlfaraday import _dop853
+
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        assert np.array_equal(getattr(_dop853, name), getattr(ref, name)), name
+
+    pulse = PulseSpec(fwhm=54e-9, n_photons=1e8, detuning=2 * np.pi * 462e6)
+    calls = _recorded_solves(monkeypatch, lambda: (
+        dyn.detected_stokes(pulse, beam, cloud, ops),
+        dyn.integrate_node(initial_state(scheme), pulse, 1.0, ops, n_stored=200),
+    ))
+    assert [c[2].size for c in calls] == [12 * 89, 89]  # 12 levels of the 9x9 rule, one node
+    for fun, t_span, y0, options, own in calls:
+        sol = solve_ivp(fun, t_span, y0, method="DOP853", **options)
+        assert own.success and sol.success
+        assert own.nfev == sol.nfev
+        assert np.array_equal(own.t, sol.t)
+        assert np.max(np.abs(own.y - sol.y)) <= 1e-12 * np.max(np.abs(sol.y))
+    assert calls[1][4].t.size == 200
+    fun, t_span, y0, options, _ = calls[0]
+    with pytest.raises(ValueError):
+        dyn.solve_ivp(fun, t_span, y0, **{**options, "t_eval": options["t_eval"][::-1]})
+
+    # a right-hand side that turns NaN mid-pulse shrinks the step below
+    # ten ulps on both, and the pulse solve reports it as a StepFailure
+    def poisoned(t, y):
+        return fun(t, y) if t < 0.0 else np.full_like(y, np.nan)
+
+    own = dyn.solve_ivp(poisoned, t_span, y0, **options)
+    sol = solve_ivp(poisoned, t_span, y0, method="DOP853", **options)
+    assert not own.success and not sol.success
+    assert own.message == sol.message and own.nfev == sol.nfev
+    # NaN from the first evaluation gives a NaN step: a failure, not a loop
+    nan = dyn.solve_ivp(lambda t, y: y * np.nan, t_span, y0, **options)
+    assert not nan.success and nan.nfev == 2
+
+    envelope = dyn._gaussian_envelope
+    monkeypatch.setattr(
+        dyn, "_gaussian_envelope",
+        lambda p: (lambda t, e=envelope(p): e(t) if t < 0.0 else np.nan),
+    )
+    with pytest.raises(StepFailure, match="integrator failed"):
+        dyn.detected_stokes(pulse, beam, cloud, ops, n_radial=1, n_long=1)
+
+
+def test_gaussian_solve_leaves_no_cyclic_garbage(ops, beam, cloud):
+    # what a solve allocates is freed by reference counting as soon as it
+    # returns, so peak memory does not wait on the cyclic collector
+    pulse = PulseSpec(fwhm=54e-9, n_photons=5.7e6, detuning=2 * np.pi * 462e6)
+    gc.collect()
+    gc.disable()
+    try:
+        dyn.detected_stokes(pulse, beam, cloud, ops, n_radial=1, n_long=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_initial_state_support_is_the_driven_block_and_f2(scheme, ops):
