@@ -9,6 +9,7 @@ N^(-1) Heisenberg line for phase estimation.
 
 Run:  python demos/scaling_campaign.py
 """
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -45,13 +46,13 @@ for j, n_nl in enumerate(grid):
 model = fit_saturation(slopes, A)
 print(f"\nrecovered nonlinear coefficient: {model.nonlinear_coefficient:.3g} "
       f"(injected {B:.3g})")
-if model.saturation_photons is not None:
+if math.isfinite(model.saturation_photons):
     print(f"recovered saturation photon number: {model.saturation_photons:.3g} "
           f"(injected {N_SAT:.3g})")
 
 # ideal scaling: no saturation, pure nonlinear response at the crossing
 at_crossing = replace(response, linear_coefficient=0.0)
-ideal = sensitivity_curve(replace(at_crossing, saturation_photons=None), grid, F_Z)
+ideal = sensitivity_curve(replace(at_crossing, saturation_photons=math.inf), grid, F_Z)
 exp_fit = scaling_exponent(ideal, (1e6, 1e7))
 print(f"\nideal fractional-sensitivity exponent over [1e6, 1e7]: "
       f"{exp_fit.exponent:+.3f} +- {exp_fit.stderr:.3f}  (super-Heisenberg: -1.5)")

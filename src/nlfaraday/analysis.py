@@ -95,16 +95,16 @@ class ResponseModel:
     phi_L = (A/2) F_z;  phi_NL = (B_eff(N) N / 2) F_z with
     B_eff = B / (1 + N/N_sat); the nonlinear pulse destroys a fraction
     eta(N) = eta_offset + eta_slope * N / N_sat of the polarization.
-    ``saturation_photons=None`` is the unsaturated response: B_eff = B
-    and eta = eta_offset at every N.  Defaults reproduce the published
-    calibration of this experiment.  The methods take scalars or arrays;
-    a float in gives plain float arithmetic, which keeps the per-sample
-    path of a campaign cheap.
+    ``saturation_photons=math.inf`` is the unsaturated response: N/N_sat
+    is 0, so B_eff = B and eta = eta_offset at every finite N.  Defaults
+    reproduce the published calibration of this experiment.  The methods
+    take scalars or arrays; a float in gives plain float arithmetic, which
+    keeps the per-sample path of a campaign cheap.
     """
 
     linear_coefficient: float = 3.3e-8            # A, rad per unit collective spin (x2)
     nonlinear_coefficient: float = 3.8e-16        # B, rad per spin per photon (x2)
-    saturation_photons: float | None = 6.0e7      # N_sat; None = unsaturated
+    saturation_photons: float = 6.0e7             # N_sat; math.inf = unsaturated
     damage_offset: float = 0.0
     damage_slope: float = 0.08
 
@@ -112,19 +112,15 @@ class ResponseModel:
         require_finite(
             self, "linear_coefficient", "nonlinear_coefficient", "damage_offset", "damage_slope",
         )
-        if self.saturation_photons is not None:
-            require_finite(self, "saturation_photons")
         if self.linear_coefficient < 0 or self.nonlinear_coefficient < 0:
             raise InvalidConfig("response coefficients must be non-negative")
-        if self.saturation_photons is not None and self.saturation_photons <= 0:
-            raise InvalidConfig("saturation photon number must be positive")
+        if not self.saturation_photons > 0:  # NaN fails too; math.inf is unsaturated
+            raise InvalidConfig(f"saturation_photons = {self.saturation_photons} is not positive")
         if self.damage_offset < 0 or self.damage_slope < 0:
             raise InvalidConfig("damage parameters must be non-negative")
 
     def effective_nonlinear(self, n_photons):
         """B_eff(N): saturable nonlinear coefficient."""
-        if self.saturation_photons is None:
-            return self.nonlinear_coefficient + 0.0 * n_photons  # B in the shape of N
         return self.nonlinear_coefficient / (1.0 + n_photons / self.saturation_photons)
 
     def calibration_slope(self, n_photons):
@@ -147,10 +143,7 @@ class ResponseModel:
 
     def damage(self, n_photons):
         """eta(N), capped at 1."""
-        if self.saturation_photons is None:
-            eta = self.damage_offset + 0.0 * n_photons
-        else:
-            eta = self.damage_offset + self.damage_slope * n_photons / self.saturation_photons
+        eta = self.damage_offset + self.damage_slope * n_photons / self.saturation_photons
         return np.minimum(eta, 1.0) if isinstance(eta, np.ndarray) else min(eta, 1.0)
 
 
@@ -213,7 +206,7 @@ def fit_saturation(slope_points, linear_coefficient: float) -> ResponseModel:
     derivative there is the estimate.  When the data only sample
     N << N_sat (best N_sat above 50 max N) the saturation scale is
     unidentifiable, and the fit falls back to the B-only model
-    (saturation_photons = None).  The damage law is not fitted: the
+    (saturation_photons = math.inf).  The damage law is not fitted: the
     returned model carries the default ``damage_offset`` and
     ``damage_slope``.
     """
@@ -259,7 +252,7 @@ def fit_saturation(slope_points, linear_coefficient: float) -> ResponseModel:
         # saturation invisible over the sampled range: refit pure slope
         log.info("saturation scale unidentifiable (N_sat >> max N); B-only fallback")
         b_only = float(np.sum(b * n) / np.sum(n * n / a))
-        return ResponseModel(a, b_only, None)
+        return ResponseModel(a, b_only, math.inf)
     return ResponseModel(a, a * float(profile(x)[0]) / n_ref, ns_hat)
 
 

@@ -1,10 +1,12 @@
 """Command-line entry point: simulations, campaigns, fits, figure tables.
 
-Every run resolves and checks its configuration (defaults < config file
-< flags), creates the output directory, and writes three things next to
-the data: ``manifest.txt`` (full resolved config, re-parseable),
-``run.log``, and the subcommand's CSV/report files, each CSV one
-``config.write_table`` call on the columns the subcommand holds.  A
+``main`` runs each subcommand of ``_COMMANDS`` in one frame: it resolves
+the configuration (defaults < config file < flags), makes every check
+that precedes output (``_check_numbers``), creates the output directory
+with ``manifest.txt`` (full resolved config, re-parseable) and
+``run.log``, calls the handler ``cmd_*(args, cfg, out)``, which only
+computes and writes its CSV/report files (each CSV one
+``config.write_table`` call), and prints ``outputs in <dir>`` last.  A
 subcommand declares only the flags it reads, and each flag's argparse
 ``dest`` is the config key it sets.  Exit codes: 0 success, 2 for
 configuration problems (an unknown flag; a non-finite number, negative
@@ -111,17 +113,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    commands = {
-        "simulate": "integrate one probe pulse through the cloud and report Stokes observables",
-        "campaign": "generate one correlation campaign at fixed nonlinear photon number",
-        "analyze": "regression and saturation analysis of campaign CSV files",
-        "reproduce-fig2": "calibration-slope campaigns over a photon-number grid plus saturation fit",
-        "reproduce-fig3": "sensitivity-scaling table with reference lines and exponent report",
-        "control-run": "waveplate instrumental-linearity control dataset",
-        "coefficients-scan": "effective-coefficient spectra over a detuning grid",
-    }
     sub = {}
-    for name, help_text in commands.items():
+    for name, (_, help_text) in _COMMANDS.items():
         sub[name] = subs.add_parser(name, help=help_text)
         sub[name].add_argument("--config", type=Path, help="key=value scenario file")
         sub[name].add_argument("--seed", type=int, help="master RNG seed")
@@ -186,9 +179,20 @@ def _resolve_config(args) -> dict:
     return cfg
 
 
+# reproduce-fig3's photon-number windows of the exponent fits: one
+# decade, and the measured curve's wide one
+_FIG3_WINDOW, _FIG3_WIDE = (1e6, 1e7), (5e5, 5e7)
+
+
+def _fig3_grid(cfg: dict) -> np.ndarray:
+    """reproduce-fig3's photon numbers, from 5e5 to 1e8."""
+    return np.logspace(math.log10(5e5), 8.0, cfg["grid_points"])
+
+
 def _check_numbers(args, cfg: dict, file_keys: set) -> None:
-    """Reject, before any output, a non-finite number, a negative seed and
-    a count below the minimum of the code that reads it."""
+    """Every check made before output: reject a non-finite number, a
+    negative seed, a count below the minimum of the code that reads it,
+    and a reproduce-fig3 grid with too few points in an exponent window."""
     minimums = {"seed": 0}
     if hasattr(args, "samples") and not cfg.get("ideal"):  # runs campaigns
         minimums.update(samples=expmt.MIN_SAMPLES, controls=0)
@@ -202,25 +206,34 @@ def _check_numbers(args, cfg: dict, file_keys: set) -> None:
             raise InvalidConfig(f"{where}{key} = {value} is not a finite number")
         if key in minimums and value < minimums[key]:
             raise InvalidConfig(f"{where}{key} = {value} is below its usable minimum {minimums[key]}")
+    if args.command == "reproduce-fig3":
+        lo, hi = _FIG3_WINDOW
+        grid = _fig3_grid(cfg)
+        inside = int(np.count_nonzero((grid >= lo) & (grid <= hi)))
+        if inside < ana.MIN_FIT_POINTS:
+            raise InvalidConfig(
+                f"grid_points = {cfg['grid_points']} puts {inside} photon numbers in the exponent "
+                f"window [{lo:g}, {hi:g}]; its fit needs {ana.MIN_FIT_POINTS}"
+            )
 
 
-def _prepare_out(args, command: str, cfg: dict) -> Path:
-    out = args.out or Path(f"nlfaraday-{command}")
+def _prepare_out(args, cfg: dict) -> Path:
+    out = args.out or Path(f"nlfaraday-{args.command}")
     out.mkdir(parents=True, exist_ok=True)
     root = logging.getLogger("nlfaraday")
     handler = logging.FileHandler(out / "run.log", mode="w")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
     root.setLevel(logging.INFO)
     root.addHandler(handler)
-    write_manifest(out / "manifest.txt", cfg, __version__, command=command)
-    log.info("%s -> %s", command, out)
+    write_manifest(out / "manifest.txt", cfg, __version__, command=args.command)
+    log.info("%s -> %s", args.command, out)
     return out
 
 
 def _response_from(cfg: dict) -> ana.ResponseModel:
     fields = _pick(cfg, _RESPONSE_KEYS)
     if cfg.get("no_saturation") or cfg.get("ideal"):
-        fields["saturation_photons"] = None
+        fields["saturation_photons"] = math.inf
     return ana.ResponseModel(**fields)
 
 
@@ -240,7 +253,7 @@ def _atomic_model():
     return ops
 
 
-def _scenario(cfg: dict):
+def _scenario(cfg: dict, ops):
     pulse = PulseSpec(
         shape=cfg["pulse_shape"],
         fwhm=cfg["pulse_fwhm"],
@@ -249,7 +262,7 @@ def _scenario(cfg: dict):
         train_count=cfg["train_count"],
         train_period=cfg["train_period"],
     )
-    beam = BeamGeometry(**_pick(cfg, _BEAM_KEYS))
+    beam = BeamGeometry(ops.scheme.wavelength, **_pick(cfg, _BEAM_KEYS))
     cloud = CloudGeometry(**_pick(cfg, _CLOUD_KEYS))
     return pulse, beam, cloud
 
@@ -288,15 +301,13 @@ def _fitted_coefficients(model: ana.ResponseModel) -> dict:
     sat = model.saturation_photons
     return {
         "nonlinear_coefficient": model.nonlinear_coefficient,
-        "saturation_photons": float("nan") if sat is None else sat,
+        "saturation_photons": math.nan if math.isinf(sat) else sat,
     }
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    out = _prepare_out(args, "simulate", cfg)
+def cmd_simulate(args, cfg: dict, out: Path) -> None:
     ops = _atomic_model()
-    pulse, beam, cloud = _scenario(cfg)
+    pulse, beam, cloud = _scenario(cfg, ops)
     res = dyn.detected_stokes(pulse, beam, cloud, ops)
     log.info("integrated %d intensity levels for %d cloud nodes", res.levels, res.grid.r.size)
     stokes = {
@@ -320,13 +331,9 @@ def cmd_simulate(args) -> int:
         })
     print(f"rotation = {res.rotation:.6e} rad  (per atom {res.rotation_per_atom:.6e})")
     print(f"S_y/S_x = {res.s_y / res.s_x:.6e}, damage = {res.damage_detected:.4e}")
-    print(f"outputs in {out}")
-    return EXIT_OK
 
 
-def cmd_campaign(args) -> int:
-    cfg = _resolve_config(args)
-    out = _prepare_out(args, "campaign", cfg)
+def cmd_campaign(args, cfg: dict, out: Path) -> None:
     camp, fit = _campaign(cfg, cfg["n_nonlinear"], cfg["seed"])
     expmt.write_campaign_csv(out / "campaign.csv", camp)
     ana.write_fit_report(
@@ -341,8 +348,6 @@ def cmd_campaign(args) -> int:
         header="calibration regression phi_NL vs phi_L",
     )
     print(f"slope = {fit.slope:.6g} +- {fit.slope_stderr:.2g}")
-    print(f"outputs in {out}")
-    return EXIT_OK
 
 
 def _campaign_files(paths) -> list:
@@ -357,9 +362,7 @@ def _campaign_files(paths) -> list:
     return files
 
 
-def cmd_analyze(args) -> int:
-    cfg = _resolve_config(args)
-    out = _prepare_out(args, "analyze", cfg)
+def cmd_analyze(args, cfg: dict, out: Path) -> None:
     n_nonlinear, fits, n_pairs = [], [], []
     for path in _campaign_files(args.data):
         readings, meta = expmt.read_campaign_csv(path)
@@ -390,13 +393,10 @@ def cmd_analyze(args) -> int:
         )
         report.update(_fitted_coefficients(model))
     ana.write_fit_report(out / "analysis_report.txt", report, header="campaign analysis")
-    print(f"analyzed {len(fits)} campaign file(s); outputs in {out}")
-    return EXIT_OK
+    print(f"analyzed {len(fits)} campaign file(s)")
 
 
-def cmd_fig2(args) -> int:
-    cfg = _resolve_config(args)
-    out = _prepare_out(args, "reproduce-fig2", cfg)
+def cmd_fig2(args, cfg: dict, out: Path) -> None:
     response = _response_from(cfg)
     grid = np.logspace(6.0, 8.0, cfg["grid_points"])
     fits = _campaign_grid(cfg, grid)
@@ -405,9 +405,7 @@ def cmd_fig2(args) -> int:
         "slope_true": response.calibration_slope(grid), "damage_true": response.damage(grid),
     })
     model = ana.fit_saturation(np.column_stack([grid, fits["slope"]]), cfg["linear_coefficient"])
-    injected_sat = (
-        response.saturation_photons if response.saturation_photons is not None else math.inf
-    )
+    injected_sat = response.saturation_photons
     ana.write_fit_report(
         out / "fig2_report.txt",
         {
@@ -417,28 +415,15 @@ def cmd_fig2(args) -> int:
         },
         header="saturation fit of calibration slopes",
     )
-    ns_txt = "unconstrained" if model.saturation_photons is None else f"{model.saturation_photons:.4g}"
+    ns_txt = "unconstrained" if math.isinf(model.saturation_photons) else f"{model.saturation_photons:.4g}"
     print(
         f"B = {model.nonlinear_coefficient:.4g} (injected {cfg['nonlinear_coefficient']:.4g}), "
         f"N_sat = {ns_txt} (injected {injected_sat:.4g})"
     )
-    print(f"outputs in {out}")
-    return EXIT_OK
 
 
-def cmd_fig3(args) -> int:
-    cfg = _resolve_config(args)
-    # photon-number windows of the exponent fits: one decade, and the
-    # measured curve's wide one
-    window, wide = (1e6, 1e7), (5e5, 5e7)
-    n_grid = np.logspace(math.log10(5e5), 8.0, cfg["grid_points"])
-    inside = int(np.count_nonzero((n_grid >= window[0]) & (n_grid <= window[1])))
-    if inside < ana.MIN_FIT_POINTS:
-        raise InvalidConfig(
-            f"grid_points = {cfg['grid_points']} puts {inside} photon numbers in the exponent "
-            f"window [{window[0]:g}, {window[1]:g}]; its fit needs {ana.MIN_FIT_POINTS}"
-        )
-    out = _prepare_out(args, "reproduce-fig3", cfg)
+def cmd_fig3(args, cfg: dict, out: Path) -> None:
+    n_grid = _fig3_grid(cfg)
     f_z = cfg["collective_spin"]
     a = cfg["linear_coefficient"]
 
@@ -446,7 +431,7 @@ def cmd_fig3(args) -> int:
     # ideal law is pure N^(-3/2); the saturated variant bends above N_sat
     response = _response_from(cfg)
     curve_model = dataclasses.replace(response, linear_coefficient=0.0)
-    ideal_model = dataclasses.replace(curve_model, saturation_photons=None)
+    ideal_model = dataclasses.replace(curve_model, saturation_photons=math.inf)
     ideal_curve = ana.sensitivity_curve(ideal_model, n_grid, f_z)
     model_curve = ana.sensitivity_curve(curve_model, n_grid, f_z)
 
@@ -478,7 +463,7 @@ def cmd_fig3(args) -> int:
     })
 
     report = {}
-    exp_ideal = ana.scaling_exponent(ideal_curve, window)
+    exp_ideal = ana.scaling_exponent(ideal_curve, _FIG3_WINDOW)
     report["exponent_ideal_window"] = (exp_ideal.exponent, exp_ideal.stderr)
     exp_ideal_full = ana.scaling_exponent(ideal_curve)
     report["exponent_ideal_full"] = (exp_ideal_full.exponent, exp_ideal_full.stderr)
@@ -487,21 +472,17 @@ def cmd_fig3(args) -> int:
         # carry no scaling information, so leave them out of the fit
         ok = measured > 0
         meas_curve = ana.ScalingCurve(n_grid[ok], measured[ok])
-        exp_win = ana.scaling_exponent(meas_curve, window)
-        exp_wide = ana.scaling_exponent(meas_curve, wide)
+        exp_win = ana.scaling_exponent(meas_curve, _FIG3_WINDOW)
+        exp_wide = ana.scaling_exponent(meas_curve, _FIG3_WIDE)
         report["exponent_measured_window"] = (exp_win.exponent, exp_win.stderr)
         report["exponent_measured_wide"] = (exp_wide.exponent, exp_wide.stderr)
     ana.write_fit_report(out / "exponent_report.txt", report, header="scaling exponents")
 
     for key, val in report.items():
         print(f"{key} = {val[0]:+.4f} +- {val[1]:.4f}")
-    print(f"outputs in {out}")
-    return EXIT_OK
 
 
-def cmd_control(args) -> int:
-    cfg = _resolve_config(args)
-    out = _prepare_out(args, "control-run", cfg)
+def cmd_control(args, cfg: dict, out: Path) -> None:
     noise = _noise_from(cfg)
     curve = expmt.waveplate_control_run(
         rotation=cfg["rotation"],
@@ -531,15 +512,11 @@ def cmd_control(args) -> int:
         header="waveplate instrumental-linearity control",
     )
     print(f"angle deviation {spread * 100:.2f}%, exponent {exp.exponent:+.3f} +- {exp.stderr:.3f}")
-    print(f"outputs in {out}")
-    return EXIT_OK
 
 
-def cmd_scan(args) -> int:
-    cfg = _resolve_config(args)
-    out = _prepare_out(args, "coefficients-scan", cfg)
+def cmd_scan(args, cfg: dict, out: Path) -> None:
     ops = _atomic_model()
-    _, beam, cloud = _scenario(cfg)
+    _, beam, cloud = _scenario(cfg, ops)
     detunings = np.append(
         np.linspace(cfg["scan_lo"], cfg["scan_hi"], cfg["scan_points"]),
         _TWO_PI * 1.5e9,  # the far-detuned linear-probe marker
@@ -563,18 +540,17 @@ def cmd_scan(args) -> int:
         header="vector-coefficient zero crossing",
     )
     print(f"alpha1 zero crossing at {crossing / _TWO_PI / 1e6:.2f} MHz")
-    print(f"outputs in {out}")
-    return EXIT_OK
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "campaign": cmd_campaign,
-    "analyze": cmd_analyze,
-    "reproduce-fig2": cmd_fig2,
-    "reproduce-fig3": cmd_fig3,
-    "control-run": cmd_control,
-    "coefficients-scan": cmd_scan,
+# each subcommand once: its handler and its help line
+_COMMANDS = {
+    "simulate": (cmd_simulate, "integrate one probe pulse through the cloud and report Stokes observables"),
+    "campaign": (cmd_campaign, "generate one correlation campaign at fixed nonlinear photon number"),
+    "analyze": (cmd_analyze, "regression and saturation analysis of campaign CSV files"),
+    "reproduce-fig2": (cmd_fig2, "calibration-slope campaigns over a photon-number grid plus saturation fit"),
+    "reproduce-fig3": (cmd_fig3, "sensitivity-scaling table with reference lines and exponent report"),
+    "control-run": (cmd_control, "waveplate instrumental-linearity control dataset"),
+    "coefficients-scan": (cmd_scan, "effective-coefficient spectra over a detuning grid"),
 }
 
 
@@ -585,7 +561,11 @@ def main(argv=None) -> int:
     root = logging.getLogger("nlfaraday")
     handlers, level = list(root.handlers), root.level
     try:
-        return _HANDLERS[args.command](args)
+        cfg = _resolve_config(args)
+        out = _prepare_out(args, cfg)
+        _COMMANDS[args.command][0](args, cfg, out)
+        print(f"outputs in {out}")
+        return EXIT_OK
     except (InvalidConfig, DataIntegrityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,6 +22,7 @@ Noise conventions (two detection interfaces, matching their consumers):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +33,9 @@ from .exceptions import InvalidConfig, require_finite
 
 CSV_SCHEMA_VERSION = 1
 MIN_SAMPLES = 10  # live samples a correlation campaign needs
+# photon numbers whose square is a finite normal float: the angle
+# variance divides by that square
+_SQUARABLE_PHOTONS = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
 _PROBE_TAGS = ("L1", "NL", "L2")
 _TAG_CODES = {tag: k for k, tag in enumerate(_PROBE_TAGS)}
 # one field per campaign CSV column, in file order
@@ -83,12 +87,21 @@ class PolarimeterModel:
         return self.v_nonlinear if probe_tag == "NL" else self.v_linear
 
     def phi_variance(self, n_photons: float, probe_tag: str) -> float:
-        """Variance of the measured rotation angle in rad^2."""
-        var = 0.0
-        if self.shot_noise:
-            var += 0.25 / n_photons
-        if self.electronic_noise:
-            var += self.electronic_variance(probe_tag) / n_photons**2
+        """Variance of the measured rotation angle in rad^2.
+
+        Raises InvalidConfig where it is not a finite number.  The
+        electronic term divides by N^2, so N must lie in
+        ``_SQUARABLE_PHOTONS`` (about 1.5e-154 to 1.3e154 photons).
+        """
+        var = math.inf
+        if _SQUARABLE_PHOTONS[0] <= n_photons <= _SQUARABLE_PHOTONS[1]:
+            var = 0.0
+            if self.shot_noise:
+                var += 0.25 / n_photons
+            if self.electronic_noise:
+                var += self.electronic_variance(probe_tag) / n_photons**2
+        if not math.isfinite(var):
+            raise InvalidConfig(f"{probe_tag} angle variance at {n_photons:g} photons is not a finite number")
         return var
 
     def counts_variance(self, n_photons: float) -> float:

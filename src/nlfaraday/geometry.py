@@ -88,10 +88,10 @@ class PulseSpec:
 
 @dataclass(frozen=True)
 class BeamGeometry:
-    """Focused Gaussian probe beam."""
+    """Focused Gaussian probe beam at the line data's ``wavelength``."""
 
+    wavelength: float
     waist: float = 20e-6
-    wavelength: float = 780.241209686e-9
 
     def __post_init__(self):
         require_finite(self, "waist", "wavelength")

@@ -5,6 +5,8 @@ exactly computable errors, the saturation model is self-inverted on
 noiseless data, and both crossover modes have one-line algebra solutions
 that the numeric root finder must reproduce.
 """
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
@@ -81,16 +83,16 @@ def test_sensitivity_model_basics():
     expect = 1.0 / (A_PUB * np.sqrt(n) + model.effective_nonlinear(n) * n**1.5)
     assert model.sensitivity_spins(n) == pytest.approx(expect, rel=1e-12)
     with pytest.raises(InvalidConfig):
-        ana.ResponseModel(-1.0, B_PUB, None)
+        ana.ResponseModel(-1.0, B_PUB, math.inf)
     with pytest.raises(InvalidConfig):
         ana.ResponseModel(A_PUB, B_PUB, 0.0)
     with pytest.raises(InvalidConfig):
-        ana.ResponseModel(0.0, B_PUB, None).calibration_slope(1e6)
+        ana.ResponseModel(0.0, B_PUB, math.inf).calibration_slope(1e6)
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.03])
 def test_unsaturated_response_model(offset):
-    model = ana.ResponseModel(saturation_photons=None, damage_offset=offset)
+    model = ana.ResponseModel(saturation_photons=math.inf, damage_offset=offset)
     n = np.logspace(0.0, 12.0, 25)
     for nn in n:
         assert model.effective_nonlinear(nn) == model.nonlinear_coefficient
@@ -100,14 +102,14 @@ def test_unsaturated_response_model(offset):
 
 
 def test_sensitivity_reference_points():
-    linear_only = ana.ResponseModel(A_PUB, 0.0, None)
+    linear_only = ana.ResponseModel(A_PUB, 0.0, math.inf)
     assert linear_only.sensitivity_spins(1e6) == pytest.approx(30303.03, rel=1e-5)
-    nonlinear_only = ana.ResponseModel(0.0, B_PUB, None)
+    nonlinear_only = ana.ResponseModel(0.0, B_PUB, math.inf)
     assert nonlinear_only.sensitivity_spins(1e7) == pytest.approx(83218.0, rel=1e-4)
 
 
 def test_sensitivity_curve_and_exponents():
-    linear_only = ana.ResponseModel(A_PUB, 0.0, None)
+    linear_only = ana.ResponseModel(A_PUB, 0.0, math.inf)
     curve = ana.sensitivity_curve(linear_only, np.logspace(5, 8, 16))
     fit = ana.scaling_exponent(curve)
     assert fit.exponent == pytest.approx(-0.5, abs=1e-12)
@@ -169,7 +171,7 @@ def test_fit_saturation_fallback_when_unsaturated():
     n = np.logspace(4, 6, 8)
     b = (B_PUB / A_PUB) * n
     fit = ana.fit_saturation(np.column_stack([n, b]), A_PUB)
-    assert fit.saturation_photons is None
+    assert fit.saturation_photons == math.inf
     assert fit.nonlinear_coefficient == pytest.approx(B_PUB, rel=1e-12)
     assert np.all(fit.effective_nonlinear(n) == fit.nonlinear_coefficient)
 
@@ -239,7 +241,7 @@ def _least_squares_saturation_fit(n, b, a):
     assert sol.success
     b_hat, ns_hat = sol.x
     if ns_hat > 50.0 * np.max(n):
-        return ana.ResponseModel(a, float(np.sum(b * n) / np.sum(n * n / a)), None)
+        return ana.ResponseModel(a, float(np.sum(b * n) / np.sum(n * n / a)), math.inf)
     return ana.ResponseModel(a, float(b_hat), float(ns_hat))
 
 
@@ -273,8 +275,8 @@ def test_fit_saturation_matches_least_squares_oracle():
         points = np.column_stack([n, b])
         fit, oracle = ana.fit_saturation(points, A_PUB), _least_squares_saturation_fit(n, b, A_PUB)
         assert cost(fit, n, b) <= cost(oracle, n, b) * (1.0 + 1e-12)
-        assert (fit.saturation_photons is None) == (oracle.saturation_photons is None)
-        if fit.saturation_photons is None:
+        assert (fit.saturation_photons == math.inf) == (oracle.saturation_photons == math.inf)
+        if fit.saturation_photons == math.inf:
             continue
         identified += 1
         assert fit.nonlinear_coefficient == pytest.approx(oracle.nonlinear_coefficient, rel=1e-6)

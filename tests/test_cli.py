@@ -240,6 +240,20 @@ def test_bad_number_exits_2_before_any_output(tmp_path, capsys, deadline, argv, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1e300", "1e-300"])
+@pytest.mark.parametrize("command, key", [
+    ("campaign", "n_linear"), ("campaign", "n_nonlinear"), ("reproduce-fig2", "n_linear"),
+])
+def test_out_of_range_photon_number_exits_2(tmp_path, capsys, command, key, value):
+    # the angle variance divides by N^2, which overflows at 1e300 and
+    # underflows to 0 at 1e-300
+    config = tmp_path / "photons.cfg"
+    config.write_text(f"{key} = {value}\n")
+    rc = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"angle variance at {float(value):g} photons is not a finite number" in capsys.readouterr().err
+
+
 def test_counts_are_checked_only_where_read(tmp_path):
     # control-run runs no campaign and no grid: the parent ignored these keys
     config = tmp_path / "counts.cfg"
@@ -444,6 +458,28 @@ def test_every_run_writes_manifest_and_log(tmp_path):
     assert manifest["samples"] == 12
     assert manifest["detuning"] == pytest.approx(2 * np.pi * 462e6)
     assert "package_version" in manifest
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-photons", "1e6"],
+    ["campaign", "--samples", "12"],
+    ["analyze", "--data", "{data}"],
+    ["reproduce-fig2", "--points", "5", "--samples", "25", "--seed", "21"],
+    ["reproduce-fig3", "--ideal"],
+    ["control-run"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_runs_in_one_frame(tmp_path, capsys, argv):
+    data = tmp_path / "campaign.csv"
+    data.write_text("\n".join(_campaign_lines()) + "\n")
+    argv = [arg.format(data=data) for arg in argv]
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == f"outputs in {out}"
+    assert (out / "manifest.txt").read_text().startswith(f"# manifest for {argv[0]}\n")
+
+
+def test_coefficients_scan_manifest_names_the_subcommand(scan_dir):
+    assert (scan_dir / "manifest.txt").read_text().startswith("# manifest for coefficients-scan\n")
 
 
 def test_fig3_ideal_mode(tmp_path):

@@ -1,4 +1,5 @@
 """Synthetic polarimetry: noise model, campaigns, CSV IO."""
+import dataclasses
 import math
 import re
 
@@ -32,6 +33,18 @@ def test_phi_variance_shot_limit():
     assert quiet.counts_variance(1e6) == 0.0
 
 
+def test_phi_variance_is_finite_or_rejected():
+    # N^2 overflows above hi and is subnormal below lo; near lo the
+    # electronic term V_el / N^2 overflows to inf
+    lo, hi = expmt._SQUARABLE_PHOTONS
+    noise = expmt.PolarimeterModel()
+    assert noise.phi_variance(hi, "NL") == 0.25 / hi + 4e5 / hi**2
+    assert noise.phi_variance(1e-150, "L1") == 0.25 / 1e-150 + 3e5 / 1e-150**2
+    for n in (math.nextafter(hi, math.inf), 1e300, math.inf, lo, 1e-300, 0.0, -1.0, math.nan):
+        with pytest.raises(InvalidConfig, match="photons is not a finite number"):
+            noise.phi_variance(n, "NL")
+
+
 def test_counts_variance_components():
     noise = expmt.PolarimeterModel(v_nonlinear=4e5, technical_coefficient=1e-9)
     n = 2e6
@@ -51,26 +64,39 @@ def test_polarimeter_validation():
         expmt.PolarimeterModel(transmission_v=1.2)
 
 
-@pytest.mark.parametrize("make, field", [
-    (BeamGeometry, "waist"),
-    (BeamGeometry, "wavelength"),
-    (CloudGeometry, "n_atoms"),
-    (CloudGeometry, "sigma_trans"),
-    (CloudGeometry, "sigma_long"),
-    (expmt.ResponseModel, "linear_coefficient"),
-    (expmt.ResponseModel, "nonlinear_coefficient"),
-    (expmt.ResponseModel, "saturation_photons"),
-    (expmt.ResponseModel, "damage_offset"),
-    (expmt.ResponseModel, "damage_slope"),
-    (expmt.PolarimeterModel, "v_linear"),
-    (expmt.PolarimeterModel, "v_nonlinear"),
-    (expmt.PolarimeterModel, "technical_coefficient"),
-])
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+_NON_FINITE_FIELDS = [
+    (make, field, value)
+    for value in (math.inf, math.nan)
+    for make, field in [
+        (BeamGeometry, "waist"),
+        (BeamGeometry, "wavelength"),
+        (CloudGeometry, "n_atoms"),
+        (CloudGeometry, "sigma_trans"),
+        (CloudGeometry, "sigma_long"),
+        (expmt.ResponseModel, "linear_coefficient"),
+        (expmt.ResponseModel, "nonlinear_coefficient"),
+        (expmt.ResponseModel, "saturation_photons"),
+        (expmt.ResponseModel, "damage_offset"),
+        (expmt.ResponseModel, "damage_slope"),
+        (expmt.PolarimeterModel, "v_linear"),
+        (expmt.PolarimeterModel, "v_nonlinear"),
+        (expmt.PolarimeterModel, "technical_coefficient"),
+    ]
+    # saturation_photons = inf is the unsaturated response
+    if (field, value) != ("saturation_photons", math.inf)
+]
+
+
+@pytest.mark.parametrize(
+    "make, field, value", _NON_FINITE_FIELDS,
+    ids=[f"{value}-{make.__name__}-{field}" for make, field, value in _NON_FINITE_FIELDS],
+)
 def test_configuration_rejects_non_finite_field(make, field, value):
-    # nan <= 0 is False, so an order check alone lets a NaN through
+    # nan <= 0 is False, so an order check alone lets a NaN through;
+    # a field without a default (the beam's wavelength) gets a valid 1.0
+    required = {f.name: 1.0 for f in dataclasses.fields(make) if f.default is dataclasses.MISSING}
     with pytest.raises(InvalidConfig, match=field):
-        make(**{field: value})
+        make(**{**required, field: value})
 
 
 def test_response_model_values():

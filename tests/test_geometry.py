@@ -79,7 +79,7 @@ def test_beam_geometry_identities(beam):
     s = beam.local_intensity_scale(r, z)
     assert np.all((s > 0) & (s <= 1.0))
     with pytest.raises(InvalidConfig):
-        BeamGeometry(waist=0.0)
+        BeamGeometry(780.241209686e-9, waist=0.0)
 
 
 def test_mode_phase_structure(beam):
