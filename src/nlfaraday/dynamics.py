@@ -35,12 +35,19 @@ Two solvers advance the states, on one real generator per level.  The
 kept entries, each Hermitian pair merged into its real and imaginary
 parts, and the detection accumulator give a level's real coordinates
 (89 for a ground F=1 sample), on which it evolves as dx/dt = R0 x +
-T(t) (a R1 x + D x).  Under a flat-train segment the envelope is
-constant, so each segment and each gap is advanced by exact matrix
-exponentials of that generator.  A Gaussian pulse is integrated with
-the package's DOP853 (``_dop853``, SciPy's algorithm step for step),
-one sparse product of [R0; R1; D] with all levels per call; it is the
-only use of the adaptive integrator.
+T(t) (a R1 x + D x).  Only the detuning delta and the drive scale
+omega0 differ between pulses: R0 = R0(0) + delta K, with K the
+detuning's exact +-1 rotation on the optical coherences, and R1 is
+omega0 times its value at omega0 = 1.  So the model's operators and
+the mask of admissible initial entries are built once per operator
+set, and the coordinates, R0(0), K, R1(1) and D once per support of
+the initial state (``_Operators.flow``, which keeps the last support's);
+a solve forms only R0 + delta K and omega0 R1.  Under a flat-train
+segment the envelope is constant, so each segment and each gap is
+advanced by exact matrix exponentials of that generator.  A Gaussian
+pulse is integrated with the package's DOP853 (``_dop853``, SciPy's
+algorithm step for step), one sparse product of [R0; R1; D] with all
+levels per call; it is the only use of the adaptive integrator.
 
 Drive normalization: a pulse of N photons in beam mode M(r, z) with
 envelope T(t) produces the local Rabi amplitude
@@ -65,8 +72,10 @@ exactly, leaving no free normalization anywhere in the detection chain.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,33 +129,45 @@ def drive_scale(n_photons: float, gamma: float, wavenumber: float) -> float:
     return math.sqrt(12.0 * math.pi * n_photons * gamma) / wavenumber
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Operators:
-    """Full-basis operators of a driven, decaying atom.
+    """Full-basis operators of a driven, decaying atom, and the flows built on them.
 
-    Under a real drive of Rabi amplitude Omega the Hamiltonian is
-    diag(h0) - (Omega / 2) s and the dissipator the Lindblad form of
-    ``jumps``; the detection accumulator integrates T(t) Tr[rho detect].
+    Under a real drive of Rabi amplitude Omega at detuning delta the
+    Hamiltonian is diag(h0 - delta * excited) - (Omega / 2) s and the
+    dissipator the Lindblad form of ``jumps``; the detection accumulator
+    integrates T(t) Tr[rho detect].  ``flow`` keeps the real generator
+    of the last initial-state support (see ``_Flow``).
     """
 
-    h0: np.ndarray         # undriven Hamiltonian, diagonal (rad/s)
+    h0: np.ndarray         # undriven level energies at zero detuning, diagonal (rad/s)
+    excited: np.ndarray    # mask of the levels the detuning lowers
     s: np.ndarray          # drive coupling R + R^T of unit Rabi amplitude
     jumps: tuple           # real jump operators
     detect: np.ndarray
     manifolds: tuple       # index arrays of the manifolds a sample may occupy
+    # support of the last initial state (bytes of its mask) -> its _Flow
+    _flows: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def production(cls, ops: OperatorSet, detuning: float) -> "_Operators":
-        """The 24-level model: x-polarized drive out of ground F=1, split emission."""
-        scheme = ops.scheme
-        raising = (excited_projector(scheme) @ ops.d_x @ ground_projector(scheme, f=1)).real
-        return cls(
-            h0=scheme.static_offsets - detuning * scheme.excited_mask,
-            s=raising + raising.T,
-            jumps=tuple(jump_operators(ops)),
-            detect=ground_projector(scheme) @ ops.d_y @ excited_projector(scheme),
-            manifolds=(scheme.manifold_indices(1), scheme.manifold_indices(2)),
-        )
+    def production(cls, ops: OperatorSet) -> "_Operators":
+        """The 24-level model of ``ops``: x-polarized drive out of ground F=1, split emission.
+
+        Built once per operator set and kept while ``ops`` lives.
+        """
+        model = _PRODUCTION.get(ops)
+        if model is None:
+            scheme = ops.scheme
+            raising = (excited_projector(scheme) @ ops.d_x @ ground_projector(scheme, f=1)).real
+            model = _PRODUCTION[ops] = cls(
+                h0=scheme.static_offsets,
+                excited=scheme.excited_mask,
+                s=raising + raising.T,
+                jumps=tuple(jump_operators(ops)),
+                detect=ground_projector(scheme) @ ops.d_y @ excited_projector(scheme),
+                manifolds=(scheme.manifold_indices(1), scheme.manifold_indices(2)),
+            )
+        return model
 
     def reach(self, filled: np.ndarray) -> np.ndarray:
         """Mask of the entries the flow can fill from the mask ``filled``.
@@ -163,6 +184,7 @@ class _Operators:
                 return f > 0.0
             f = grown
 
+    @functools.cached_property
     def admissible(self) -> np.ndarray:
         """Mask of the entries an initial state may fill: those the manifold blocks reach."""
         start = np.zeros(self.s.shape, dtype=bool)
@@ -170,13 +192,30 @@ class _Operators:
             start[np.ix_(m, m)] = True
         return self.reach(start)
 
+    def flow(self, rho0: np.ndarray) -> "_Flow":
+        """The flow of the states with the support of ``rho0``.
+
+        Only the last support's flow is kept: every solve of the package
+        starts from one support.
+        """
+        key = ((rho0 != 0.0) | (rho0.T != 0.0)).tobytes()
+        flow = self._flows.get(key)
+        if flow is None:
+            self._flows.clear()
+            flow = self._flows[key] = _real_generators(self, rho0)
+        return flow
+
+
+# operator set -> its _Operators; an entry goes with its operator set
+_PRODUCTION = weakref.WeakKeyDictionary()
+
 
 def _checked_state(model: _Operators, rho) -> np.ndarray:
     """``rho`` as a complex matrix, once it passes the checks of an initial state.
 
     Raises InvalidConfig for a matrix of the wrong shape, non-finite,
     non-Hermitian, off unit trace, negative beyond the positivity guard,
-    or nonzero outside ``model.admissible()``.
+    or nonzero outside ``model.admissible``.
     """
     try:
         rho = np.asarray(rho, dtype=complex)
@@ -195,7 +234,7 @@ def _checked_state(model: _Operators, rho) -> np.ndarray:
     min_eig = float(np.min(np.linalg.eigvalsh(rho)))
     if min_eig < -_POSITIVITY_ABORT:
         raise InvalidConfig(f"initial state has eigenvalue {min_eig:.3e}")
-    if np.any(rho[~model.admissible()] != 0.0):
+    if np.any(rho[~model.admissible] != 0.0):
         raise InvalidConfig(
             "initial state is nonzero outside the driven levels and ground F=2 "
             "(an F'=3 element, or an F=1-F=2 or excited-F=2 coherence)"
@@ -249,16 +288,41 @@ class _Coordinates:
         return out
 
 
-def _real_generators(model: _Operators, omega0: float, rho0: np.ndarray):
-    """(coordinates, R0, R1, D): one level's flow on its real coordinates.
+@dataclass(frozen=True)
+class _Flow:
+    """One level's flow on its real coordinates, at every detuning and drive scale.
 
-    A level of drive amplitude a = |M| under the envelope T(t) evolves as
-    dx/dt = R0 x + T(t) (a R1 x + D x) on the entries ``model.reach``
-    finds from the nonzero entries of ``rho0``.  On their level vector
-    (``_Coordinates``) L0 holds the level energies, the decay
-    -{L^T L, rho} / 2 and the gain L rho L^T; L1 is the drive of unit
-    amplitude and envelope, (i omega0 / 2) (s rho - rho s); LD is the
-    accumulator row Tr[rho detect].  Each R is its L on the coordinates.
+    A level of drive amplitude a = |M| under the envelope T(t), at
+    detuning delta and drive scale omega0, evolves as dx/dt = R0 x +
+    T(t) (a R1 x + D x), with R0 = r0 + delta k and R1 = omega0 r1
+    (``generators``).  k is exact: the detuning moves only the optical
+    coherences, each by +-1 per rad/s.
+    """
+
+    coords: _Coordinates
+    r0: np.ndarray       # level energies at zero detuning, decay and gain
+    k: np.ndarray        # d R0 / d delta
+    r1: np.ndarray       # drive of unit omega0
+    d: np.ndarray        # detection accumulator
+
+    def __post_init__(self):
+        for r in (self.r0, self.k, self.r1, self.d):
+            r.flags.writeable = False  # every solve of the support shares them
+
+    def generators(self, detuning: float, omega0: float):
+        """(R0, R1, D) at ``detuning`` and ``omega0``."""
+        return self.r0 + detuning * self.k, omega0 * self.r1, self.d
+
+
+def _real_generators(model: _Operators, rho0: np.ndarray) -> _Flow:
+    """The flow on the entries ``model.reach`` finds from the nonzero entries of ``rho0``.
+
+    On their level vector (``_Coordinates``) L0 holds the level energies
+    at zero detuning, the decay -{L^T L, rho} / 2 and the gain L rho L^T;
+    LK is the derivative of L0 in the detuning, which lowers the excited
+    energies; L1 is the drive of unit omega0 and amplitude, (i / 2) (s rho
+    - rho s); LD is the accumulator row Tr[rho detect].  Each R of
+    ``_Flow`` is its L on the coordinates.
     """
     # the anticommutator must be diagonal, so that decay keeps each entry in place
     anti = sum(l.T @ l for l in model.jumps)
@@ -283,14 +347,17 @@ def _real_generators(model: _Operators, omega0: float, rho0: np.ndarray):
         n_states=model.h0.size,
     )
 
+    diagonal = (np.arange(m), np.arange(m))
     l0 = np.zeros((m + 1, m + 1), dtype=complex)
     l0[:m, :m] = sum(l[np.ix_(rows, rows)] * l[np.ix_(cols, cols)] for l in model.jumps)
-    l0[np.arange(m), np.arange(m)] += (
-        -1j * (model.h0[rows] - model.h0[cols]) - 0.5 * (decay[rows] + decay[cols])
-    )
+    l0[diagonal] += -1j * (model.h0[rows] - model.h0[cols]) - 0.5 * (decay[rows] + decay[cols])
+    # -i (h_rows - h_cols) with h = h0 - delta * excited: exactly 0 or +-i per rad/s
+    excited = model.excited.astype(float)
+    lk = np.zeros_like(l0)
+    lk[diagonal] = -1j * (excited[cols] - excited[rows])
     # (s rho)_ij = sum_k s_ik rho_kj and (rho s)_ij = sum_k rho_ik s_kj
     l1 = np.zeros_like(l0)
-    l1[:m, :m] = (0.5j * omega0) * (
+    l1[:m, :m] = 0.5j * (
         model.s[np.ix_(rows, rows)] * (cols[:, None] == cols)
         - (rows[:, None] == rows) * model.s[np.ix_(cols, cols)]
     )
@@ -299,7 +366,7 @@ def _real_generators(model: _Operators, omega0: float, rho0: np.ndarray):
 
     # column c of L @ basis is L applied to the level vector of coordinate c
     basis = coords.decode(np.eye(coords.real.size + coords.imag.size)).T
-    return (coords, *(coords.encode((l @ basis).T).T for l in (l0, l1, ld)))
+    return _Flow(coords, *(coords.encode((l @ basis).T).T for l in (l0, lk, l1, ld)))
 
 
 def _linear_rhs(r0, r1, d, amplitudes: np.ndarray, envelope):
@@ -388,18 +455,20 @@ def _solve_batch(
     the cloud, or the single node of ``integrate_node``.  After the checks
     of ``_checked_state``, Gaussian pulses run DOP853
     (``_integrate_gaussian``) and flat trains exact exponentials
-    (``_propagate_train``), both on ``_real_generators``.  Returns (times,
+    (``_propagate_train``), both on the generators of ``model.flow`` at
+    the pulse's detuning and ``omega0``.  Returns (times,
     states (n_t, n, size, size), overlaps (n,)), with full density
     matrices only at the ``t_eval`` times that fall inside a segment (at
     the end of the pulse when none does).
     """
     rho0 = _checked_state(model, rho0)
-    coords, r0, r1, d = _real_generators(model, omega0, rho0)
+    flow = model.flow(rho0)
+    r0, r1, d = flow.generators(pulse.detuning, omega0)
     solve = _integrate_gaussian if pulse.shape == "gaussian" else _propagate_train
-    times, stored, final = solve(coords.initial(rho0), r0, r1, d, amplitudes, pulse, t_eval)
+    times, stored, final = solve(flow.coords.initial(rho0), r0, r1, d, amplitudes, pulse, t_eval)
     if not times:
         times, stored = [pulse.window()[1]], final[None]
-    return np.asarray(times), coords.states(stored), coords.decode(final)[:, -1]
+    return np.asarray(times), flow.coords.states(stored), flow.coords.decode(final)[:, -1]
 
 
 def _integrate_gaussian(x0, r0, r1, d, amplitudes, pulse, t_eval):
@@ -516,7 +585,7 @@ def integrate_node(
 
     t_eval = list(np.linspace(*pulse.window(), n_stored))
     times, states, acc = _solve_batch(
-        _Operators.production(model, pulse.detuning), rho0, amp, omega0, pulse, t_eval,
+        _Operators.production(model), rho0, amp, omega0, pulse, t_eval,
     )
     states = states[:, 0]
     max_dev, min_eig = _check_states(states)
@@ -612,7 +681,8 @@ def detected_stokes(
     intensity (at most ``_INTENSITY_LEVELS``, exact when the rule has no
     more distinct intensities than that; see the module docstring).
 
-    Raises InvalidConfig, before integrating, when ``initial`` is not a
+    Raises InvalidConfig, before integrating, when the beam's intensity
+    underflows to 0 at every cloud node, and when ``initial`` is not a
     Hermitian, unit-trace, positive 24x24 matrix that is zero outside the
     entries the ground manifolds reach (see the module docstring).
     """
@@ -623,12 +693,17 @@ def detected_stokes(
     level, weight = _intensity_rule(
         beam.local_intensity_scale(grid.r, grid.z), grid.weight, _INTENSITY_LEVELS,
     )
+    w_mode = weight * level
+    if not np.sum(w_mode) > 0.0:
+        raise InvalidConfig(
+            "the beam reaches no atom: the local intensity underflows to 0 at every cloud node"
+        )
     omega0 = drive_scale(pulse.n_photons, scheme.gamma, scheme.line.wavenumber)
     amps = np.sqrt(level / beam.effective_area)
 
     t_eval = list(np.linspace(*pulse.window(), _CLOUD_SNAPSHOTS))
     times, states, acc = _solve_batch(
-        _Operators.production(model, pulse.detuning), initial, amps, omega0, pulse, t_eval,
+        _Operators.production(model), initial, amps, omega0, pulse, t_eval,
     )
     max_dev, min_eig = _check_states(states)
 
@@ -648,7 +723,6 @@ def detected_stokes(
     fz_end = _expectation(end, model.f_z)
     if abs(fz0) > 1e-12:
         loss = 1.0 - fz_end / fz0
-        w_mode = weight * level
         damage_mean = float(np.sum(weight * loss))
         damage_detected = float(np.sum(w_mode * loss) / np.sum(w_mode))
     else:
@@ -761,9 +835,11 @@ def locate_crossing(
     """Zero of the simulated low-energy rotation versus detuning.
 
     Probes with default ``PulseSpec`` pulses (the 54 ns Gaussian) of
-    ``_CROSSING_PHOTONS`` photons, so the linear term dominates; the
-    residual nonlinear offset shifts the root by well under the location
-    tolerance ``_CROSSING_XTOL`` used in the acceptance checks.
+    ``_CROSSING_PHOTONS`` photons, so the linear term dominates.  The
+    root is that of the rotation at this photon number, not of alpha1:
+    the residual nonlinear term beta1 * N moves it by about -0.35 MHz at
+    the default beam and cloud, 7 times the root tolerance
+    ``_CROSSING_XTOL``.
     """
     beam = beam or _default_beam(model.scheme)
     cloud = cloud or CloudGeometry()

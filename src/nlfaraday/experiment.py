@@ -105,13 +105,24 @@ class PolarimeterModel:
         return var
 
     def counts_variance(self, n_photons: float) -> float:
-        """Raw S_y variance with no atoms (detector characterization)."""
-        var = 0.0
-        if self.electronic_noise:
-            var += self.v_nonlinear
-        if self.shot_noise:
-            var += n_photons
-        var += self.technical_coefficient * n_photons**2
+        """Raw S_y variance with no atoms (detector characterization).
+
+        Raises InvalidConfig for a photon number below 0 or NaN, and where
+        the variance is not a finite number: the technical term squares N,
+        so N must not exceed ``_SQUARABLE_PHOTONS[1]`` (about 1.3e154).
+        """
+        if not n_photons >= 0.0:
+            raise InvalidConfig(f"S_y variance needs a photon number >= 0, got {n_photons:g}")
+        var = math.inf
+        if n_photons <= _SQUARABLE_PHOTONS[1]:
+            var = 0.0
+            if self.electronic_noise:
+                var += self.v_nonlinear
+            if self.shot_noise:
+                var += n_photons
+            var += self.technical_coefficient * n_photons**2
+        if not math.isfinite(var):
+            raise InvalidConfig(f"S_y variance at {n_photons:g} photons is not a finite number")
         return var
 
     def noiseless(self) -> "PolarimeterModel":

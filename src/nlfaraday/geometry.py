@@ -9,6 +9,7 @@ keeps the cloud-norm invariant at machine precision for any node count.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,10 @@ class BeamGeometry:
         require_finite(self, "waist", "wavelength")
         if self.waist <= 0 or self.wavelength <= 0:
             raise InvalidConfig("waist and wavelength must be positive")
+        # float products overflow to inf and underflow to 0 without raising
+        area = math.pi * (float(self.waist) * float(self.waist)) / 2.0
+        if not 0.0 < area < math.inf:
+            raise InvalidConfig(f"waist = {self.waist} gives a mode area of {area}, not a positive finite number")
 
     @property
     def rayleigh_range(self) -> float:

@@ -98,6 +98,7 @@ def two_level_operators(gamma):
     """The resonant two-level atom (ground 0, excited 1); it detects nothing."""
     return dyn._Operators(
         h0=np.zeros(2),
+        excited=np.array([False, True]),
         s=np.array([[0.0, 1.0], [1.0, 0.0]]),
         jumps=(np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]),),
         detect=np.zeros((2, 2)),
@@ -129,16 +130,17 @@ def integrate_two_level(omega, gamma, t_final, n_stored=101):
     ``damped_rabi_reference``.
     """
     rho0 = np.array([[1.0, 0.0], [0.0, 0.0]])
-    coords, r0, r1, d = dyn._real_generators(two_level_operators(gamma), omega, rho0)
+    flow = dyn._real_generators(two_level_operators(gamma), rho0)
+    r0, r1, d = flow.generators(0.0, omega)
     # constant unit envelope and unit mode amplitude: drive = omega exactly
     rhs = dyn._linear_rhs(r0, r1, d, np.array([1.0]), lambda t: 1.0)
     sol = solve_ivp(
-        rhs, (0.0, t_final), coords.initial(rho0), method=_TWO_LEVEL_METHOD,
+        rhs, (0.0, t_final), flow.coords.initial(rho0), method=_TWO_LEVEL_METHOD,
         rtol=_TWO_LEVEL_RTOL, atol=_TWO_LEVEL_ATOL,
         t_eval=list(np.linspace(0.0, t_final, n_stored)),
     )
     assert sol.success, sol.message
-    return np.asarray(sol.t), coords.states(sol.y.T)[:, 1, 1].real
+    return np.asarray(sol.t), flow.coords.states(sol.y.T)[:, 1, 1].real
 
 
 def crossover_numeric(model_linear, model_nonlinear, mode="time-limited"):

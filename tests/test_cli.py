@@ -254,6 +254,26 @@ def test_out_of_range_photon_number_exits_2(tmp_path, capsys, command, key, valu
     assert f"angle variance at {float(value):g} photons is not a finite number" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("setting, message", [
+    # a cloud 0.5 m wide: the local intensity underflows to 0 at every node
+    ("sigma_trans = 0.5", "the beam reaches no atom"),
+    # pi w^2 / 2 overflows
+    ("waist = 1e300", "mode area"),
+])
+def test_simulate_of_a_scene_without_light_exits_2(tmp_path, capsys, monkeypatch, setting, message):
+    monkeypatch.setattr(dynamics, "_solve_batch", _no_solve)
+    config = tmp_path / "scene.cfg"
+    config.write_text(setting + "\n")
+    rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "stokes.csv").exists()
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve started")
+
 def test_counts_are_checked_only_where_read(tmp_path):
     # control-run runs no campaign and no grid: the parent ignored these keys
     config = tmp_path / "counts.cfg"

@@ -4,6 +4,7 @@ The expensive far-detuned ensemble run and the located sign crossing are
 session fixtures (see conftest) because the acceptance tests reuse them.
 """
 
+import dataclasses
 import gc
 from collections import namedtuple
 
@@ -778,27 +779,34 @@ def test_initial_state_support_is_the_driven_block_and_f2(scheme, ops):
     expected = np.zeros((24, 24), dtype=bool)
     for block in (driven, scheme.manifold_indices(2)):
         expected[np.ix_(block, block)] = True
-    model = dyn._Operators.production(ops, 2 * np.pi * 462e6)
-    assert np.array_equal(model.admissible(), expected)
+    model = dyn._Operators.production(ops)
+    assert np.array_equal(model.admissible, expected)
     assert expected.sum() == 169
 
 
 _DETUNING = 2 * np.pi * 462e6
+_FAR_DETUNING = 2 * np.pi * 1.5e9
 _GAMMA = 2 * np.pi * 6.065e6
 
 
 def _coordinate_cases(scheme, ops):
-    """(model, its blocks, initial state) triples the properties cover."""
-    model = dyn._Operators.production(ops, _DETUNING)
+    """(model, its blocks, initial state, detuning) the properties cover."""
+    model = dyn._Operators.production(ops)
     blocks = _blocks(ops, _DETUNING)
     two_level = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     return [
-        (model, blocks, initial_state(scheme)),
-        (model, blocks, initial_state(scheme, 1, -1)),
-        (model, blocks, mixed_ground_state(scheme)),
-        (model, blocks, mixed_ground_state(scheme, f=2)),
-        (two_level_operators(_GAMMA), _two_level_blocks(_GAMMA), two_level),
+        (model, blocks, initial_state(scheme), _DETUNING),
+        (model, blocks, initial_state(scheme, 1, -1), _DETUNING),
+        (model, blocks, mixed_ground_state(scheme), _DETUNING),
+        (model, blocks, mixed_ground_state(scheme, f=2), _DETUNING),
+        (two_level_operators(_GAMMA), _two_level_blocks(_GAMMA), two_level, 0.0),
     ]
+
+
+def _generators(model, rho0, detuning, omega0):
+    """(coordinates, R0, R1, D): a fresh build of the flow of ``rho0``'s support."""
+    flow = dyn._real_generators(model, rho0)
+    return (flow.coords, *flow.generators(detuning, omega0))
 
 
 def _kept(coords):
@@ -809,8 +817,8 @@ def _kept(coords):
 
 
 def test_ground_f1_sample_has_89_coordinates(scheme, ops):
-    model, _, rho0 = _coordinate_cases(scheme, ops)[0]
-    coords, r0, r1, d = dyn._real_generators(model, 1.0, rho0)
+    model, _, rho0, detuning = _coordinate_cases(scheme, ops)[0]
+    coords, r0, r1, d = _generators(model, rho0, detuning, 1.0)
     assert r0.shape == r1.shape == d.shape == (89, 89)
     # 87 of the 576 density-matrix entries, and the accumulator
     kept, detected = _kept(coords)
@@ -824,8 +832,8 @@ _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 @settings(max_examples=60, deadline=None)
 @given(case=st.integers(0, 4), data=st.data())
 def test_coordinate_map_is_exact(scheme, ops, case, data):
-    model, blocks, rho0 = _coordinate_cases(scheme, ops)[case]
-    coords, r0, r1, d = dyn._real_generators(model, 1.0, rho0)
+    model, blocks, rho0, detuning = _coordinate_cases(scheme, ops)[case]
+    coords, r0, r1, d = _generators(model, rho0, detuning, 1.0)
     n = r0.shape[0]
     kept, detected = _kept(coords)
 
@@ -872,9 +880,9 @@ def test_kept_entries_are_closed_under_full_lindblad(scheme, ops, case, data):
     # only to ~1e-16 relative), and the real flow on them
     from nlfaraday.atom import excited_projector, ground_projector
 
-    model, _, rho0 = _coordinate_cases(scheme, ops)[case]
+    model, _, rho0, detuning = _coordinate_cases(scheme, ops)[case]
     rabi = data.draw(st.floats(0.0, 5e8))
-    coords, r0, r1, d = dyn._real_generators(model, rabi, rho0)
+    coords, r0, r1, d = _generators(model, rho0, detuning, rabi)
     kept, _ = _kept(coords)
     x = data.draw(hnp.arrays(np.float64, r0.shape[0], elements=_finite))
     real = dyn._linear_rhs(r0, r1, d, np.array([1.0]), lambda t: 1.0)(0.0, x)
@@ -888,3 +896,74 @@ def test_kept_entries_are_closed_under_full_lindblad(scheme, ops, case, data):
     assert np.max(np.abs(drho[~kept])) <= scale
     assert np.max(np.abs(coords.states(real)[kept] - drho[kept])) <= scale
     assert abs(coords.decode(real)[-1] - dacc) <= scale
+
+
+def _fresh_build(model, rho0, detuning, omega0):
+    """(coordinates, R0, R1, D) assembled with the detuning in h0 and omega0 in s."""
+    fixed = dataclasses.replace(
+        model, h0=model.h0 - detuning * model.excited, excited=np.zeros_like(model.excited),
+        s=omega0 * model.s,
+    )
+    flow = dyn._real_generators(fixed, rho0)
+    assert not np.any(flow.k)
+    return (flow.coords, *flow.generators(0.0, 1.0))
+
+
+def test_cached_flow_matches_a_fresh_build(scheme, ops):
+    model = dyn._Operators.production(ops)
+    rho0 = initial_state(scheme)
+    flow = model.flow(rho0)
+    assert set(np.unique(flow.k)) == {-1.0, 0.0, 1.0}
+    for detuning in (2 * np.pi * 462e6, _FAR_DETUNING):
+        for n_photons in (1e6, 1e8):
+            omega0 = dyn.drive_scale(n_photons, scheme.gamma, scheme.line.wavenumber)
+            coords, *fresh = _fresh_build(model, rho0, detuning, omega0)
+            assert np.array_equal(coords.rows, flow.coords.rows)
+            assert np.array_equal(coords.imag, flow.coords.imag)
+            for cached, built in zip(flow.generators(detuning, omega0), fresh):
+                assert np.max(np.abs(cached - built)) <= 1e-12 * np.max(np.abs(built))
+
+
+def test_flows_are_kept_per_support(scheme, ops):
+    model = dataclasses.replace(dyn._Operators.production(ops))  # an empty cache
+    f1 = model.flow(initial_state(scheme))
+    assert model.flow(initial_state(scheme)) is f1
+    f2 = model.flow(mixed_ground_state(scheme, f=2))
+    assert f1.coords.rows.size == 87 and f2.coords.rows.size == 5
+    # a new support replaces the flow of the last one
+    assert list(model._flows.values()) == [f2]
+    assert model.flow(mixed_ground_state(scheme, f=2)) is f2
+    assert model.flow(initial_state(scheme)) is not f1
+
+
+def test_a_second_operator_set_gets_its_own_flow(scheme, ops):
+    # twice the x dipole: twice the drive, the same decay and detection
+    doubled = dataclasses.replace(ops, d_x=2.0 * ops.d_x)
+    rho0 = initial_state(scheme)
+    first = dyn._Operators.production(ops).flow(rho0)
+    second = dyn._Operators.production(doubled).flow(rho0)
+    assert dyn._Operators.production(doubled) is not dyn._Operators.production(ops)
+    assert np.array_equal(second.r1, 2.0 * first.r1)
+    assert np.array_equal(second.r0, first.r0) and np.array_equal(second.d, first.d)
+    # the cache keeps an operator set's model only while the set lives
+    kept = len(dyn._PRODUCTION)
+    del doubled, second
+    gc.collect()
+    assert len(dyn._PRODUCTION) == kept - 1
+
+
+def test_one_flow_serves_every_pulse(monkeypatch, scheme, ops, beam, cloud):
+    built = []
+    real_generators = dyn._real_generators
+    monkeypatch.setattr(dyn, "_real_generators", lambda *a: built.append(a) or real_generators(*a))
+    fresh = dataclasses.replace(ops)  # an operator set no earlier solve has used
+    for detuning, n_photons in [(_FAR_DETUNING, 1e6), (2 * np.pi * 2e9, 4e6)]:
+        pulse = PulseSpec(shape="flat-train", fwhm=75e-9, n_photons=n_photons, detuning=detuning)
+        dyn.detected_stokes(pulse, beam, cloud, fresh, n_radial=1, n_long=1)
+    assert len(built) == 1
+
+
+def test_cloud_the_beam_never_reaches_is_rejected(monkeypatch, ops, beam):
+    monkeypatch.setattr(dyn, "_solve_batch", _no_work)
+    with pytest.raises(InvalidConfig, match="the beam reaches no atom"):
+        dyn.detected_stokes(PulseSpec(), beam, CloudGeometry(sigma_trans=0.5), ops)

@@ -53,6 +53,27 @@ def test_counts_variance_components():
     assert noise.counts_variance(4e5) == pytest.approx(2 * 4e5 + 1e-9 * (4e5) ** 2, rel=1e-12)
 
 
+def test_counts_variance_is_finite_or_rejected():
+    # the technical term c N^2: N^2 overflows above hi, to inf for a numpy
+    # float (and 0 * inf = nan without a technical term) and to an
+    # OverflowError for a Python float; below it c N^2 may underflow harmlessly
+    lo, hi = expmt._SQUARABLE_PHOTONS
+    noise = expmt.PolarimeterModel(v_nonlinear=4e5, technical_coefficient=1e-9)
+    assert noise.counts_variance(hi) == 4e5 + hi + 1e-9 * hi**2
+    for n in (0.0, 1e-200, lo / 2):
+        assert noise.counts_variance(n) == 4e5 + n
+        assert noise.noiseless().counts_variance(n) == 1e-9 * n**2
+    for model in (noise, noise.noiseless(), dataclasses.replace(noise, technical_coefficient=0.0)):
+        for n in (math.nextafter(hi, math.inf), 1e200, np.float64(1e200), math.inf):
+            with pytest.raises(InvalidConfig, match="photons is not a finite number"):
+                model.counts_variance(n)
+        for n in (-1.0, -1e-300, math.nan):
+            with pytest.raises(InvalidConfig, match="photon number >= 0"):
+                model.counts_variance(n)
+    with pytest.raises(InvalidConfig):
+        expmt.polarimeter_noise_scan([1e6, 1e200], samples=3, seed=1)
+
+
 def test_polarimeter_validation():
     with pytest.raises(InvalidConfig):
         expmt.PolarimeterModel(v_linear=-1.0)

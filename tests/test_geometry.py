@@ -60,6 +60,14 @@ def test_pulse_validation():
                 PulseSpec(**{field: value})
 
 
+
+@pytest.mark.parametrize("waist", [1e300, 1e155, 1e-300])
+def test_beam_rejects_a_waist_without_a_finite_mode_area(waist):
+    # pi w^2 / 2 overflows (w**2 raises OverflowError) or underflows to 0
+    with pytest.raises(InvalidConfig, match="mode area"):
+        BeamGeometry(wavelength=780e-9, waist=waist)
+    assert np.isfinite(BeamGeometry(wavelength=780e-9, waist=1e150).effective_area)
+
 def test_beam_mode_normalization(beam):
     # integral |M|^2 dA = 1 at the focus and away from it
     for z in (0.0, beam.rayleigh_range, 3 * beam.rayleigh_range):
