@@ -220,6 +220,9 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2      # largest decrease of the step after a rejection
 MAX_FACTOR = 10       # largest increase after an acceptance
 ERROR_EXPONENT = -1 / 8  # the embedded error estimate is of order 7
+# the work bound: attempted steps of one solve, about 100 times the 684 of
+# the largest in use (8225 evaluations, a 54 ns pulse at 1.5 GHz)
+MAX_STEPS = 70_000
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 FINISHED = "The solver successfully reached the end of the integration interval."
 
@@ -297,6 +300,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
     K = K_extended[:N_STAGES + 1]
     ts, ys = [np.empty(0)], [np.empty((n, 0))]
     i_eval = 0
+    steps = 0
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs < min_step:
@@ -305,6 +309,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
         while True:
             if not h_abs >= min_step:
                 return Solution(np.hstack(ts), np.hstack(ys), nfev, False, TOO_SMALL_STEP)
+            if steps >= MAX_STEPS:
+                return Solution(np.hstack(ts), np.hstack(ys), nfev, False, f"Step budget of {MAX_STEPS} steps exhausted.")
+            steps += 1
             t_new = t + h_abs
             if t_new > t_bound:
                 t_new = t_bound

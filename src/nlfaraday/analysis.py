@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import Range, check_fields, ranged, refuse_non_finite
 from .exceptions import (
     DegenerateDesign,
     InsufficientPoints,
@@ -27,12 +28,13 @@ from .exceptions import (
     NegativeVariance,
     NonConvergence,
     NoCrossover,
-    require_finite,
 )
 
 log = logging.getLogger(__name__)
 
 MIN_FIT_POINTS = 3  # points a saturation fit or an exponent window needs
+# admissible response coefficients (A, B) and damage parameters
+_COEFFICIENT = (0.0, 1e150, "a coefficient is non-negative, and its products with photon and atom numbers must stay finite")
 
 
 @dataclass(frozen=True)
@@ -102,22 +104,16 @@ class ResponseModel:
     keeps the per-sample path of a campaign cheap.
     """
 
-    linear_coefficient: float = 3.3e-8            # A, rad per unit collective spin (x2)
-    nonlinear_coefficient: float = 3.8e-16        # B, rad per spin per photon (x2)
-    saturation_photons: float = 6.0e7             # N_sat; math.inf = unsaturated
-    damage_offset: float = 0.0
-    damage_slope: float = 0.08
+    linear_coefficient: float = ranged(*_COEFFICIENT, 3.3e-8)      # A, rad per unit collective spin (x2)
+    nonlinear_coefficient: float = ranged(*_COEFFICIENT, 3.8e-16)  # B, rad per spin per photon (x2)
+    saturation_photons: float = ranged(                             # N_sat; math.inf = unsaturated
+        1e-150, math.inf, "N_sat is positive (inf: unsaturated), and N / N_sat must stay finite", 6.0e7,
+    )
+    damage_offset: float = ranged(*_COEFFICIENT, 0.0)
+    damage_slope: float = ranged(*_COEFFICIENT, 0.08)
 
     def __post_init__(self):
-        require_finite(
-            self, "linear_coefficient", "nonlinear_coefficient", "damage_offset", "damage_slope",
-        )
-        if self.linear_coefficient < 0 or self.nonlinear_coefficient < 0:
-            raise InvalidConfig("response coefficients must be non-negative")
-        if not self.saturation_photons > 0:  # NaN fails too; math.inf is unsaturated
-            raise InvalidConfig(f"saturation_photons = {self.saturation_photons} is not positive")
-        if self.damage_offset < 0 or self.damage_slope < 0:
-            raise InvalidConfig("damage parameters must be non-negative")
+        check_fields(self)
 
     def effective_nonlinear(self, n_photons):
         """B_eff(N): saturable nonlinear coefficient."""
@@ -195,6 +191,10 @@ def scaling_exponent(curve: ScalingCurve, window=None) -> ExponentFit:
     return ExponentFit(fit.slope, fit.slope_stderr, len(n), (float(lo), float(hi)))
 
 
+# admissible values of fit_saturation's scalar argument
+FIT_RANGES = {"linear_coefficient": Range(1e-150, 1e150, "the fit divides by A, a positive finite number")}
+
+
 def fit_saturation(slope_points, linear_coefficient: float) -> ResponseModel:
     """Fit b(N) = (B/A) N / (1 + N/N_sat) to calibration slopes.
 
@@ -218,8 +218,7 @@ def fit_saturation(slope_points, linear_coefficient: float) -> ResponseModel:
     if len(np.unique(n)) < 3 or np.max(n) / np.min(n) < 10.0:
         raise InvalidConfig("slope points must span >=1 decade with >=3 distinct N")
     a = float(linear_coefficient)
-    if a <= 0:
-        raise InvalidConfig("linear coefficient must be positive")
+    FIT_RANGES["linear_coefficient"].check("linear_coefficient", a)
 
     # x = ln(N_sat / n_ref) and u = N / n_ref keep both near 1; by the
     # envelope theorem d(rss)/dx = 2 c e^-x (c g - b).g^2 at the best c
@@ -305,10 +304,13 @@ def fit_variance_model(points) -> VarianceDecomposition:
     return VarianceDecomposition(float(coef[0]), float(coef[1]), float(coef[2]))
 
 
+# admissible values of sensitivity_curve's scalar argument
+CURVE_RANGES = {"collective_spin": Range(1e-150, 1e150, "the sensitivity divides by F_z, a positive finite number")}
+
+
 def sensitivity_curve(model: ResponseModel, n_photons, collective_spin: float = 7e5) -> ScalingCurve:
     """Fractional spin sensitivity delta F_z / <F_z> over a photon grid."""
-    if collective_spin <= 0:
-        raise InvalidConfig("collective spin must be positive")
+    CURVE_RANGES["collective_spin"].check("collective_spin", collective_spin)
     n = np.asarray(sorted(np.atleast_1d(n_photons)), dtype=float)
     spins = model.sensitivity_spins(n)
     return ScalingCurve(
@@ -376,7 +378,14 @@ def crossover(model_linear, model_nonlinear, mode: str = "time-limited") -> Cros
 
 
 def write_fit_report(path, parameters: dict, header: str = ""):
-    """Structured text report: one 'name = value +- stderr' line per entry."""
+    """Structured text report: one 'name = value +- stderr' line per entry.
+
+    A stderr of None is written as nan.  A non-finite number outside
+    ``config.NON_FINITE_FIELDS`` raises NlfaradayError before anything is
+    written.
+    """
+    for name, val in parameters.items():
+        refuse_non_finite(path, name, [v for v in (val if isinstance(val, tuple) else [val]) if v is not None])
     lines = []
     if header:
         lines.extend(f"# {h}" for h in header.splitlines())

@@ -9,8 +9,11 @@ computes and writes its CSV/report files (each CSV one
 ``config.write_table`` call), and prints ``outputs in <dir>`` last.  A
 subcommand declares only the flags it reads, and each flag's argparse
 ``dest`` is the config key it sets.  Exit codes: 0 success, 2 for
-configuration problems (an unknown flag; a non-finite number, negative
-seed or count below its minimum, before any output), 3 for numerical failures.
+configuration problems (an unknown flag; before any output, a number
+outside the range declared where the key is used, see ``_RANGES``, or a
+failed cross-field check; after it, only the two checks that need the
+line data), 3 for numerical failures (among them a solve past the
+integrator's step budget and a non-finite output number).
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from . import analysis as ana
 from . import dynamics as dyn
 from . import experiment as expmt
 from .atom import build_dipole_operators, build_level_scheme, initial_state
-from .config import load_config, write_manifest, write_table
+from .config import MAX_COUNT, Range, field_ranges, load_config, write_manifest, write_table
 from .exceptions import DataIntegrityError, InvalidConfig, NlfaradayError
 from .geometry import BeamGeometry, CloudGeometry, PulseSpec
 
@@ -43,7 +46,12 @@ EXIT_NUMERICAL = 3
 
 _TWO_PI = 2.0 * math.pi
 
-# config keys each model class is built from; they are its field names
+# config keys each model class is built from: its field names, but for
+# the pulse's (config key -> PulseSpec field)
+_PULSE_FIELDS = {
+    "pulse_shape": "shape", "pulse_fwhm": "fwhm", "n_photons": "n_photons", "detuning": "detuning",
+    "train_count": "train_count", "train_period": "train_period",
+}
 _BEAM_KEYS = ("waist",)
 _CLOUD_KEYS = ("n_atoms", "sigma_trans", "sigma_long")
 _RESPONSE_KEYS = (
@@ -93,6 +101,21 @@ DEFAULTS = {
 # keys a manifest carries besides DEFAULTS, so a manifest is a valid --config
 _MANIFEST_KEYS = ("ideal", "no_saturation", "package_version")
 _INT_KEYS = frozenset(key for key, value in DEFAULTS.items() if isinstance(value, int))
+_PULSE_RANGES = field_ranges(PulseSpec)
+# config key -> the range declared beside the field or argument it sets;
+# pulse_shape and rotation (expmt.check_rotation) have none
+_RANGES = {
+    **{key: _PULSE_RANGES[name] for key, name in _PULSE_FIELDS.items() if name in _PULSE_RANGES},
+    **{key: admissible for cls in (BeamGeometry, CloudGeometry, ana.ResponseModel, expmt.PolarimeterModel)
+       for key, admissible in field_ranges(cls).items() if key in DEFAULTS},
+    **expmt.CAMPAIGN_RANGES,
+    **ana.FIT_RANGES,  # every fit divides by A, which a response model admits at 0
+    **ana.CURVE_RANGES,
+    **dict.fromkeys(("scan_lo", "scan_hi"), _PULSE_RANGES["detuning"]),  # each becomes a pulse's
+    "scan_points": Range(0, MAX_COUNT, "a count is non-negative"),
+    "grid_points": Range(ana.MIN_FIT_POINTS, MAX_COUNT, f"a saturation fit needs {ana.MIN_FIT_POINTS} points"),
+    "seed": Range(0, math.inf, "a seed is a non-negative integer"),
+}
 
 
 def _mhz(text: str) -> float:
@@ -184,29 +207,50 @@ def _resolve_config(args) -> dict:
 _FIG3_WINDOW, _FIG3_WIDE = (1e6, 1e7), (5e5, 5e7)
 
 
+def _fig2_grid(cfg: dict) -> np.ndarray:
+    """reproduce-fig2's photon numbers, from 1e6 to 1e8."""
+    return np.logspace(6.0, 8.0, cfg["grid_points"])
+
+
 def _fig3_grid(cfg: dict) -> np.ndarray:
     """reproduce-fig3's photon numbers, from 5e5 to 1e8."""
     return np.logspace(math.log10(5e5), 8.0, cfg["grid_points"])
 
 
+_FIG3_CURVE_B = Range(1e-150, 1e150, "reproduce-fig3's model curves, where A = 0, divide by B")
+# nonlinear photon numbers of each campaign subcommand's campaigns
+_CAMPAIGN_PHOTONS = {"campaign": lambda cfg: [cfg["n_nonlinear"]], "reproduce-fig2": _fig2_grid, "reproduce-fig3": _fig3_grid}
+
+
 def _check_numbers(args, cfg: dict, file_keys: set) -> None:
-    """Every check made before output: reject a non-finite number, a
-    negative seed, a count below the minimum of the code that reads it,
-    and a reproduce-fig3 grid with too few points in an exponent window."""
-    minimums = {"seed": 0}
-    if hasattr(args, "samples") and not cfg.get("ideal"):  # runs campaigns
-        minimums.update(samples=expmt.MIN_SAMPLES, controls=0)
-    if hasattr(args, "grid_points"):
-        minimums["grid_points"] = ana.MIN_FIT_POINTS
-    if hasattr(args, "scan_points"):
-        minimums["scan_points"] = 0
+    """Every check made before output: each number finite and in its
+    ``_RANGES`` entry (a count only where read), then the cross-field checks
+    of the pulse, the rotation, each campaign and the reproduce-fig3 grid."""
+    def where(key):
+        return f"{args.config}: " if key in file_keys else ""
+
+    campaigns = hasattr(args, "samples") and not cfg.get("ideal")
+    unread = {key for key in ("grid_points", "scan_points") if not hasattr(args, key)}
+    if not campaigns:
+        unread |= {"samples", "controls"}
     for key, value in cfg.items():
-        where = f"{args.config}: " if key in file_keys else ""
+        # every number is finite: an unsaturated model is --no-saturation
         if isinstance(value, float) and not math.isfinite(value):
-            raise InvalidConfig(f"{where}{key} = {value} is not a finite number")
-        if key in minimums and value < minimums[key]:
-            raise InvalidConfig(f"{where}{key} = {value} is below its usable minimum {minimums[key]}")
+            raise InvalidConfig(f"{where(key)}{key} = {value} is not a finite number")
+        if key in _RANGES and key not in unread:
+            _RANGES[key].check(key, value, where(key))
+    expmt.check_rotation(cfg["rotation"])
+    if args.command == "simulate":
+        _pulse(cfg)
+    if campaigns:
+        noise, response = _noise_from(cfg), _response_from(cfg)
+        for n in _CAMPAIGN_PHOTONS[args.command](cfg):
+            expmt.check_campaign(
+                float(n), (cfg["atom_lo"], cfg["atom_hi"]), cfg["samples"], noise, response,
+                cfg["n_linear"], cfg["controls"],
+            )
     if args.command == "reproduce-fig3":
+        _FIG3_CURVE_B.check("nonlinear_coefficient", cfg["nonlinear_coefficient"], where("nonlinear_coefficient"))
         lo, hi = _FIG3_WINDOW
         grid = _fig3_grid(cfg)
         inside = int(np.count_nonzero((grid >= lo) & (grid <= hi)))
@@ -253,18 +297,13 @@ def _atomic_model():
     return ops
 
 
-def _scenario(cfg: dict, ops):
-    pulse = PulseSpec(
-        shape=cfg["pulse_shape"],
-        fwhm=cfg["pulse_fwhm"],
-        n_photons=cfg["n_photons"],
-        detuning=cfg["detuning"],
-        train_count=cfg["train_count"],
-        train_period=cfg["train_period"],
-    )
+def _pulse(cfg: dict) -> PulseSpec:
+    return PulseSpec(**{name: cfg[key] for key, name in _PULSE_FIELDS.items()})
+
+
+def _geometry(cfg: dict, ops):
     beam = BeamGeometry(ops.scheme.wavelength, **_pick(cfg, _BEAM_KEYS))
-    cloud = CloudGeometry(**_pick(cfg, _CLOUD_KEYS))
-    return pulse, beam, cloud
+    return beam, CloudGeometry(**_pick(cfg, _CLOUD_KEYS))
 
 
 def _campaign(cfg: dict, n_nonlinear: float, seed: int):
@@ -307,7 +346,8 @@ def _fitted_coefficients(model: ana.ResponseModel) -> dict:
 
 def cmd_simulate(args, cfg: dict, out: Path) -> None:
     ops = _atomic_model()
-    pulse, beam, cloud = _scenario(cfg, ops)
+    pulse = _pulse(cfg)
+    beam, cloud = _geometry(cfg, ops)
     res = dyn.detected_stokes(pulse, beam, cloud, ops)
     log.info("integrated %d intensity levels for %d cloud nodes", res.levels, res.grid.r.size)
     stokes = {
@@ -398,7 +438,7 @@ def cmd_analyze(args, cfg: dict, out: Path) -> None:
 
 def cmd_fig2(args, cfg: dict, out: Path) -> None:
     response = _response_from(cfg)
-    grid = np.logspace(6.0, 8.0, cfg["grid_points"])
+    grid = _fig2_grid(cfg)
     fits = _campaign_grid(cfg, grid)
     write_table(out / "fig2_slopes.csv", {
         "n_nonlinear": grid, **fits,
@@ -516,7 +556,7 @@ def cmd_control(args, cfg: dict, out: Path) -> None:
 
 def cmd_scan(args, cfg: dict, out: Path) -> None:
     ops = _atomic_model()
-    _, beam, cloud = _scenario(cfg, ops)
+    beam, cloud = _geometry(cfg, ops)
     detunings = np.append(
         np.linspace(cfg["scan_lo"], cfg["scan_hi"], cfg["scan_points"]),
         _TWO_PI * 1.5e9,  # the far-detuned linear-probe marker

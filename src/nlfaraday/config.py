@@ -20,14 +20,72 @@ back to the identical configuration.
 
 ``_format_value`` writes every manifest value and, through
 ``write_table``, every cell and metadata line of every CSV table.
+
+A ``Range`` is declared once beside the field (``ranged``) or argument
+it bounds, where the model's arithmetic stays finite; the validators and
+the command line's pre-output check both read it.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from .exceptions import InvalidConfig
+from .exceptions import InvalidConfig, NlfaradayError
+
+# the cap of every count: 250 times the largest in use (400 samples)
+MAX_COUNT = 100_000
+# output fields that may hold a non-finite number: the damage of an
+# unpolarized sample (nan), an unidentified fitted saturation_photons (nan)
+# and the injected one of an unsaturated model (inf)
+NON_FINITE_FIELDS = frozenset({
+    "damage_mean", "damage_detected", "saturation_photons", "injected_saturation_photons",
+})
+
+
+@dataclasses.dataclass(frozen=True)
+class Range:
+    """Admissible values lo <= x <= hi of one input (never NaN), and why."""
+
+    lo: float
+    hi: float
+    why: str
+
+    def check(self, name: str, value, where: str = "") -> None:
+        """Raise InvalidConfig, naming ``where`` and ``name``, unless lo <= value <= hi."""
+        if not self.lo <= value <= self.hi:
+            raise InvalidConfig(f"{where}{name} = {value} is outside [{self.lo:.6g}, {self.hi:.6g}]: {self.why}")
+
+
+def ranged(lo, hi, why: str, default=dataclasses.MISSING):
+    """A dataclass field admitting ``Range(lo, hi, why)``; see ``check_fields``."""
+    return dataclasses.field(default=default, metadata={"range": Range(lo, hi, why)})
+
+
+@functools.cache  # a class's fields are fixed; callers only read the dict
+def field_ranges(cls) -> dict:
+    """Field name -> ``Range`` of each ``ranged`` field of the dataclass ``cls``."""
+    return {f.name: f.metadata["range"] for f in dataclasses.fields(cls) if "range" in f.metadata}
+
+
+def check_fields(obj) -> None:
+    """Raise InvalidConfig, naming the field, for a ``ranged`` field of ``obj`` outside its range."""
+    for name, admissible in field_ranges(type(obj)).items():
+        admissible.check(name, getattr(obj, name))
+
+
+def refuse_non_finite(path, name: str, values) -> None:
+    """Raise NlfaradayError if output ``name`` holds a number that is not finite.
+
+    Fields of ``NON_FINITE_FIELDS`` are exempt; text values pass.
+    """
+    if name in NON_FINITE_FIELDS:
+        return
+    arr = np.asarray(values)
+    if arr.dtype.kind in "fc" and not np.isfinite(arr).all():
+        raise NlfaradayError(f"{path}: {name} holds a number that is not finite; the file is not written")
 
 _UNIT_SCALES = {
     "s": 1.0,
@@ -150,9 +208,12 @@ def write_table(path, columns: dict, metadata: dict = None) -> str:
     """Write a CSV table of ``columns`` (name -> equal-length values); return its text.
 
     ``metadata`` entries become ``# key = value`` lines above the header,
-    in the order given.  Unequal columns raise ValueError before anything
-    is written.  Every value is formatted by ``_format_value``.
+    in the order given.  Unequal columns raise ValueError, and a
+    non-finite number outside ``NON_FINITE_FIELDS`` raises NlfaradayError,
+    before anything is written.  Every value is formatted by ``_format_value``.
     """
+    for name, values in (*(metadata or {}).items(), *columns.items()):
+        refuse_non_finite(path, name, values)
     lines = [f"# {key} = {_format_value(value)}" for key, value in (metadata or {}).items()]
     lines.append(",".join(columns))
     cells = [_column_text(values) for values in columns.values()]

@@ -437,6 +437,8 @@ def _check_states(states: np.ndarray):
 
     The states are exactly Hermitian (``_Coordinates.states``).
     """
+    if not np.isfinite(states).all():
+        raise StepFailure("a stored density matrix is not finite")
     max_dev = float(np.max(np.abs(np.einsum("...ii->...", states).real - 1.0)))
     min_eig = float(np.min(np.linalg.eigvalsh(states)))
     if min_eig < -_POSITIVITY_ABORT:
@@ -637,7 +639,9 @@ def _intensity_rule(s: np.ndarray, weight: np.ndarray, k: int):
             beta[j] = np.linalg.norm(v)
             q = v / beta[j]
     levels, vectors = eigh_tridiagonal(alpha, beta)
-    return levels, total * vectors[0] ** 2
+    # the levels lie in the hull of the intensities, [0, 1]; rounding can
+    # put the lowest a few ulps below 0 when the intensities span many decades
+    return np.maximum(levels, 0.0), total * vectors[0] ** 2
 
 
 @dataclass

@@ -2,11 +2,8 @@
 
 Numerical routines raise specific subclasses so callers can distinguish
 "the physics model refused" from "the fit did not converge" without
-string-matching messages.  ``require_finite`` is the finiteness check
-of the configuration dataclasses: a NaN compares false with every
-bound, so an order check alone lets it through.
+string-matching messages.
 """
-import math
 
 
 class NlfaradayError(Exception):
@@ -56,10 +53,3 @@ class InsufficientPoints(FitError):
 class NoCrossover(NlfaradayError):
     """The requested regime crossover does not occur in the given range."""
 
-
-def require_finite(obj, *names):
-    """Raise InvalidConfig, naming the field, if a field of ``obj`` is not a finite number."""
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise InvalidConfig(f"{name} = {value} is not a finite number")

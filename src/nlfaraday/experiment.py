@@ -28,14 +28,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import ResponseModel, ScalingCurve
-from .config import write_table
-from .exceptions import InvalidConfig, require_finite
+from .config import MAX_COUNT, Range, check_fields, ranged, write_table
+from .exceptions import InvalidConfig, NlfaradayError
 
 CSV_SCHEMA_VERSION = 1
 MIN_SAMPLES = 10  # live samples a correlation campaign needs
 # photon numbers whose square is a finite normal float: the angle
 # variance divides by that square
 _SQUARABLE_PHOTONS = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max))
+_PHOTONS = Range(*_SQUARABLE_PHOTONS, "photon numbers must be positive, with N^2 a finite normal float")
+_ATOMS = Range(0.0, 1e150, "atom numbers are non-negative, and the rotation linear in them must stay finite")
+# generate_correlation_campaign's scalar arguments; atom_lo and atom_hi bound atom_range
+CAMPAIGN_RANGES = {
+    "n_nonlinear": _PHOTONS, "n_linear": _PHOTONS, "atom_lo": _ATOMS, "atom_hi": _ATOMS,
+    "samples": Range(MIN_SAMPLES, MAX_COUNT, f"a campaign regresses {MIN_SAMPLES} live samples or more"),
+    "controls": Range(0, MAX_COUNT, "a count is non-negative"),
+}
+_VARIANCE = (0.0, sys.float_info.max, "a variance term is a non-negative finite number")
 _PROBE_TAGS = ("L1", "NL", "L2")
 _TAG_CODES = {tag: k for k, tag in enumerate(_PROBE_TAGS)}
 # one field per campaign CSV column, in file order
@@ -43,19 +52,6 @@ _ROW_DTYPE = np.dtype([
     ("probe_tag", "U2"), ("n_photons", float), ("s_x", float), ("s_y", float),
     ("phi", float), ("n_atoms", float), ("sample_index", np.int64),
 ])
-
-
-def _check_transmissions(t_h: float, t_v: float):
-    """Raise InvalidConfig unless both lie in (0, 1] and sqrt(t_h t_v) > 0.
-
-    S_y carries the factor sqrt(t_h t_v); a product that underflows to 0
-    would write S_y = 0 and make the angle unrecoverable.
-    """
-    for t in (t_h, t_v):
-        if not 0.0 < t <= 1.0:
-            raise InvalidConfig("transmissions must lie in (0, 1]")
-    if math.sqrt(t_h * t_v) == 0.0:
-        raise InvalidConfig(f"transmissions {t_h:.17g} and {t_v:.17g}: sqrt(t_h * t_v) underflows to 0")
 
 
 @dataclass(frozen=True)
@@ -67,21 +63,21 @@ class PolarimeterModel:
     ``technical_coefficient`` scales the N^2 term seen in raw S_y counts.
     """
 
-    v_linear: float = 3.0e5
-    v_nonlinear: float = 4.0e5
-    technical_coefficient: float = 0.0
-    transmission_h: float = 1.0
-    transmission_v: float = 1.0
+    v_linear: float = ranged(*_VARIANCE, 3.0e5)
+    v_nonlinear: float = ranged(*_VARIANCE, 4.0e5)
+    technical_coefficient: float = ranged(*_VARIANCE, 0.0)
+    transmission_h: float = ranged(5e-324, 1.0, "a transmission lies in (0, 1]", 1.0)
+    transmission_v: float = ranged(5e-324, 1.0, "a transmission lies in (0, 1]", 1.0)
     shot_noise: bool = True
     electronic_noise: bool = True
 
     def __post_init__(self):
-        require_finite(self, "v_linear", "v_nonlinear", "technical_coefficient")
-        if self.v_linear < 0 or self.v_nonlinear < 0:
-            raise InvalidConfig("electronic variances must be non-negative")
-        if self.technical_coefficient < 0:
-            raise InvalidConfig("technical-noise coefficient must be non-negative")
-        _check_transmissions(self.transmission_h, self.transmission_v)
+        check_fields(self)
+        # S_y carries sqrt(t_h t_v): were it 0, no angle could be read back
+        if math.sqrt(self.transmission_h * self.transmission_v) == 0.0:
+            raise InvalidConfig(
+                f"transmissions {self.transmission_h:.17g} and {self.transmission_v:.17g}: sqrt(t_h * t_v) underflows to 0"
+            )
 
     def electronic_variance(self, probe_tag: str) -> float:
         return self.v_nonlinear if probe_tag == "NL" else self.v_linear
@@ -171,6 +167,25 @@ class CampaignResult:
         ]
 
 
+def check_campaign(n_nonlinear, atom_range, samples, noise, response, n_linear, controls) -> None:
+    """Raise InvalidConfig where ``generate_correlation_campaign`` would, drawing nothing.
+
+    Beyond ``CAMPAIGN_RANGES``: atom_lo < atom_hi, finite angle variances,
+    and a mean angle at atom_hi that keeps |S_y| <= S_x.
+    """
+    lo, hi = atom_range
+    scalars = dict(n_nonlinear=n_nonlinear, n_linear=n_linear, atom_lo=lo, atom_hi=hi, samples=samples, controls=controls)
+    for name, value in scalars.items():
+        CAMPAIGN_RANGES[name].check(name, value)
+    if not lo < hi:
+        raise InvalidConfig(f"atom_lo = {lo} is not below atom_hi = {hi}")
+    noise.phi_variance(n_linear, "L1")
+    noise.phi_variance(n_nonlinear, "NL")
+    peak = max(abs(response.linear_rotation(hi)), abs(response.nonlinear_rotation(hi, n_nonlinear)))
+    if not peak * math.sqrt(noise.transmission_h * noise.transmission_v) <= 1.0:
+        raise InvalidConfig(f"|S_y| exceeds S_x: the mean rotation at {hi:g} atoms is {peak:.4g} rad")
+
+
 def generate_correlation_campaign(
     n_nonlinear: float,
     atom_range=(1.5e5, 3.5e5),
@@ -190,17 +205,13 @@ def generate_correlation_campaign(
     (samples + controls, 3) block of standard normals, one row per sample
     and one column per probe; the ``controls`` zero-atom samples come
     last.  Each angle is the response-model mean plus its normal times
-    ``sqrt(noise.phi_variance)``.
+    ``sqrt(noise.phi_variance)``.  Raises InvalidConfig where
+    ``check_campaign`` does, and NlfaradayError for a draw with |S_y| > S_x.
     """
-    if samples < MIN_SAMPLES:
-        raise InvalidConfig(f"campaigns need at least {MIN_SAMPLES} samples")
-    lo, hi = (float(a) for a in atom_range)
-    if not 0 <= lo < hi:
-        raise InvalidConfig("atom range must satisfy 0 <= lo < hi")
-    if n_linear <= 0 or n_nonlinear <= 0:
-        raise InvalidConfig("photon numbers must be positive")
     noise = noise or PolarimeterModel()
     response = response or ResponseModel()
+    lo, hi = (float(a) for a in atom_range)
+    check_campaign(n_nonlinear, (lo, hi), samples, noise, response, n_linear, controls)
     if seed is None:
         seed = int(np.random.default_rng().integers(2**31 - 1))
     seed = int(seed)
@@ -233,9 +244,9 @@ def generate_correlation_campaign(
         seed=seed,
         noise=noise,
     )
-    for _, n, _, s_y in camp.probes():
+    for tag, n, phi, s_y in camp.probes():
         if np.any(np.abs(s_y) > n):
-            raise InvalidConfig("|S_y| exceeds S_x: rotation outside physical range")
+            raise NlfaradayError(f"a noise draw put |S_y| above S_x: {tag} angles reach {np.max(np.abs(phi)):.4g} rad")
     return camp
 
 
@@ -265,6 +276,12 @@ def polarimeter_noise_scan(
     return n, variances
 
 
+def check_rotation(rotation: float) -> None:
+    """Raise InvalidConfig unless 1e-150 <= |rotation| < 0.1: a small angle with a finite inverse."""
+    if not 1e-150 <= abs(rotation) < 0.1:
+        raise InvalidConfig(f"rotation = {rotation} is outside the small-angle band 1e-150 <= |rotation| < 0.1")
+
+
 def waveplate_control_run(
     rotation: float = 4e-3,
     photon_numbers=None,
@@ -281,10 +298,7 @@ def waveplate_control_run(
     floor the scatter scales as N^(-1/2).  The default photon grid spans
     the range the nonlinear probe actually uses.
     """
-    if abs(rotation) >= 0.1:
-        raise InvalidConfig("waveplate rotation must stay in the small-angle regime")
-    if rotation == 0:
-        raise InvalidConfig("waveplate rotation must be nonzero")
+    check_rotation(rotation)
     if photon_numbers is None:
         photon_numbers = np.logspace(6.0, 8.0, 13)
     noise = noise or PolarimeterModel()
@@ -347,13 +361,6 @@ def _header_photons(path, meta: dict, key: str) -> float:
     return value
 
 
-def _header_transmission(path, meta: dict, key: str) -> float:
-    value = _header_number(path, meta, key, "1.0")
-    if not 0.0 < value <= 1.0:
-        raise InvalidConfig(f"{path}: {key} {meta[key]!r} does not lie in (0, 1]")
-    return value
-
-
 def _column(path, linenos, texts, kind) -> np.ndarray:
     """One CSV column parsed with ``kind``; InvalidConfig names the first bad line."""
     try:
@@ -406,9 +413,9 @@ def read_campaign_csv(path):
     version = meta.get("schema_version")
     if version != str(CSV_SCHEMA_VERSION):
         raise InvalidConfig(f"{path}: schema_version {version} is not {CSV_SCHEMA_VERSION}")
-    t_h, t_v = (_header_transmission(path, meta, f"transmission_{s}") for s in "hv")
+    t_h, t_v = (_header_number(path, meta, f"transmission_{s}", "1.0") for s in "hv")
     try:
-        _check_transmissions(t_h, t_v)
+        PolarimeterModel(transmission_h=t_h, transmission_v=t_v)
     except InvalidConfig as exc:
         raise InvalidConfig(f"{path}: {exc}") from None
     body = [lines[k] for k in data[1:]]

@@ -9,16 +9,18 @@ keeps the cloud-norm invariant at machine precision for any node count.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from numpy.polynomial.legendre import leggauss
 
-from .exceptions import InvalidConfig, require_finite
+from .config import MAX_COUNT, check_fields, ranged
+from .exceptions import InvalidConfig
 
 _LN2 = float(np.log(2.0))
+# admissible lengths in metres: the density normalization multiplies three
+_LENGTHS = (1e-100, 1e100, "a length's cube must be a finite normal float")
 # half-width of a Gaussian pulse's integration window, in units of sigma_time
 _WINDOW_SIGMAS = 4.0
 
@@ -34,23 +36,21 @@ class PulseSpec:
     """
 
     shape: str = "gaussian"
-    fwhm: float = 54e-9
-    n_photons: float = 1e7
-    detuning: float = 2 * np.pi * 462e6
-    train_count: int = 1
-    train_period: float = 0.0
+    # the bounds keep the Gaussian's sigma^2 normal and every propagator
+    # finite: a flat segment's or gap's turns NaN by 1e30 s, and the flat
+    # train's overflows by 1e40 photons
+    fwhm: float = ranged(1e-150, 1e25, "sigma^2 and the propagators must stay finite", 54e-9)
+    n_photons: float = ranged(1e-150, 1e30, "the drive and its propagators must stay finite", 1e7)
+    detuning: float = ranged(-1e20, 1e20, "the detuning rate and the solver's error norms must stay finite", 2 * np.pi * 462e6)
+    train_count: int = ranged(1, MAX_COUNT, f"a train holds at least one pulse, and a count at most {MAX_COUNT}", 1)
+    train_period: float = ranged(0.0, 1e25, "the gaps' propagators must stay finite", 0.0)
 
     def __post_init__(self):
         if self.shape not in ("gaussian", "flat-train"):
             raise InvalidConfig(f"unknown pulse shape {self.shape!r}")
-        require_finite(self, "fwhm", "n_photons", "detuning", "train_period")
-        if self.fwhm <= 0 or self.n_photons <= 0:
-            raise InvalidConfig("pulse fwhm and photon number must be positive")
-        if self.shape == "flat-train":
-            if self.train_count < 1:
-                raise InvalidConfig("train_count must be >= 1")
-            if self.train_count > 1 and self.train_period < self.fwhm:
-                raise InvalidConfig("train_period shorter than pulse width")
+        check_fields(self)
+        if self.shape == "flat-train" and self.train_count > 1 and self.train_period < self.fwhm:
+            raise InvalidConfig("train_period shorter than pulse width")
 
     @property
     def sigma_time(self) -> float:
@@ -91,17 +91,11 @@ class PulseSpec:
 class BeamGeometry:
     """Focused Gaussian probe beam at the line data's ``wavelength``."""
 
-    wavelength: float
-    waist: float = 20e-6
+    wavelength: float = ranged(*_LENGTHS)
+    waist: float = ranged(1.2e-154, 7e153, "the mode area pi w^2 / 2 must be a finite normal float", 20e-6)
 
     def __post_init__(self):
-        require_finite(self, "waist", "wavelength")
-        if self.waist <= 0 or self.wavelength <= 0:
-            raise InvalidConfig("waist and wavelength must be positive")
-        # float products overflow to inf and underflow to 0 without raising
-        area = math.pi * (float(self.waist) * float(self.waist)) / 2.0
-        if not 0.0 < area < math.inf:
-            raise InvalidConfig(f"waist = {self.waist} gives a mode area of {area}, not a positive finite number")
+        check_fields(self)
 
     @property
     def rayleigh_range(self) -> float:
@@ -124,8 +118,10 @@ class BeamGeometry:
         ``dynamics``).
         """
         r = np.asarray(r, dtype=float)
-        w = self.width(z)
-        return np.sqrt(2.0 / np.pi) / w * np.exp(-(r**2) / w**2)
+        # (z / zr)^2 in the width and r^2 / w^2 may overflow to inf, where the amplitude is 0
+        with np.errstate(over="ignore"):
+            w = self.width(z)
+            return np.sqrt(2.0 / np.pi) / w * np.exp(-(r**2) / w**2)
 
     def local_intensity_scale(self, r, z):
         """A0 |M|^2, dimensionless in (0, 1]; 1 on axis at the focus."""
@@ -136,16 +132,12 @@ class BeamGeometry:
 class CloudGeometry:
     """Gaussian atom cloud, cylindrically symmetric about the beam axis."""
 
-    n_atoms: float = 2.5e5
-    sigma_trans: float = 20e-6
-    sigma_long: float = 300e-6
+    n_atoms: float = ranged(0.0, 1e150, "the rotation, linear in the atom number, must stay finite", 2.5e5)
+    sigma_trans: float = ranged(*_LENGTHS, 20e-6)
+    sigma_long: float = ranged(*_LENGTHS, 300e-6)
 
     def __post_init__(self):
-        require_finite(self, "n_atoms", "sigma_trans", "sigma_long")
-        if self.sigma_trans <= 0 or self.sigma_long <= 0:
-            raise InvalidConfig("cloud widths must be positive")
-        if self.n_atoms < 0:
-            raise InvalidConfig("atom number cannot be negative")
+        check_fields(self)
 
     def density(self, r, z):
         """Atoms per unit volume at radius r, axial position z."""

@@ -19,6 +19,7 @@ from nlfaraday.exceptions import (
     InsufficientPoints,
     InvalidConfig,
     NegativeVariance,
+    NlfaradayError,
     NoCrossover,
     NonConvergence,
 )
@@ -379,11 +380,16 @@ def test_report_and_csv_writers(tmp_path):
     assert parsed["offset"] == (1.5, None)
     assert parsed["count"] == (7.0, None)
 
+    # a non-finite number is written only in a field listed as admitting one
+    with pytest.raises(NlfaradayError, match="slope"):
+        ana.write_fit_report(tmp_path / "refused.txt", {"slope": (2.0, math.nan)})
+    assert not (tmp_path / "refused.txt").exists()
+
     n = np.logspace(5, 7, 5)
     columns = {
         "n_photons": n,
         "sensitivity": 2.0 * n**-1.5,
-        "signed": np.array([-0.0, 0.0, -0.5, np.nan, -np.inf]),
+        "damage_detected": np.array([-0.0, 0.0, -0.5, np.nan, -np.inf]),
         "count": np.array([3, 1, 3, 0, 1]),
         "tag": ["L1", "NL", "L2", "NL", "L1"],
     }
@@ -396,13 +402,16 @@ def test_report_and_csv_writers(tmp_path):
     assert list(cols) == list(columns)
     for name in ("n_photons", "sensitivity", "count"):
         assert np.array_equal(cols[name], columns[name])
-    assert np.array_equal(cols["signed"], columns["signed"], equal_nan=True)
-    assert np.array_equal(np.signbit(cols["signed"]), np.signbit(columns["signed"]))
+    assert np.array_equal(cols["damage_detected"], columns["damage_detected"], equal_nan=True)
+    assert np.array_equal(np.signbit(cols["damage_detected"]), np.signbit(columns["damage_detected"]))
     assert cols["tag"] == columns["tag"]
     # ints are written exactly, and -0.0 keeps its sign beside 0.0
     rows = [row.split(",") for row in text.splitlines()[4:]]
     assert [row[2] for row in rows] == ["-0", "0", "-0.5", "nan", "-inf"]
     assert [row[3] for row in rows] == ["3", "1", "3", "0", "1"]
+    with pytest.raises(NlfaradayError, match="signed"):
+        write_table(tmp_path / "refused.csv", {"signed": columns["damage_detected"]})
+    assert not (tmp_path / "refused.csv").exists()
     with pytest.raises(ValueError):
         write_table(tmp_path / "bad.csv", {"a": np.arange(5.0), "b": np.arange(3.0)})
     assert not (tmp_path / "bad.csv").exists()

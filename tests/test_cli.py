@@ -1,5 +1,7 @@
 """End-to-end command-line checks: exit codes, file outputs, determinism."""
+import contextlib
 import hashlib
+import io
 import logging
 import signal
 import subprocess
@@ -14,8 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import read_csv_columns, read_report
 from nlfaraday import cli, dynamics
-from nlfaraday.config import write_manifest
-from nlfaraday.config import parse_config_text
+from nlfaraday.config import NON_FINITE_FIELDS, parse_config_text, write_manifest
 
 
 def test_version_subprocess():
@@ -228,6 +229,33 @@ def deadline():
     (["campaign"], "controls = -1", "{config}: controls"),
     (["reproduce-fig3", "--ideal", "--points", "3"], None, "grid_points"),
     (["reproduce-fig3", "--ideal", "--points", "6"], None, "grid_points"),
+    # the angle variance divides by N^2, which overflows at 1e300 and
+    # underflows to 0 at 1e-300
+    (["campaign"], "n_linear = 1e300", "{config}: n_linear"),
+    (["campaign"], "n_linear = 1e-300", "{config}: n_linear"),
+    (["campaign"], "n_nonlinear = 1e300", "{config}: n_nonlinear"),
+    (["campaign"], "n_nonlinear = 1e-300", "{config}: n_nonlinear"),
+    (["reproduce-fig2"], "n_linear = 1e300", "{config}: n_linear"),
+    (["reproduce-fig2"], "n_linear = 1e-300", "{config}: n_linear"),
+    # counts that numpy cannot allocate
+    (["campaign"], "samples = 1e300", "{config}: samples"),
+    (["campaign"], "controls = 1e300", "{config}: controls"),
+    (["reproduce-fig2"], "grid_points = 1e300", "{config}: grid_points"),
+    (["coefficients-scan"], "scan_points = 1e300", "{config}: scan_points"),
+    # values that overflow or divide by zero in the model's arithmetic
+    (["simulate"], "n_photons = 1e300", "{config}: n_photons"),
+    (["simulate"], "detuning = 1e300", "{config}: detuning"),
+    (["simulate"], "sigma_long = 1e300", "{config}: sigma_long"),
+    (["simulate"], "pulse_fwhm = 1e-300", "{config}: pulse_fwhm"),
+    (["reproduce-fig3"], "nonlinear_coefficient = 1e300", "{config}: nonlinear_coefficient"),
+    (["reproduce-fig3"], "nonlinear_coefficient = 0", "{config}: nonlinear_coefficient"),
+    # values the models refused only after the output directory was made
+    (["control-run"], "rotation = 0.5", "rotation"),
+    (["campaign"], "atom_lo = 5e5", "atom_lo"),
+    (["reproduce-fig3"], "collective_spin = -1", "{config}: collective_spin"),
+    (["simulate"], "sigma_trans = -1", "{config}: sigma_trans"),
+    (["simulate"], "waist = -1", "{config}: waist"),
+    (["campaign"], "damage_slope = -1", "{config}: damage_slope"),
 ])
 def test_bad_number_exits_2_before_any_output(tmp_path, capsys, deadline, argv, config, key):
     path = tmp_path / "bad.cfg"
@@ -238,21 +266,6 @@ def test_bad_number_exits_2_before_any_output(tmp_path, capsys, deadline, argv, 
     assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_CONFIG
     assert f"configuration error: {key.format(config=path)} = " in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("value", ["1e300", "1e-300"])
-@pytest.mark.parametrize("command, key", [
-    ("campaign", "n_linear"), ("campaign", "n_nonlinear"), ("reproduce-fig2", "n_linear"),
-])
-def test_out_of_range_photon_number_exits_2(tmp_path, capsys, command, key, value):
-    # the angle variance divides by N^2, which overflows at 1e300 and
-    # underflows to 0 at 1e-300
-    config = tmp_path / "photons.cfg"
-    config.write_text(f"{key} = {value}\n")
-    rc = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
-    assert rc == cli.EXIT_CONFIG
-    assert f"angle variance at {float(value):g} photons is not a finite number" in capsys.readouterr().err
-
 
 
 @pytest.mark.parametrize("setting, message", [
@@ -271,6 +284,15 @@ def test_simulate_of_a_scene_without_light_exits_2(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "out" / "stokes.csv").exists()
 
 
+def test_simulate_past_the_step_budget_exits_3(tmp_path, capsys, monkeypatch):
+    from nlfaraday import _dop853
+
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 5)
+    rc = cli.main(["simulate", "--n-photons", "1e4", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_NUMERICAL
+    assert "numerical failure: integrator failed: Step budget of 5 steps exhausted" in capsys.readouterr().err
+
+
 def _no_solve(*args, **kwargs):
     raise AssertionError("a solve started")
 
@@ -279,6 +301,92 @@ def test_counts_are_checked_only_where_read(tmp_path):
     config = tmp_path / "counts.cfg"
     config.write_text("samples = 5\ncontrols = -1\ngrid_points = 0\nscan_points = -1\n")
     assert cli.main(["control-run", "--config", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+
+
+# the counts: the property draws them only from values that fail fast
+_COUNT_KEYS = ("samples", "controls", "grid_points", "scan_points", "train_count")
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1.8e308, -1.8e308, float("nan"), float("inf"), float("-inf"),
+]
+
+
+def _signed_log_uniform():
+    """Floats of either sign, log-uniform over the whole float range."""
+    return st.builds(
+        lambda sign, power: sign * 2.0**power,
+        st.sampled_from([1.0, -1.0]), st.floats(-1074.0, 1023.99),
+    )
+
+
+@st.composite
+def _setting(draw):
+    """One config-file line's key and value text, for any numeric key."""
+    key = draw(st.sampled_from(sorted(k for k in cli.DEFAULTS if k != "pulse_shape")))
+    if key in _COUNT_KEYS:
+        value = draw(st.one_of(
+            st.integers(-10**6, 0), st.integers(cli.MAX_COUNT + 1, 10**18),
+            st.sampled_from(["1e300", "1.8e308", "0.5", "nan", "inf"]),
+        ))
+    elif key == "seed":
+        value = draw(st.one_of(st.integers(-10**18, 10**18), st.sampled_from(["1e300", "-1e300", "nan"])))
+    else:
+        value = repr(draw(st.one_of(st.sampled_from(_EDGE_FLOATS), _signed_log_uniform())))
+    return key, str(value)
+
+
+def _run_with_setting(tmp_path_factory, argv, key, value):
+    """cli.main on ``argv`` with ``key = value`` in a config file: (exit code, stderr, out)."""
+    work = tmp_path_factory.mktemp("setting")
+    config = work / "setting.cfg"
+    config.write_text(f"{key} = {value}\n")
+    out = work / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([*argv, "--config", str(config), "--out", str(out)])
+    return rc, err.getvalue(), out
+
+
+_FAST_RUNS = [
+    ["campaign"], ["reproduce-fig2"], ["reproduce-fig3"], ["reproduce-fig3", "--ideal"], ["control-run"],
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=st.sampled_from(_FAST_RUNS), setting=_setting())
+def test_any_single_setting_exits_cleanly(tmp_path_factory, argv, setting):
+    # exit 0 with finite outputs, exit 2 before any output, or exit 3 with
+    # a message; pytest turns any RuntimeWarning into a failure
+    rc, err, out = _run_with_setting(tmp_path_factory, argv, *setting)
+    if rc == cli.EXIT_OK:
+        for path in out.glob("*.csv"):
+            for name, column in read_csv_columns(path).items():
+                if isinstance(column, np.ndarray) and name not in NON_FINITE_FIELDS:
+                    assert np.all(np.isfinite(column)), (path.name, name)
+        for path in out.glob("*_report.txt"):
+            for name, (value, _) in read_report(path).items():
+                assert np.isfinite(value) or name in NON_FINITE_FIELDS, (path.name, name)
+    elif rc == cli.EXIT_CONFIG:
+        assert not out.exists() and err.startswith("configuration error: ")
+    else:
+        assert rc == cli.EXIT_NUMERICAL and err.startswith("numerical failure: ") and len(err) > 20
+
+
+# the two checks that need the line data, which the pre-output step never loads
+_AFTER_OUTPUT = ("the beam reaches no atom", "of a resonance")
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=st.sampled_from([["simulate"], ["coefficients-scan"]]), setting=_setting())
+def test_any_single_setting_reaches_the_solve_or_exits_2(tmp_path_factory, argv, setting):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_solve_batch", _no_solve)
+        try:
+            rc, err, out = _run_with_setting(tmp_path_factory, argv, *setting)
+        except AssertionError as exc:
+            assert str(exc) == "a solve started"
+            return
+    assert rc == cli.EXIT_CONFIG and err.startswith("configuration error: ")
+    assert not out.exists() or any(text in err for text in _AFTER_OUTPUT), err
 
 
 @pytest.mark.parametrize("argv, mode_keys", [

@@ -10,7 +10,7 @@ from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -707,6 +707,16 @@ def _recorded_solves(monkeypatch, run):
     return calls
 
 
+def test_step_budget_ends_a_solve_as_a_step_failure(monkeypatch, ops, beam, cloud):
+    # a real pulse needs more than 5 steps; the work bound ends the solve
+    from nlfaraday import _dop853
+
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 5)
+    pulse = PulseSpec(fwhm=54e-9, n_photons=1e4, detuning=2 * np.pi * 462e6)
+    with pytest.raises(StepFailure, match="Step budget of 5 steps exhausted"):
+        dyn.detected_stokes(pulse, beam, cloud, ops, n_radial=1, n_long=1)
+
+
 def test_own_dop853_matches_scipy(monkeypatch, scheme, ops, beam, cloud):
     from scipy.integrate import solve_ivp
     from scipy.integrate._ivp import dop853_coefficients as ref
@@ -872,8 +882,13 @@ def test_coordinate_map_is_exact(scheme, ops, case, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(case=st.integers(0, 3), data=st.data())
-def test_kept_entries_are_closed_under_full_lindblad(scheme, ops, case, data):
+@given(
+    case=st.integers(0, 3), rabi=st.floats(0.0, 5e8),
+    values=hnp.arrays(np.float64, 89, elements=_finite),
+)
+# every entry subnormal: the relative bound alone underflows to 0 here
+@example(case=0, rabi=0.0, values=np.full(89, 5e-324))
+def test_kept_entries_are_closed_under_full_lindblad(scheme, ops, case, rabi, values):
     # the full 24-level right-hand side from the oracle's hamiltonian and
     # liouvillian_dissipator, on a random Hermitian state on the kept
     # entries: at rounding level off them (its anticommutator is diagonal
@@ -881,10 +896,9 @@ def test_kept_entries_are_closed_under_full_lindblad(scheme, ops, case, data):
     from nlfaraday.atom import excited_projector, ground_projector
 
     model, _, rho0, detuning = _coordinate_cases(scheme, ops)[case]
-    rabi = data.draw(st.floats(0.0, 5e8))
     coords, r0, r1, d = _generators(model, rho0, detuning, rabi)
     kept, _ = _kept(coords)
-    x = data.draw(hnp.arrays(np.float64, r0.shape[0], elements=_finite))
+    x = values[: r0.shape[0]]  # 89 coordinates at most
     real = dyn._linear_rhs(r0, r1, d, np.array([1.0]), lambda t: 1.0)(0.0, x)
 
     rho = coords.states(x)
@@ -892,7 +906,10 @@ def test_kept_entries_are_closed_under_full_lindblad(scheme, ops, case, data):
     drho = -1j * (h @ rho - rho @ h) + liouvillian_dissipator(ops)(rho)
     dacc = np.trace(rho @ ground_projector(scheme) @ ops.d_y @ excited_projector(scheme))
 
-    scale = 1e-13 * sum(np.abs(r).sum(axis=1).max() for r in (r0, r1, d)) * np.max(np.abs(x))
+    norms = sum(np.abs(r).sum(axis=1).max() for r in (r0, r1, d))
+    # plus an absolute floor: the oracle's products of subnormal entries
+    # round on the grid of the smallest subnormal, scaled by its operators
+    scale = 1e-13 * norms * np.max(np.abs(x)) + 4 * np.finfo(float).smallest_subnormal * norms
     assert np.max(np.abs(drho[~kept])) <= scale
     assert np.max(np.abs(coords.states(real)[kept] - drho[kept])) <= scale
     assert abs(coords.decode(real)[-1] - dacc) <= scale
