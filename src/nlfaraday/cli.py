@@ -1,19 +1,19 @@
 """Command-line entry point: simulations, campaigns, fits, figure tables.
 
 ``main`` runs each subcommand of ``_COMMANDS`` in one frame: it resolves
-the configuration (defaults < config file < flags), makes every check
-that precedes output (``_check_numbers``), creates the output directory
-with ``manifest.txt`` (full resolved config, re-parseable) and
-``run.log``, calls the handler ``cmd_*(args, cfg, out)``, which only
-computes and writes its CSV/report files (each CSV one
-``config.write_table`` call), and prints ``outputs in <dir>`` last.  A
-subcommand declares only the flags it reads, and each flag's argparse
-``dest`` is the config key it sets.  Exit codes: 0 success, 2 for
-configuration problems (an unknown flag; before any output, a number
-outside the range declared where the key is used, see ``_RANGES``, or a
-failed cross-field check; after it, only the two checks that need the
-line data), 3 for numerical failures (among them a solve past the
-integrator's step budget and a non-finite output number).
+the configuration (defaults < config file < flags), checks each number
+against the range declared where its key is used (``_check_numbers``),
+and stages the run in a fresh directory beside ``--out``: ``manifest.txt``
+(full resolved config, re-parseable), ``run.log`` and the CSV/report
+files of the handler ``cmd_*(args, cfg, out)``, which only computes and
+writes them (each CSV one ``config.write_table`` call).  It then
+publishes the staged files to ``--out`` and prints ``outputs in <dir>``
+last.  A subcommand declares only the flags it reads, and each flag's
+argparse ``dest`` is the config key it sets.  Exit codes: 0 success, 2
+for configuration problems (an unknown flag, a value that a range or a
+model check refuses, an unusable ``--out``), which leave no output, 3 for
+numerical failures (among them a solve past the integrator's step budget
+and a non-finite output number), which publish what was written.
 """
 from __future__ import annotations
 
@@ -22,6 +22,8 @@ import dataclasses
 import functools
 import logging
 import math
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -103,7 +105,7 @@ _MANIFEST_KEYS = ("ideal", "no_saturation", "package_version")
 _INT_KEYS = frozenset(key for key, value in DEFAULTS.items() if isinstance(value, int))
 _PULSE_RANGES = field_ranges(PulseSpec)
 # config key -> the range declared beside the field or argument it sets;
-# pulse_shape and rotation (expmt.check_rotation) have none
+# pulse_shape and rotation (waveplate_control_run checks it) have none
 _RANGES = {
     **{key: _PULSE_RANGES[name] for key, name in _PULSE_FIELDS.items() if name in _PULSE_RANGES},
     **{key: admissible for cls in (BeamGeometry, CloudGeometry, ana.ResponseModel, expmt.PolarimeterModel)
@@ -218,20 +220,17 @@ def _fig3_grid(cfg: dict) -> np.ndarray:
 
 
 _FIG3_CURVE_B = Range(1e-150, 1e150, "reproduce-fig3's model curves, where A = 0, divide by B")
-# nonlinear photon numbers of each campaign subcommand's campaigns
-_CAMPAIGN_PHOTONS = {"campaign": lambda cfg: [cfg["n_nonlinear"]], "reproduce-fig2": _fig2_grid, "reproduce-fig3": _fig3_grid}
 
 
 def _check_numbers(args, cfg: dict, file_keys: set) -> None:
-    """Every check made before output: each number finite and in its
-    ``_RANGES`` entry (a count only where read), then the cross-field checks
-    of the pulse, the rotation, each campaign and the reproduce-fig3 grid."""
+    """The checks whose message names a config key and its file: each
+    number finite and in its ``_RANGES`` entry (a count only where read),
+    and reproduce-fig3's curve coefficient and grid window."""
     def where(key):
         return f"{args.config}: " if key in file_keys else ""
 
-    campaigns = hasattr(args, "samples") and not cfg.get("ideal")
     unread = {key for key in ("grid_points", "scan_points") if not hasattr(args, key)}
-    if not campaigns:
+    if not hasattr(args, "samples") or cfg.get("ideal"):
         unread |= {"samples", "controls"}
     for key, value in cfg.items():
         # every number is finite: an unsaturated model is --no-saturation
@@ -239,16 +238,6 @@ def _check_numbers(args, cfg: dict, file_keys: set) -> None:
             raise InvalidConfig(f"{where(key)}{key} = {value} is not a finite number")
         if key in _RANGES and key not in unread:
             _RANGES[key].check(key, value, where(key))
-    expmt.check_rotation(cfg["rotation"])
-    if args.command == "simulate":
-        _pulse(cfg)
-    if campaigns:
-        noise, response = _noise_from(cfg), _response_from(cfg)
-        for n in _CAMPAIGN_PHOTONS[args.command](cfg):
-            expmt.check_campaign(
-                float(n), (cfg["atom_lo"], cfg["atom_hi"]), cfg["samples"], noise, response,
-                cfg["n_linear"], cfg["controls"],
-            )
     if args.command == "reproduce-fig3":
         _FIG3_CURVE_B.check("nonlinear_coefficient", cfg["nonlinear_coefficient"], where("nonlinear_coefficient"))
         lo, hi = _FIG3_WINDOW
@@ -261,17 +250,35 @@ def _check_numbers(args, cfg: dict, file_keys: set) -> None:
             )
 
 
-def _prepare_out(args, cfg: dict) -> Path:
-    out = args.out or Path(f"nlfaraday-{args.command}")
-    out.mkdir(parents=True, exist_ok=True)
-    root = logging.getLogger("nlfaraday")
-    handler = logging.FileHandler(out / "run.log", mode="w")
+def _stage(args, cfg: dict, out: Path) -> Path:
+    """A fresh directory beside ``out`` with this run's run.log and manifest.txt, to publish or delete."""
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if out.exists() and not out.is_dir():
+            raise NotADirectoryError("it is not a directory")
+        # a plain mkdir, so the published directory has the usual permissions
+        stage = out.parent / f".{out.name}.{os.getpid()}-{os.urandom(4).hex()}.stage"
+        stage.mkdir()
+    except OSError as exc:
+        raise InvalidConfig(f"cannot write outputs to {out}: {exc}") from exc
+    handler = logging.FileHandler(stage / "run.log", mode="w")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    root = logging.getLogger("nlfaraday")
     root.setLevel(logging.INFO)
     root.addHandler(handler)
-    write_manifest(out / "manifest.txt", cfg, __version__, command=args.command)
+    write_manifest(stage / "manifest.txt", cfg, __version__, command=args.command)
     log.info("%s -> %s", args.command, out)
-    return out
+    return stage
+
+
+def _publish(stage: Path, out: Path) -> None:
+    """Rename ``stage`` to ``out``, or move its files into an existing ``out``."""
+    if out.exists():
+        for path in stage.iterdir():
+            path.replace(out / path.name)
+        stage.rmdir()
+    else:
+        stage.rename(out)
 
 
 def _response_from(cfg: dict) -> ana.ResponseModel:
@@ -295,10 +302,6 @@ def _atomic_model():
     ops = _operator_set()
     log.info("atomic data %s sha256=%s", ops.scheme.line.source, ops.scheme.line.sha256)
     return ops
-
-
-def _pulse(cfg: dict) -> PulseSpec:
-    return PulseSpec(**{name: cfg[key] for key, name in _PULSE_FIELDS.items()})
 
 
 def _geometry(cfg: dict, ops):
@@ -346,7 +349,7 @@ def _fitted_coefficients(model: ana.ResponseModel) -> dict:
 
 def cmd_simulate(args, cfg: dict, out: Path) -> None:
     ops = _atomic_model()
-    pulse = _pulse(cfg)
+    pulse = PulseSpec(**{name: cfg[key] for key, name in _PULSE_FIELDS.items()})
     beam, cloud = _geometry(cfg, ops)
     res = dyn.detected_stokes(pulse, beam, cloud, ops)
     log.info("integrated %d intensity levels for %d cloud nodes", res.levels, res.grid.r.size)
@@ -600,13 +603,14 @@ def main(argv=None) -> int:
     # later library calls in the same process do not write into it
     root = logging.getLogger("nlfaraday")
     handlers, level = list(root.handlers), root.level
+    stage = failed_config = None
     try:
         cfg = _resolve_config(args)
-        out = _prepare_out(args, cfg)
-        _COMMANDS[args.command][0](args, cfg, out)
-        print(f"outputs in {out}")
-        return EXIT_OK
+        out = args.out or Path(f"nlfaraday-{args.command}")
+        stage = _stage(args, cfg, out)
+        _COMMANDS[args.command][0](args, cfg, stage)
     except (InvalidConfig, DataIntegrityError) as exc:
+        failed_config = True
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NlfaradayError as exc:
@@ -618,6 +622,13 @@ def main(argv=None) -> int:
                 h.close()
                 root.removeHandler(h)
         root.setLevel(level)
+        # a configuration error leaves no output; any other end publishes what was written
+        if stage is not None and failed_config:
+            shutil.rmtree(stage)
+        elif stage is not None:
+            _publish(stage, out)
+    print(f"outputs in {out}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

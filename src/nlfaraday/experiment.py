@@ -167,25 +167,6 @@ class CampaignResult:
         ]
 
 
-def check_campaign(n_nonlinear, atom_range, samples, noise, response, n_linear, controls) -> None:
-    """Raise InvalidConfig where ``generate_correlation_campaign`` would, drawing nothing.
-
-    Beyond ``CAMPAIGN_RANGES``: atom_lo < atom_hi, finite angle variances,
-    and a mean angle at atom_hi that keeps |S_y| <= S_x.
-    """
-    lo, hi = atom_range
-    scalars = dict(n_nonlinear=n_nonlinear, n_linear=n_linear, atom_lo=lo, atom_hi=hi, samples=samples, controls=controls)
-    for name, value in scalars.items():
-        CAMPAIGN_RANGES[name].check(name, value)
-    if not lo < hi:
-        raise InvalidConfig(f"atom_lo = {lo} is not below atom_hi = {hi}")
-    noise.phi_variance(n_linear, "L1")
-    noise.phi_variance(n_nonlinear, "NL")
-    peak = max(abs(response.linear_rotation(hi)), abs(response.nonlinear_rotation(hi, n_nonlinear)))
-    if not peak * math.sqrt(noise.transmission_h * noise.transmission_v) <= 1.0:
-        raise InvalidConfig(f"|S_y| exceeds S_x: the mean rotation at {hi:g} atoms is {peak:.4g} rad")
-
-
 def generate_correlation_campaign(
     n_nonlinear: float,
     atom_range=(1.5e5, 3.5e5),
@@ -205,13 +186,23 @@ def generate_correlation_campaign(
     (samples + controls, 3) block of standard normals, one row per sample
     and one column per probe; the ``controls`` zero-atom samples come
     last.  Each angle is the response-model mean plus its normal times
-    ``sqrt(noise.phi_variance)``.  Raises InvalidConfig where
-    ``check_campaign`` does, and NlfaradayError for a draw with |S_y| > S_x.
+    ``sqrt(noise.phi_variance)``.  Raises InvalidConfig, drawing nothing, for
+    a scalar outside ``CAMPAIGN_RANGES``, atom_lo >= atom_hi, a non-finite angle
+    variance or a mean angle that puts |S_y| above S_x; NlfaradayError for a draw that does.
     """
     noise = noise or PolarimeterModel()
     response = response or ResponseModel()
     lo, hi = (float(a) for a in atom_range)
-    check_campaign(n_nonlinear, (lo, hi), samples, noise, response, n_linear, controls)
+    scalars = dict(n_nonlinear=n_nonlinear, n_linear=n_linear, atom_lo=lo, atom_hi=hi, samples=samples, controls=controls)
+    for name, value in scalars.items():
+        CAMPAIGN_RANGES[name].check(name, value)
+    if not lo < hi:
+        raise InvalidConfig(f"atom_lo = {lo} is not below atom_hi = {hi}")
+    noise.phi_variance(n_linear, "L1")
+    noise.phi_variance(n_nonlinear, "NL")
+    peak = max(abs(response.linear_rotation(hi)), abs(response.nonlinear_rotation(hi, n_nonlinear)))
+    if not peak * math.sqrt(noise.transmission_h * noise.transmission_v) <= 1.0:
+        raise InvalidConfig(f"|S_y| exceeds S_x: the mean rotation at {hi:g} atoms is {peak:.4g} rad")
     if seed is None:
         seed = int(np.random.default_rng().integers(2**31 - 1))
     seed = int(seed)
@@ -276,12 +267,6 @@ def polarimeter_noise_scan(
     return n, variances
 
 
-def check_rotation(rotation: float) -> None:
-    """Raise InvalidConfig unless 1e-150 <= |rotation| < 0.1: a small angle with a finite inverse."""
-    if not 1e-150 <= abs(rotation) < 0.1:
-        raise InvalidConfig(f"rotation = {rotation} is outside the small-angle band 1e-150 <= |rotation| < 0.1")
-
-
 def waveplate_control_run(
     rotation: float = 4e-3,
     photon_numbers=None,
@@ -296,9 +281,11 @@ def waveplate_control_run(
     angle per photon number is stored in ``meta['mean_angle']``; with an
     ideal instrument it is constant, and after removing the electronic
     floor the scatter scales as N^(-1/2).  The default photon grid spans
-    the range the nonlinear probe actually uses.
+    the range the nonlinear probe actually uses.  Raises InvalidConfig
+    unless 1e-150 <= |rotation| < 0.1: a small angle with a finite inverse.
     """
-    check_rotation(rotation)
+    if not 1e-150 <= abs(rotation) < 0.1:
+        raise InvalidConfig(f"rotation = {rotation} is outside the small-angle band 1e-150 <= |rotation| < 0.1")
     if photon_numbers is None:
         photon_numbers = np.logspace(6.0, 8.0, 13)
     noise = noise or PolarimeterModel()

@@ -38,9 +38,10 @@ class PulseSpec:
     shape: str = "gaussian"
     # the bounds keep the Gaussian's sigma^2 normal and every propagator
     # finite: a flat segment's or gap's turns NaN by 1e30 s, and the flat
-    # train's overflows by 1e40 photons
+    # train's overflows by 1e40 photons.  Below 1 photon a Gaussian's
+    # coherences (~sqrt(N)) near the solver's fixed absolute tolerance
     fwhm: float = ranged(1e-150, 1e25, "sigma^2 and the propagators must stay finite", 54e-9)
-    n_photons: float = ranged(1e-150, 1e30, "the drive and its propagators must stay finite", 1e7)
+    n_photons: float = ranged(1.0, 1e30, "fewer photons near the solver's absolute tolerance; the propagators must stay finite", 1e7)
     detuning: float = ranged(-1e20, 1e20, "the detuning rate and the solver's error norms must stay finite", 2 * np.pi * 462e6)
     train_count: int = ranged(1, MAX_COUNT, f"a train holds at least one pulse, and a count at most {MAX_COUNT}", 1)
     train_period: float = ranged(0.0, 1e25, "the gaps' propagators must stay finite", 0.0)
