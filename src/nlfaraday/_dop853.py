@@ -9,6 +9,11 @@ of floating-point operations, so on a forward integration with scalar
 tolerances both return the same ``t``, ``y`` and ``nfev``.  A step that
 covers stored times costs the three extra stages of the interpolant.
 
+The stage loop runs on buffers allocated once per solve: each stage's
+increment K[:s]^T a h and state y + increment are written in place
+(``_stages``), with the tableau's rows and nodes taken from tuples built
+at import.  The arithmetic, and its order, is SciPy's, so the bits are.
+
 Only what a forward solve with stored times needs is here; importing
 ``scipy.integrate`` would also load ``scipy.optimize``, ``special``,
 ``spatial`` and ``fft``, none of which a simulation uses.
@@ -227,6 +232,11 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 FINISHED = "The solver successfully reached the end of the integration interval."
 
 
+# (s, A[s, :s], C[s]) of the step's stages after the first, and of the interpolant's three
+STEP_STAGES = tuple((s, A[s, :s], C[s]) for s in range(1, N_STAGES))
+EXTRA_STAGES = tuple((s, A[s, :s], C[s]) for s in range(N_STAGES + 1, N_STAGES_EXTENDED))
+
+
 class Solution(NamedTuple):
     t: np.ndarray        # the stored times reached
     y: np.ndarray        # (n, len(t)) states at those times
@@ -262,8 +272,9 @@ def _error_norm(K, h, scale):
     """RMS norm of the 5th-order error estimate, damped by the 3rd-order one."""
     err5 = np.dot(K.T, E5) / scale
     err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
+    # np.linalg.norm's own arithmetic for a 1-D float array, without its argument handling
+    err5_norm_2 = np.sqrt(err5.dot(err5))**2
+    err3_norm_2 = np.sqrt(err3.dot(err3))**2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
@@ -278,6 +289,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
     asks for a step below ten ulps of t, or for a step that is not a
     number (a NaN right-hand side from the first evaluation on), the
     solve stops with ``success`` False and the times stored so far.
+    ``fun`` must not keep the ``y`` it is given: most stage states are
+    one buffer, overwritten by the next stage.
     """
     t, t_bound = map(float, t_span)
     y = np.asarray(y0, dtype=float)
@@ -286,18 +299,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
             and np.all((t <= t_eval) & (t_eval <= t_bound))):
         raise ValueError("need t0 < t1 and ascending t_eval inside [t0, t1]")
     n = y.size
-    nfev = 0
-
-    def counted(t, y):
-        nonlocal nfev
-        nfev += 1
-        return fun(t, y)
-
-    f = counted(t, y)
-    h_abs = _initial_step(counted, t, y, f, t_bound - t, rtol, atol)
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound - t, rtol, atol)
+    nfev = 2
     # stages in rows: the step's 12, its final derivative, the interpolant's 3
     K_extended = np.empty((N_STAGES_EXTENDED, n))
     K = K_extended[:N_STAGES + 1]
+    # a stage's increment and state, overwritten at every stage
+    dy, y_stage = np.empty(n), np.empty(n)
     ts, ys = [np.empty(0)], [np.empty((n, 0))]
     i_eval = 0
     steps = 0
@@ -319,11 +328,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
             h_abs = np.abs(h)
 
             K[0] = f
-            for s, (a, c) in enumerate(zip(A[1:N_STAGES], C[1:N_STAGES]), start=1):
-                dy = np.dot(K[:s].T, a[:s]) * h
-                K[s] = counted(t + c * h, y + dy)
+            _stages(fun, STEP_STAGES, K, t, y, h, dy, y_stage)
             y_new = y + h * np.dot(K[:-1].T, B)
-            f_new = counted(t + h, y_new)
+            f_new = fun(t + h, y_new)
+            nfev += N_STAGES
             K[-1] = f_new
 
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -344,21 +352,32 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
         i_new = np.searchsorted(t_eval, t, side="right")
         if i_new > i_eval:
             ts.append(t_eval[i_eval:i_new])
-            ys.append(_interpolate(counted, K_extended, t_old, y_old, h, y, f, ts[-1]))
+            _stages(fun, EXTRA_STAGES, K_extended, t_old, y_old, h, dy, y_stage)
+            nfev += len(EXTRA_STAGES)
+            ys.append(_interpolate(K_extended, t_old, y_old, h, y, f, ts[-1]))
             i_eval = i_new
     return Solution(np.hstack(ts), np.hstack(ys), nfev, True, FINISHED)
 
 
-def _interpolate(fun, K, t_old, y_old, h, y, f, times):
+def _stages(fun, stages, K, t, y, h, dy, y_stage):
+    """Evaluate ``stages`` of the step of size h from (t, y) into the rows of ``K``.
+
+    The same operations as ``K[s] = fun(t + c * h, y + np.dot(K[:s].T, a) * h)``,
+    with the increment and the stage state written into ``dy`` and ``y_stage``.
+    """
+    for s, a, c in stages:
+        np.dot(K[:s].T, a, out=dy)
+        dy *= h
+        np.add(y, dy, out=y_stage)
+        K[s] = fun(t + c * h, y_stage)
+
+
+def _interpolate(K, t_old, y_old, h, y, f, times):
     """States (n, len(times)) on the step from t_old to t_old + h.
 
-    Evaluates the three extra stages into ``K`` and sums the
-    interpolant's seven terms in Horner form.
+    Sums the interpolant's seven terms in Horner form; ``K`` holds all
+    16 stages of the step.
     """
-    for s, (a, c) in enumerate(zip(A[N_STAGES + 1:], C[N_STAGES + 1:]), start=N_STAGES + 1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t_old + c * h, y_old + dy)
-
     F = np.empty((INTERPOLATOR_POWER, y_old.size))
     f_old = K[0]
     delta_y = y - y_old

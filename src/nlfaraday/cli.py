@@ -250,8 +250,12 @@ def _check_numbers(args, cfg: dict, file_keys: set) -> None:
             )
 
 
-def _stage(args, cfg: dict, out: Path) -> Path:
-    """A fresh directory beside ``out`` with this run's run.log and manifest.txt, to publish or delete."""
+def _stage(args, cfg: dict, out: Path) -> tuple[Path, Path | None]:
+    """A fresh directory beside ``out`` with this run's run.log and manifest.txt, to publish or delete.
+
+    Also returns the outermost ancestor of ``out`` this call created, or None.
+    """
+    created = None if out.parent.exists() else next(p for p in reversed(out.parents) if not p.exists())
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         if out.exists() and not out.is_dir():
@@ -260,6 +264,7 @@ def _stage(args, cfg: dict, out: Path) -> Path:
         stage = out.parent / f".{out.name}.{os.getpid()}-{os.urandom(4).hex()}.stage"
         stage.mkdir()
     except OSError as exc:
+        _remove_created(out, created)
         raise InvalidConfig(f"cannot write outputs to {out}: {exc}") from exc
     handler = logging.FileHandler(stage / "run.log", mode="w")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -268,17 +273,37 @@ def _stage(args, cfg: dict, out: Path) -> Path:
     root.addHandler(handler)
     write_manifest(stage / "manifest.txt", cfg, __version__, command=args.command)
     log.info("%s -> %s", args.command, out)
-    return stage
+    return stage, created
+
+
+def _remove_created(out: Path, created: Path | None) -> None:
+    """Remove the ancestors of ``out`` up to ``created``, deepest first, while they are empty."""
+    if created is None:
+        return
+    for parent in out.parents:
+        try:
+            parent.rmdir()
+        except OSError:
+            return
+        if parent == created:
+            return
 
 
 def _publish(stage: Path, out: Path) -> None:
-    """Rename ``stage`` to ``out``, or move its files into an existing ``out``."""
-    if out.exists():
-        for path in stage.iterdir():
-            path.replace(out / path.name)
-        stage.rmdir()
-    else:
+    """Rename ``stage`` to ``out``, or move its files into an existing ``out``.
+
+    Every target is checked first: if ``out`` cannot take a file, this
+    raises ``InvalidConfig`` having moved nothing.
+    """
+    if not out.exists():
         stage.rename(out)
+        return
+    taken = sorted(path.name for path in stage.iterdir() if (out / path.name).is_dir())
+    if taken:
+        raise InvalidConfig(f"cannot write outputs to {out}: {', '.join(taken)} is a directory there")
+    for path in stage.iterdir():
+        path.replace(out / path.name)
+    stage.rmdir()
 
 
 def _response_from(cfg: dict) -> ana.ResponseModel:
@@ -603,32 +628,49 @@ def main(argv=None) -> int:
     # later library calls in the same process do not write into it
     root = logging.getLogger("nlfaraday")
     handlers, level = list(root.handlers), root.level
-    stage = failed_config = None
+    stage = code = None
     try:
         cfg = _resolve_config(args)
         out = args.out or Path(f"nlfaraday-{args.command}")
-        stage = _stage(args, cfg, out)
+        stage, created = _stage(args, cfg, out)
         _COMMANDS[args.command][0](args, cfg, stage)
+        code = EXIT_OK
     except (InvalidConfig, DataIntegrityError) as exc:
-        failed_config = True
         print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except NlfaradayError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code = EXIT_NUMERICAL
     finally:
         for h in list(root.handlers):
             if h not in handlers:
                 h.close()
                 root.removeHandler(h)
         root.setLevel(level)
-        # a configuration error leaves no output; any other end publishes what was written
-        if stage is not None and failed_config:
-            shutil.rmtree(stage)
-        elif stage is not None:
+        if stage is not None:
+            code = _end_stage(stage, out, created, code)
+    if code == EXIT_OK:
+        print(f"outputs in {out}")
+    return code
+
+
+def _end_stage(stage: Path, out: Path, created: Path | None, code: int | None) -> int:
+    """Publish or delete the staged run; returns the exit code.
+
+    Exit 0, exit 3 and an uncaught exception (``code`` None) publish what
+    was written.  A configuration error, among them an ``out`` that cannot
+    take the staged files, deletes the stage and the ancestors of ``out``
+    that ``_stage`` created, so it leaves no output.
+    """
+    if code != EXIT_CONFIG:
+        try:
             _publish(stage, out)
-    print(f"outputs in {out}")
-    return EXIT_OK
+            return code
+        except InvalidConfig as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+    shutil.rmtree(stage)
+    _remove_created(out, created)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

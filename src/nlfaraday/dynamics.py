@@ -47,7 +47,9 @@ segment the envelope is constant, so each segment and each gap is
 advanced by exact matrix exponentials of that generator.  A Gaussian
 pulse is integrated with the package's DOP853 (``_dop853``, SciPy's
 algorithm step for step), one sparse product of [R0; R1; D] with all
-levels per call; it is the only use of the adaptive integrator.
+levels per call, made by a direct call of SciPy's CSR kernel to skip
+the per-call dispatch of ``csr_matrix @`` (``_linear_rhs``); it is the
+only use of the adaptive integrator.
 
 Drive normalization: a pulse of N photons in beam mode M(r, z) with
 envelope T(t) produces the local Rabi amplitude
@@ -375,14 +377,31 @@ def _linear_rhs(r0, r1, d, amplitudes: np.ndarray, envelope):
     One sparse product of the stacked [R0; R1; D] with the (n, levels)
     state per call.  Drive amplitudes are real (see the module docstring
     for why a mode phase would cancel).
-    """
-    from scipy.sparse import csr_matrix  # only Gaussian pulses need it; keeps start-up small
 
-    n = r0.shape[0]
+    The product calls SciPy's CSR kernel ``_sparsetools.csr_matvecs``
+    directly, the one ``csr_matrix @ Y`` ends in: at about 6k flops a
+    call, SciPy's per-call dispatch (shape and scalar checks, output
+    allocation) cost more than the kernel.  The kernel adds A Y into its
+    output and checks no sizes, so each call starts from fresh zeros (a
+    fresh array, too: the solver keeps the returned derivative across
+    steps) and ``y.reshape`` raises ``ValueError`` on a wrong-size state
+    before the kernel could read past it.  The kernel is private API; a
+    test holds it bit for bit to the public product, and if that test
+    fails on a SciPy release, this goes back to ``stacked @ Y`` rather
+    than keeping two paths.
+    """
+    # only Gaussian pulses need them; keeps start-up small
+    from scipy.sparse import csr_matrix
+    from scipy.sparse._sparsetools import csr_matvecs
+
+    n, levels = r0.shape[0], amplitudes.size
     stacked = csr_matrix(np.vstack([r0, r1, d]))
+    rows, indptr, indices, data = 3 * n, stacked.indptr, stacked.indices, stacked.data
 
     def rhs(t, y):
-        p = stacked @ y.reshape(n, amplitudes.size)
+        y = y.reshape(n * levels)
+        p = np.zeros((rows, levels))
+        csr_matvecs(rows, n, levels, indptr, indices, data, y, p.ravel())
         out = p[n : 2 * n]
         out *= amplitudes
         out += p[2 * n :]

@@ -331,6 +331,35 @@ def test_every_exit_leaves_no_staging_directory(tmp_path, argv, code, published)
         assert f"-> {out}\n" in (out / "run.log").read_text()
 
 
+def test_exit_2_removes_the_parents_it_created(tmp_path):
+    # refused after staging under a/b/, which the run created; an
+    # ancestor that now holds something else is kept
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("atom_lo = 5e5\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    assert cli.main(["campaign", "--config", str(bad), "--out", str(work / "a" / "b" / "out")]) == cli.EXIT_CONFIG
+    assert list(work.iterdir()) == []
+    (work / "a").mkdir()
+    (work / "a" / "kept.txt").write_text("kept\n")
+    assert cli.main(["campaign", "--config", str(bad), "--out", str(work / "a" / "b" / "out")]) == cli.EXIT_CONFIG
+    assert sorted(path.name for path in work.rglob("*")) == ["a", "kept.txt"]
+
+
+def test_out_holding_a_directory_named_like_an_output_exits_2(tmp_path, capsys, monkeypatch):
+    # publishing checks every target first: nothing moves, the stage goes
+    monkeypatch.setattr(dynamics, "_solve_batch", _no_solve)
+    out = tmp_path / "out"
+    (out / "run.log").mkdir(parents=True)
+    (out / "kept.txt").write_text("kept\n")
+    assert cli.main(["control-run", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot write outputs to {out}: run.log is a directory" in err
+    assert sorted(path.name for path in out.rglob("*")) == ["kept.txt", "run.log"]
+    assert (out / "kept.txt").read_text() == "kept\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out"]
+
+
 @pytest.mark.parametrize("where", ["file", "under_a_file"])
 def test_unusable_out_exits_2(tmp_path, capsys, where):
     blocker = tmp_path / "taken"

@@ -737,7 +737,7 @@ def test_own_dop853_matches_scipy(monkeypatch, scheme, ops, beam, cloud):
         assert own.success and sol.success
         assert own.nfev == sol.nfev
         assert np.array_equal(own.t, sol.t)
-        assert np.max(np.abs(own.y - sol.y)) <= 1e-12 * np.max(np.abs(sol.y))
+        assert np.array_equal(own.y, sol.y)
     assert calls[1][4].t.size == 200
     fun, t_span, y0, options, _ = calls[0]
     with pytest.raises(ValueError):
@@ -834,6 +834,37 @@ def test_ground_f1_sample_has_89_coordinates(scheme, ops):
     kept, detected = _kept(coords)
     assert kept.size == 576 and kept.sum() == 87 and detected
     assert coords.real.size + coords.lower.size == 88
+
+
+def test_rhs_kernel_equals_the_public_sparse_product(scheme, ops):
+    # _linear_rhs calls SciPy's private CSR kernel directly; it must give
+    # the bits of the public csr_matrix @ Y with the same tail.  If this
+    # fails on a SciPy release, _linear_rhs goes back to the public
+    # product: one path, not two
+    from scipy.sparse import csr_matrix
+
+    rng = np.random.default_rng(29)
+    model = dyn._Operators.production(ops)
+    omega0 = dyn.drive_scale(5.7e6, scheme.gamma, scheme.line.wavenumber)
+    cases = [(model, initial_state(scheme), 2 * np.pi * mhz * 1e6, omega0, 12)
+             for mhz in (430, 462, 1500)]
+    cases.append((two_level_operators(_GAMMA), np.diag([1.0, 0.0]), 0.0, 2 * np.pi * 40e6, 1))
+    for model, rho0, detuning, scale, levels in cases:
+        _, r0, r1, d = _generators(model, rho0, detuning, scale)
+        n = r0.shape[0]
+        amplitudes = rng.uniform(0.0, 1.0, levels)
+        y = rng.standard_normal(n * levels)
+        p = csr_matrix(np.vstack([r0, r1, d])) @ y.reshape(n, levels)
+        expected = p[n : 2 * n] * amplitudes
+        expected += p[2 * n :]
+        expected *= 0.7
+        expected += p[:n]
+        rhs = dyn._linear_rhs(r0, r1, d, amplitudes, lambda t: 0.7)
+        first, second = rhs(0.0, y), rhs(0.0, y)
+        assert np.array_equal(first, expected.ravel())
+        assert np.array_equal(second, first) and not np.shares_memory(first, second)
+        with pytest.raises(ValueError):
+            rhs(0.0, y[:-1])
 
 
 _finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
