@@ -16,7 +16,8 @@ at import.  The arithmetic, and its order, is SciPy's, so the bits are.
 
 Only what a forward solve with stored times needs is here; importing
 ``scipy.integrate`` would also load ``scipy.optimize``, ``special``,
-``spatial`` and ``fft``, none of which a simulation uses.
+``spatial`` and ``fft``, none of which the package uses (its one root
+finder is ``_brent``).
 
 The coefficients are those of SciPy's
 ``scipy/integrate/_ivp/dop853_coefficients.py`` (BSD-3-Clause,

@@ -14,12 +14,14 @@ Conventions used throughout:
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._brent import brentq
 from .config import Range, check_fields, ranged, refuse_non_finite
 from .exceptions import (
     DegenerateDesign,
@@ -242,8 +244,6 @@ def fit_saturation(slope_points, linear_coefficient: float) -> ResponseModel:
     if k == grid.size - 1:
         ns_hat = math.inf
     else:
-        from scipy.optimize import brentq  # only fits need scipy.optimize; keeps start-up small
-
         x = brentq(lambda x: float(profile(x)[2]), grid[k - 1], grid[k + 1], xtol=1e-14)
         ns_hat = n_ref * math.exp(x)
 
@@ -295,13 +295,37 @@ def fit_variance_model(points) -> VarianceDecomposition:
     w = np.maximum(v, floor)
     design = design / w[:, None]
     target = v / w
-    from scipy.optimize import nnls  # only fits need scipy.optimize; keeps start-up small
-
-    # column scaling keeps nnls well conditioned across ~10 decades
+    # column scaling keeps the least squares well conditioned across ~10 decades
     scale = np.max(design, axis=0)
-    coef, _ = nnls(design / scale, target)
-    coef = coef / scale
+    coef = _nnls(design / scale, target) / scale
     return VarianceDecomposition(float(coef[0]), float(coef[1]), float(coef[2]))
+
+
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a x - b| over x >= 0, exactly, for a design of a few columns.
+
+    An optimum is the unconstrained least-squares solution on its own
+    support (the Kuhn-Tucker conditions: zero gradient where x > 0, a
+    non-negative one where x = 0; Lawson & Hanson, *Solving Least Squares
+    Problems*, Prentice-Hall 1974, ch. 23), and every other feasible
+    support solution fits no better.  So the least-residual feasible
+    solution over x = 0 and the 2^k - 1 nonempty supports is the optimum;
+    ``np.linalg.lstsq`` solves each, rank-deficient ones included.
+    """
+    k = a.shape[1]
+    best = np.zeros(k)
+    best_rss = float(b @ b)
+    for size in range(1, k + 1):
+        for support in itertools.combinations(range(k), size):
+            cols = list(support)
+            x = np.zeros(k)
+            x[cols] = np.linalg.lstsq(a[:, cols], b, rcond=None)[0]
+            if np.all(x >= 0):
+                r = a @ x - b
+                rss = float(r @ r)
+                if rss < best_rss:
+                    best, best_rss = x, rss
+    return best
 
 
 # admissible values of sensitivity_curve's scalar argument

@@ -30,7 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DataIntegrityError, NonConvergence
+from ._brent import brentq
+from .exceptions import DataIntegrityError
 
 N_STATES = 24
 
@@ -377,16 +378,9 @@ def vector_crossing_detuning(
     ground_index=None,
 ) -> float:
     """Locate the zero of the vector rotation weight inside [lo, hi]."""
-    from scipy.optimize import brentq  # a root search is rare; keeps start-up small
-
     g = scheme.index_of(1, 1) if ground_index is None else ground_index
     fun = lambda d: np.real(pt_rotation_weight(scheme, ops, d, g))
-    flo, fhi = fun(lo), fun(hi)
-    if flo * fhi > 0:
-        raise NonConvergence(
-            f"vector weight does not change sign in [{lo:.4g}, {hi:.4g}] rad/s"
-        )
-    return float(brentq(fun, lo, hi, xtol=1e-3, rtol=1e-14))
+    return brentq(fun, lo, hi, xtol=1e-3, rtol=1e-14)
 
 
 def initial_state(scheme: LevelScheme, f: int = 1, m: int = 1) -> np.ndarray:

@@ -81,8 +81,8 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
 
+from ._brent import brentq
 # looked up at each Gaussian solve, so a caller can substitute it
 from ._dop853 import solve_ivp
 from .atom import (
@@ -97,7 +97,6 @@ from .atom import (
 )
 from .exceptions import (
     InvalidConfig,
-    NonConvergence,
     PositivityViolation,
     StepFailure,
 )
@@ -390,7 +389,7 @@ def _linear_rhs(r0, r1, d, amplitudes: np.ndarray, envelope):
     fails on a SciPy release, this goes back to ``stacked @ Y`` rather
     than keeping two paths.
     """
-    # only Gaussian pulses need them; keeps start-up small
+    # only Gaussian pulses need them
     from scipy.sparse import csr_matrix
     from scipy.sparse._sparsetools import csr_matvecs
 
@@ -521,6 +520,17 @@ def _gaussian_envelope(pulse: PulseSpec):
         return c * math.exp(-t * t * inv)
 
     return envelope
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``, imported at the first flat-train propagator.
+
+    A module-level name, so a caller can substitute it; the lazy import
+    keeps ``scipy.linalg`` out of processes that propagate no flat train.
+    """
+    import scipy.linalg
+
+    return scipy.linalg.expm(a)
 
 
 def _propagator(cache: dict, generator: np.ndarray, dt: float) -> np.ndarray:
@@ -657,6 +667,8 @@ def _intensity_rule(s: np.ndarray, weight: np.ndarray, k: int):
         if j + 1 < k:
             beta[j] = np.linalg.norm(v)
             q = v / beta[j]
+    from scipy.linalg import eigh_tridiagonal  # reached only by clouds of more than k intensities
+
     levels, vectors = eigh_tridiagonal(alpha, beta)
     # the levels lie in the hull of the intensities, [0, 1]; rounding can
     # put the lowest a few ulps below 0 when the intensities span many decades
@@ -871,9 +883,4 @@ def locate_crossing(
         pulse = PulseSpec(n_photons=_CROSSING_PHOTONS, detuning=delta)
         return detected_stokes(pulse, beam, cloud, model).rotation_per_atom
 
-    from scipy.optimize import brentq  # a root search is rare; keeps start-up small
-
-    flo, fhi = rot(lo), rot(hi)
-    if flo * fhi > 0:
-        raise NonConvergence("rotation does not change sign across the window")
-    return float(brentq(rot, lo, hi, xtol=_CROSSING_XTOL))
+    return brentq(rot, lo, hi, xtol=_CROSSING_XTOL)

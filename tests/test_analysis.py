@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import least_squares
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares, nnls
 
 from nlfaraday import analysis as ana
 from nlfaraday import experiment as expmt
@@ -310,6 +312,55 @@ def test_variance_fit_pure_shot_noise():
     assert fit.shot_coefficient == pytest.approx(1.0, rel=1e-9)
     assert fit.v_electronic < 1.0
     assert fit.technical_coefficient < 1e-12
+
+
+def test_variance_fit_matches_scipy_nnls():
+    """Criterion 5's inputs: the exact NNLS equals scipy.optimize.nnls."""
+    grid = np.logspace(3.0, 8.0, 12)
+    n, v = expmt.polarimeter_noise_scan(grid, samples=2000, seed=11)
+    fit = ana.fit_variance_model(np.column_stack([n, v]))
+    # the weighting and column scaling of fit_variance_model
+    w = np.maximum(v, np.min(v[v > 0]))
+    design = np.column_stack([np.ones_like(n), n, n**2]) / w[:, None]
+    scale = np.max(design, axis=0)
+    expected = nnls(design / scale, v / w)[0] / scale
+    got = [fit.v_electronic, fit.shot_coefficient, fit.technical_coefficient]
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _nnls_problems(draw):
+    """Weighted 3-column designs, some with a zero or a dependent column."""
+    rows = draw(st.integers(3, 8))
+    ints = st.lists(st.integers(-5, 5), min_size=rows, max_size=rows)
+    a = np.array([draw(ints) for _ in range(3)], dtype=float).T
+    kind = draw(st.sampled_from(["plain", "zero", "dependent"]))
+    j = draw(st.integers(0, 2))
+    if kind == "zero":
+        a[:, j] = 0.0
+    elif kind == "dependent":
+        a[:, j] = draw(st.sampled_from([-2.0, 0.5, 3.0])) * a[:, (j + 1) % 3]
+    weights = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=rows, max_size=rows)))
+    b = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=rows, max_size=rows)))
+    return a * weights[:, None], b * weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nnls_problems())
+@example((np.zeros((3, 3)), np.array([1.0, -2.0, 3.0])))
+@example((np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([1.0, 1.0, -1.0])))
+def test_nnls_is_feasible_and_meets_kkt(problem):
+    """x >= 0; the gradient is >= 0 where x = 0 and 0 where x > 0."""
+    a, b = problem
+    x = ana._nnls(a, b)
+    assert np.all(x >= 0)
+    grad = a.T @ (a @ x - b)
+    tol = 1e-9 * (1.0 + np.linalg.norm(a) * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b)))
+    assert np.all(grad[x == 0] >= -tol)
+    assert np.all(np.abs(grad[x > 0]) <= tol)
+    # no worse a fit than SciPy's active-set solver
+    rss, ref_rss = np.sum((a @ x - b) ** 2), np.sum((a @ nnls(a, b)[0] - b) ** 2)
+    assert rss <= ref_rss + tol
 
 
 def test_variance_fit_validation():

@@ -2,6 +2,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import logging
 import signal
 import subprocess
@@ -34,28 +35,82 @@ def test_version_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
-    # a process that integrates no Gaussian pulse and fits nothing never
-    # loads SciPy's integrator, optimizer or sparse matrices; a Gaussian
-    # pulse adds the sparse matrices, but the integrator is the package's own
+    # no process loads SciPy's integrator or optimizer; a flat train loads
+    # scipy.linalg for its propagators, and a Gaussian pulse adds the sparse
+    # matrices, but the integrator is the package's own
+    setup = (
+        "import nlfaraday.cli, sys; import numpy as np; "
+        "from nlfaraday import atom, dynamics as dyn; "
+        "from nlfaraday.geometry import BeamGeometry, CloudGeometry, PulseSpec; "
+        "ops = atom.build_dipole_operators(atom.build_level_scheme()); "
+        "beam = BeamGeometry(wavelength=ops.scheme.wavelength); "
+        "loaded = lambda: sorted(m for m in "
+        "('scipy.integrate', 'scipy.optimize', 'scipy.sparse') if m in sys.modules); "
+        "linalg = lambda: print(loaded(), 'scipy.linalg' in sys.modules); "
+        "gaussian = PulseSpec(n_photons=5.7e6, detuning=2 * np.pi * 462e6); "
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", "import nlfaraday.cli, sys; import numpy as np; "
-         "from nlfaraday import atom, dynamics as dyn; "
-         "from nlfaraday.geometry import BeamGeometry, CloudGeometry, PulseSpec; "
-         "ops = atom.build_dipole_operators(atom.build_level_scheme()); "
-         "beam = BeamGeometry(wavelength=ops.scheme.wavelength); "
-         "loaded = lambda: sorted(m for m in "
-         "('scipy.integrate', 'scipy.optimize', 'scipy.sparse') if m in sys.modules); "
+        [sys.executable, "-c", setup +
          "pulse = PulseSpec(shape='flat-train', fwhm=37.5e-9, n_photons=2e6, "
          "detuning=2 * np.pi * 1.5e9, train_count=2, train_period=137.5e-9); "
          "dyn.detected_stokes(pulse, beam, CloudGeometry(), ops, n_radial=1, n_long=1); "
-         "print(loaded()); "
-         "pulse = PulseSpec(n_photons=5.7e6, detuning=2 * np.pi * 462e6); "
-         "dyn.detected_stokes(pulse, beam, CloudGeometry(), ops, n_radial=1, n_long=1); "
-         "print(loaded())"],
+         "linalg(); "
+         "dyn.detected_stokes(gaussian, beam, CloudGeometry(), ops, n_radial=1, n_long=1); "
+         "linalg()"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n['scipy.sparse']\n"
+    assert proc.stdout == "[] True\n['scipy.sparse'] True\n"
+    # a Gaussian pulse alone: its cloud's intensity levels need scipy.linalg
+    proc = subprocess.run(
+        [sys.executable, "-c", setup +
+         "dyn.detected_stokes(gaussian, beam, CloudGeometry(), ops); linalg()"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['scipy.sparse'] True\n"
+
+
+def test_calibration_commands_load_no_scipy(tmp_path):
+    """A fresh interpreter runs every calibration command without SciPy."""
+    out = str(tmp_path)
+    script = f"""
+import contextlib, io, json, sys
+import numpy as np
+from nlfaraday import analysis, atom, cli, experiment
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+runs = [["campaign", "--n-nonlinear", n, "--out", f"{out}/c{{n}}"] for n in ("1e6", "1e7", "1e8")]
+runs += [
+    ["analyze", "--data", *(f"{out}/c{{n}}" for n in ("1e6", "1e7", "1e8")), "--out", "{out}/analyze"],
+    ["reproduce-fig2", "--out", "{out}/fig2"],
+    ["reproduce-fig3", "--out", "{out}/fig3"],
+    ["reproduce-fig3", "--ideal", "--out", "{out}/fig3-ideal"],
+    ["control-run", "--out", "{out}/control"],
+]
+report = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report.append([argv[0], code, scipy_modules()])
+n, v = experiment.polarimeter_noise_scan(np.logspace(3.0, 8.0, 12), samples=200, seed=1)
+analysis.fit_variance_model(np.column_stack([n, v]))
+scheme = atom.build_level_scheme()
+atom.vector_crossing_detuning(scheme, atom.build_dipole_operators(scheme))
+print(json.dumps([report, "scipy.optimize" in sys.modules]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report, fits_load_optimize = json.loads(proc.stdout.splitlines()[-1])
+    assert [command for command, _, _ in report] == [
+        "campaign", "campaign", "campaign", "analyze",
+        "reproduce-fig2", "reproduce-fig3", "reproduce-fig3", "control-run",
+    ]
+    for command, code, modules in report:
+        assert (command, code, modules) == (command, cli.EXIT_OK, [])
+    assert fits_load_optimize is False
 
 
 def test_every_exported_name_resolves():
