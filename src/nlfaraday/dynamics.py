@@ -42,14 +42,13 @@ omega0 times its value at omega0 = 1.  So the model's operators and
 the mask of admissible initial entries are built once per operator
 set, and the coordinates, R0(0), K, R1(1) and D once per support of
 the initial state (``_Operators.flow``, which keeps the last support's);
-a solve forms only R0 + delta K and omega0 R1.  Under a flat-train
-segment the envelope is constant, so each segment and each gap is
-advanced by exact matrix exponentials of that generator.  A Gaussian
-pulse is integrated with the package's DOP853 (``_dop853``, SciPy's
-algorithm step for step), one sparse product of [R0; R1; D] with all
-levels per call, made by a direct call of SciPy's CSR kernel to skip
-the per-call dispatch of ``csr_matrix @`` (``_linear_rhs``); it is the
-only use of the adaptive integrator.
+a solve forms only R0 + delta K and each level's drive B = a omega0 R1
++ D.  Under a flat-train segment the envelope is constant, so each
+segment and each gap is advanced by exact matrix exponentials of R0 +
+T B.  A Gaussian pulse is integrated with the package's DOP853
+(``_dop853``, SciPy's algorithm step for step) on one level-major
+state, by products with blockdiag(B) and blockdiag(R0) in SciPy's CSR
+kernel (``_linear_rhs``); it is the only use of the adaptive integrator.
 
 Drive normalization: a pulse of N photons in beam mode M(r, z) with
 envelope T(t) produces the local Rabi amplitude
@@ -370,43 +369,48 @@ def _real_generators(model: _Operators, rho0: np.ndarray) -> _Flow:
     return _Flow(coords, *(coords.encode((l @ basis).T).T for l in (l0, lk, l1, ld)))
 
 
+def _block_csr(rows, cols, data, n: int):
+    """CSR arrays of the block diagonal whose block j holds data[j] at (rows, cols), row-major."""
+    levels = data.shape[0]
+    indptr = np.zeros(levels * n + 1, dtype=np.int32)
+    np.cumsum(np.tile(np.bincount(rows, minlength=n), levels), out=indptr[1:])
+    indices = cols + n * np.arange(levels, dtype=np.int32)[:, None]
+    return indptr, indices.astype(np.int32).ravel(), data.ravel()
+
+
 def _linear_rhs(r0, r1, d, amplitudes: np.ndarray, envelope):
-    """Vector field of every level's coordinates, stacked (coordinate, level).
+    """Vector field of every level's coordinates, stacked level-major (level, coordinate).
 
-    One sparse product of the stacked [R0; R1; D] with the (n, levels)
-    state per call.  Drive amplitudes are real (see the module docstring
-    for why a mode phase would cancel).
-
-    The product calls SciPy's CSR kernel ``_sparsetools.csr_matvecs``
-    directly, the one ``csr_matrix @ Y`` ends in: at about 6k flops a
-    call, SciPy's per-call dispatch (shape and scalar checks, output
-    allocation) cost more than the kernel.  The kernel adds A Y into its
-    output and checks no sizes, so each call starts from fresh zeros (a
-    fresh array, too: the solver keeps the returned derivative across
-    steps) and ``y.reshape`` raises ``ValueError`` on a wrong-size state
-    before the kernel could read past it.  The kernel is private API; a
-    test holds it bit for bit to the public product, and if that test
-    fails on a SciPy release, this goes back to ``stacked @ Y`` rather
-    than keeping two paths.
+    Level j evolves as dx/dt = R0 x + T(t) B_j x, with B_j = a_j R1 + D
+    as ``_propagate_train`` forms it (real a_j: see the module docstring).
+    Each call is two products, with blockdiag(B_j) and blockdiag(R0), in
+    SciPy's CSR kernel ``_sparsetools.csr_matvec``, the one ``csr_matrix
+    @ y`` ends in, called directly on arrays built once per solve: at
+    about 6k multiply-adds, SciPy's per-call dispatch would cost as much.
+    The kernel adds A y into its output and checks no sizes, so each call
+    starts from fresh zeros (a fresh array: the solver keeps the returned
+    derivative), scales the first product by T(t) and lets the second add
+    R0 y; ``y.reshape`` raises ``ValueError`` on a wrong-size state before
+    the kernel could read past it.  The kernel is private API; a test
+    holds it bit for bit to the public product; if that fails on a SciPy
+    release, this goes back to ``csr_matrix @ y``, keeping one path.
     """
-    # only Gaussian pulses need them
-    from scipy.sparse import csr_matrix
-    from scipy.sparse._sparsetools import csr_matvecs
+    from scipy.sparse._sparsetools import csr_matvec  # only Gaussian pulses need it
 
     n, levels = r0.shape[0], amplitudes.size
-    stacked = csr_matrix(np.vstack([r0, r1, d]))
-    rows, indptr, indices, data = 3 * n, stacked.indptr, stacked.indices, stacked.data
+    size = n * levels
+    rows, cols = np.nonzero((r1 != 0.0) | (d != 0.0))
+    drive = _block_csr(rows, cols, amplitudes[:, None] * r1[rows, cols] + d[rows, cols], n)
+    rows, cols = np.nonzero(r0)
+    free = _block_csr(rows, cols, np.broadcast_to(r0[rows, cols], (levels, rows.size)), n)
 
     def rhs(t, y):
-        y = y.reshape(n * levels)
-        p = np.zeros((rows, levels))
-        csr_matvecs(rows, n, levels, indptr, indices, data, y, p.ravel())
-        out = p[n : 2 * n]
-        out *= amplitudes
-        out += p[2 * n :]
+        y = y.reshape(size)
+        out = np.zeros(size)
+        csr_matvec(size, size, *drive, y, out)
         out *= envelope(t)
-        out += p[:n]
-        return out.ravel()
+        csr_matvec(size, size, *free, y, out)
+        return out
 
     return rhs
 
@@ -492,21 +496,20 @@ def _solve_batch(
 
 
 def _integrate_gaussian(x0, r0, r1, d, amplitudes, pulse, t_eval):
-    """DOP853 (``solve_ivp``) through the Gaussian window, all levels in one state.
+    """DOP853 (``solve_ivp``) through the Gaussian window, all levels in one level-major state.
 
     Returns (stored times, coordinates (n_t, levels, n) at each, final
     coordinates (levels, n)).
     """
-    n, levels = x0.size, amplitudes.size
     t0, t1 = pulse.window()
     inside = {t for t in t_eval if t0 <= t <= t1}
     sol = solve_ivp(
         _linear_rhs(r0, r1, d, amplitudes, _gaussian_envelope(pulse)), (t0, t1),
-        np.repeat(x0, levels), rtol=_RTOL, atol=_ATOL, t_eval=sorted(inside | {t1}),
+        np.tile(x0, amplitudes.size), rtol=_RTOL, atol=_ATOL, t_eval=sorted(inside | {t1}),
     )
     if not sol.success:
         raise StepFailure(f"integrator failed: {sol.message}")
-    x = sol.y.T.reshape(-1, n, levels).transpose(0, 2, 1)
+    x = sol.y.T.reshape(-1, amplitudes.size, x0.size)
     stored = [k for k, tk in enumerate(sol.t) if tk in inside]
     return [float(sol.t[k]) for k in stored], x[stored], x[-1]
 
@@ -523,7 +526,7 @@ def _gaussian_envelope(pulse: PulseSpec):
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm``, imported at the first flat-train propagator.
+    """``scipy.linalg.expm``, the package's one ``scipy.linalg`` call, imported at first use.
 
     A module-level name, so a caller can substitute it; the lazy import
     keeps ``scipy.linalg`` out of processes that propagate no flat train.
@@ -643,9 +646,9 @@ def _intensity_rule(s: np.ndarray, weight: np.ndarray, k: int):
     exactly.  Otherwise the result is the k-point Gauss rule of that
     measure, which reproduces its moments sum w s^j for j < 2k: Lanczos
     on diag(s) from sqrt(w), with full reorthogonalization, gives the
-    Jacobi matrix, whose eigenvalues are the levels and whose first
-    eigenvector components give the weights (Golub & Welsch, Math. Comp.
-    23 (1969) 221).  Returns (levels, weights), levels ascending.
+    k x k Jacobi matrix; its eigenvalues (numpy's dense ``eigh``) are the
+    levels and its first eigenvector components give the weights (Golub
+    & Welsch, Math. Comp. 23 (1969) 221).  Returns (levels, weights), levels ascending.
     """
     values, inverse = np.unique(s, return_inverse=True)
     mass = np.bincount(inverse, weights=weight)
@@ -653,23 +656,20 @@ def _intensity_rule(s: np.ndarray, weight: np.ndarray, k: int):
         return values, mass
     total = mass.sum()
     basis = np.zeros((k, values.size))
-    alpha = np.zeros(k)
-    beta = np.zeros(k - 1)
+    jacobi = np.zeros((k, k))
     q = np.sqrt(mass / total)
     for j in range(k):
         basis[j] = q
         v = values * q
-        alpha[j] = q @ v
+        jacobi[j, j] = q @ v
         # reorthogonalize twice against every earlier vector: plain Lanczos
         # loses orthogonality as soon as a level converges
         for _ in range(2):
             v -= basis[: j + 1].T @ (basis[: j + 1] @ v)
         if j + 1 < k:
-            beta[j] = np.linalg.norm(v)
-            q = v / beta[j]
-    from scipy.linalg import eigh_tridiagonal  # reached only by clouds of more than k intensities
-
-    levels, vectors = eigh_tridiagonal(alpha, beta)
+            jacobi[j, j + 1] = jacobi[j + 1, j] = np.linalg.norm(v)
+            q = v / jacobi[j + 1, j]
+    levels, vectors = np.linalg.eigh(jacobi)
     # the levels lie in the hull of the intensities, [0, 1]; rounding can
     # put the lowest a few ulps below 0 when the intensities span many decades
     return np.maximum(levels, 0.0), total * vectors[0] ** 2

@@ -36,8 +36,8 @@ def test_version_subprocess():
     assert proc.returncode == 0
     assert proc.stdout == "False\n"
     # no process loads SciPy's integrator or optimizer; a flat train loads
-    # scipy.linalg for its propagators, and a Gaussian pulse adds the sparse
-    # matrices, but the integrator is the package's own
+    # scipy.linalg for its propagators, and a Gaussian pulse only the sparse
+    # matrices' kernel, since the integrator is the package's own
     setup = (
         "import nlfaraday.cli, sys; import numpy as np; "
         "from nlfaraday import atom, dynamics as dyn; "
@@ -61,14 +61,15 @@ def test_version_subprocess():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[] True\n['scipy.sparse'] True\n"
-    # a Gaussian pulse alone: its cloud's intensity levels need scipy.linalg
+    # a Gaussian pulse alone, at the default 9x9 rule: the cloud's 12
+    # intensity levels come from numpy, the right-hand side from scipy.sparse
     proc = subprocess.run(
         [sys.executable, "-c", setup +
          "dyn.detected_stokes(gaussian, beam, CloudGeometry(), ops); linalg()"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "['scipy.sparse'] True\n"
+    assert proc.stdout == "['scipy.sparse'] False\n"
 
 
 def test_calibration_commands_load_no_scipy(tmp_path):

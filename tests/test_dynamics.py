@@ -243,6 +243,26 @@ def test_intensity_rule_is_gauss_rule_of_cloud_measure(beam, cloud, nodes):
         assert np.sum(weights * levels**j) == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("nodes", [5, 9, 18])
+def test_intensity_rule_matches_tridiagonal_eigensolver(beam, cloud, nodes, monkeypatch):
+    # the rule's eigh of the dense Jacobi matrix against SciPy's
+    # tridiagonal eigensolver on the same Jacobi matrix, caught on its way in
+    from scipy.linalg import eigh_tridiagonal
+
+    jacobi = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: jacobi.append(a) or eigh(a))
+    grid = cloud_quadrature(cloud, n_radial=nodes, n_long=nodes)
+    s = beam.local_intensity_scale(grid.r, grid.z)
+    levels, weights = dyn._intensity_rule(s, grid.weight, 12)
+    [a] = jacobi
+    alpha, beta = np.diag(a), np.diag(a, 1)
+    assert np.array_equal(a, np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    expected, vectors = eigh_tridiagonal(alpha, beta)
+    assert levels == pytest.approx(np.maximum(expected, 0.0), rel=1e-14, abs=0.0)
+    assert weights == pytest.approx(grid.weight.sum() * vectors[0] ** 2, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("nodes, distinct", [(1, 1), (3, 6)])
 def test_intensity_rule_keeps_a_small_measure_exactly(beam, cloud, nodes, distinct):
     grid = cloud_quadrature(cloud, n_radial=nodes, n_long=nodes)
@@ -707,6 +727,18 @@ def _recorded_solves(monkeypatch, run):
     return calls
 
 
+def test_production_pulses_need_no_more_rhs_calls(monkeypatch, ops, beam, cloud):
+    # the work of the four production pulses on the default 9x9 cloud: a
+    # change that costs more right-hand-side calls fails here, free of
+    # timing noise; a change that saves some lowers these bounds
+    bounds = {(462, 5.7e6): 3605, (462, 1e8): 4457, (1500, 1e6): 8225, (430, 2.5e5): 3125}
+    for (mhz, n_photons), bound in bounds.items():
+        pulse = PulseSpec(n_photons=n_photons, detuning=2 * np.pi * mhz * 1e6)
+        [call] = _recorded_solves(monkeypatch, lambda: dyn.detected_stokes(pulse, beam, cloud, ops))
+        assert call[2].size == 12 * 89
+        assert call[4].nfev <= bound, (mhz, n_photons)
+
+
 def test_step_budget_ends_a_solve_as_a_step_failure(monkeypatch, ops, beam, cloud):
     # a real pulse needs more than 5 steps; the work bound ends the solve
     from nlfaraday import _dop853
@@ -837,10 +869,15 @@ def test_ground_f1_sample_has_89_coordinates(scheme, ops):
 
 
 def test_rhs_kernel_equals_the_public_sparse_product(scheme, ops):
-    # _linear_rhs calls SciPy's private CSR kernel directly; it must give
-    # the bits of the public csr_matrix @ Y with the same tail.  If this
-    # fails on a SciPy release, _linear_rhs goes back to the public
-    # product: one path, not two
+    # _linear_rhs calls SciPy's private CSR kernel directly, on block CSR
+    # arrays it builds itself; it must give the bits of the public
+    # csr_matrix @ y of the dense block diagonals, B_j = a_j R1 + D as the
+    # flat-train propagator forms them.  The kernel adds its product into
+    # its output, so the second product, blockdiag(R0) y added to
+    # T(t) blockdiag(B) y, is the public product of [I | blockdiag(R0)]
+    # with [T(t) blockdiag(B) y; y].  If this fails on a SciPy release,
+    # _linear_rhs goes back to the public product: one path, not two
+    from scipy.linalg import block_diag
     from scipy.sparse import csr_matrix
 
     rng = np.random.default_rng(29)
@@ -851,17 +888,16 @@ def test_rhs_kernel_equals_the_public_sparse_product(scheme, ops):
     cases.append((two_level_operators(_GAMMA), np.diag([1.0, 0.0]), 0.0, 2 * np.pi * 40e6, 1))
     for model, rho0, detuning, scale, levels in cases:
         _, r0, r1, d = _generators(model, rho0, detuning, scale)
-        n = r0.shape[0]
         amplitudes = rng.uniform(0.0, 1.0, levels)
-        y = rng.standard_normal(n * levels)
-        p = csr_matrix(np.vstack([r0, r1, d])) @ y.reshape(n, levels)
-        expected = p[n : 2 * n] * amplitudes
-        expected += p[2 * n :]
+        size = levels * r0.shape[0]
+        y = rng.standard_normal(size)
+        expected = csr_matrix(block_diag(*(a * r1 + d for a in amplitudes))) @ y
         expected *= 0.7
-        expected += p[:n]
+        free = np.hstack([np.eye(size), block_diag(*[r0] * levels)])
+        expected = csr_matrix(free) @ np.concatenate([expected, y])
         rhs = dyn._linear_rhs(r0, r1, d, amplitudes, lambda t: 0.7)
         first, second = rhs(0.0, y), rhs(0.0, y)
-        assert np.array_equal(first, expected.ravel())
+        assert np.array_equal(first, expected)
         assert np.array_equal(second, first) and not np.shares_memory(first, second)
         with pytest.raises(ValueError):
             rhs(0.0, y[:-1])
