@@ -3,17 +3,19 @@
 ``main`` runs each subcommand of ``_COMMANDS`` in one frame: it resolves
 the configuration (defaults < config file < flags), checks each number
 against the range declared where its key is used (``_check_numbers``),
-and stages the run in a fresh directory beside ``--out``: ``manifest.txt``
-(full resolved config, re-parseable), ``run.log`` and the CSV/report
-files of the handler ``cmd_*(args, cfg, out)``, which only computes and
-writes them (each CSV one ``config.write_table`` call).  It then
-publishes the staged files to ``--out`` and prints ``outputs in <dir>``
-last.  A subcommand declares only the flags it reads, and each flag's
-argparse ``dest`` is the config key it sets.  Exit codes: 0 success, 2
-for configuration problems (an unknown flag, a value that a range or a
-model check refuses, an unusable ``--out``), which leave no output, 3 for
-numerical failures (among them a solve past the integrator's step budget
-and a non-finite output number), which publish what was written.
+and stages the run in a fresh directory in the nearest existing ancestor
+of ``--out``, the only thing it creates before it publishes:
+``manifest.txt`` (full resolved config, re-parseable), ``run.log`` and
+the CSV/report files of the handler ``cmd_*(args, cfg, out)``, which only
+computes and writes them (each CSV one ``config.write_table`` call).  It
+then publishes the staged files to ``--out``, making its missing parents,
+and prints ``outputs in <dir>`` last.  A subcommand declares only the
+flags it reads, and each flag's argparse ``dest`` is the config key it
+sets.  Exit codes: 0 success, 2 for configuration problems (an unknown
+flag, a value that a range or a model check refuses, an ``--out`` that
+cannot take the outputs), which leave no output, 3 for numerical failures
+(among them a solve past the integrator's step budget and a non-finite
+output number), which publish what was written.
 """
 from __future__ import annotations
 
@@ -250,21 +252,20 @@ def _check_numbers(args, cfg: dict, file_keys: set) -> None:
             )
 
 
-def _stage(args, cfg: dict, out: Path) -> tuple[Path, Path | None]:
-    """A fresh directory beside ``out`` with this run's run.log and manifest.txt, to publish or delete.
+def _stage(args, cfg: dict, out: Path) -> Path:
+    """A fresh directory with this run's run.log and manifest.txt, to publish or delete.
 
-    Also returns the outermost ancestor of ``out`` this call created, or None.
+    It is made in the nearest existing ancestor of ``out``: its parent, when that exists.
     """
-    created = None if out.parent.exists() else next(p for p in reversed(out.parents) if not p.exists())
     try:
-        out.parent.mkdir(parents=True, exist_ok=True)
         if out.exists() and not out.is_dir():
             raise NotADirectoryError("it is not a directory")
+        # out.parents ends at "/" or ".", which exist
+        home = next(p for p in (out.parent, *out.parents) if p.exists())
         # a plain mkdir, so the published directory has the usual permissions
-        stage = out.parent / f".{out.name}.{os.getpid()}-{os.urandom(4).hex()}.stage"
+        stage = home / f".{out.name}.{os.getpid()}-{os.urandom(4).hex()}.stage"
         stage.mkdir()
     except OSError as exc:
-        _remove_created(out, created)
         raise InvalidConfig(f"cannot write outputs to {out}: {exc}") from exc
     handler = logging.FileHandler(stage / "run.log", mode="w")
     handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
@@ -273,37 +274,7 @@ def _stage(args, cfg: dict, out: Path) -> tuple[Path, Path | None]:
     root.addHandler(handler)
     write_manifest(stage / "manifest.txt", cfg, __version__, command=args.command)
     log.info("%s -> %s", args.command, out)
-    return stage, created
-
-
-def _remove_created(out: Path, created: Path | None) -> None:
-    """Remove the ancestors of ``out`` up to ``created``, deepest first, while they are empty."""
-    if created is None:
-        return
-    for parent in out.parents:
-        try:
-            parent.rmdir()
-        except OSError:
-            return
-        if parent == created:
-            return
-
-
-def _publish(stage: Path, out: Path) -> None:
-    """Rename ``stage`` to ``out``, or move its files into an existing ``out``.
-
-    Every target is checked first: if ``out`` cannot take a file, this
-    raises ``InvalidConfig`` having moved nothing.
-    """
-    if not out.exists():
-        stage.rename(out)
-        return
-    taken = sorted(path.name for path in stage.iterdir() if (out / path.name).is_dir())
-    if taken:
-        raise InvalidConfig(f"cannot write outputs to {out}: {', '.join(taken)} is a directory there")
-    for path in stage.iterdir():
-        path.replace(out / path.name)
-    stage.rmdir()
+    return stage
 
 
 def _response_from(cfg: dict) -> ana.ResponseModel:
@@ -632,7 +603,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         out = args.out or Path(f"nlfaraday-{args.command}")
-        stage, created = _stage(args, cfg, out)
+        stage = _stage(args, cfg, out)
         _COMMANDS[args.command][0](args, cfg, stage)
         code = EXIT_OK
     except (InvalidConfig, DataIntegrityError) as exc:
@@ -648,28 +619,38 @@ def main(argv=None) -> int:
                 root.removeHandler(h)
         root.setLevel(level)
         if stage is not None:
-            code = _end_stage(stage, out, created, code)
+            code = _end_stage(stage, out, code)
     if code == EXIT_OK:
         print(f"outputs in {out}")
     return code
 
 
-def _end_stage(stage: Path, out: Path, created: Path | None, code: int | None) -> int:
+def _end_stage(stage: Path, out: Path, code: int | None) -> int:
     """Publish or delete the staged run; returns the exit code.
 
     Exit 0, exit 3 and an uncaught exception (``code`` None) publish what
-    was written.  A configuration error, among them an ``out`` that cannot
-    take the staged files, deletes the stage and the ancestors of ``out``
-    that ``_stage`` created, so it leaves no output.
+    was written: the stage is renamed to ``out``, once the missing parents
+    of ``out`` are made, or its files move into an existing ``out``, whose
+    every target is checked before any file moves.  A configuration error,
+    among them an ``out`` that cannot take the staged files, deletes the
+    stage, so it leaves no output.
     """
     if code != EXIT_CONFIG:
         try:
-            _publish(stage, out)
+            if out.exists():
+                taken = sorted(path.name for path in stage.iterdir() if (out / path.name).is_dir())
+                if taken:
+                    raise InvalidConfig(f"{', '.join(taken)} is a directory there")
+                for path in stage.iterdir():
+                    path.replace(out / path.name)
+                stage.rmdir()
+            else:
+                out.parent.mkdir(parents=True, exist_ok=True)
+                stage.rename(out)
             return code
-        except InvalidConfig as exc:
-            print(f"configuration error: {exc}", file=sys.stderr)
+        except (OSError, InvalidConfig) as exc:
+            print(f"configuration error: cannot write outputs to {out}: {exc}", file=sys.stderr)
     shutil.rmtree(stage)
-    _remove_created(out, created)
     return EXIT_CONFIG
 
 

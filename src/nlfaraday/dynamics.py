@@ -480,18 +480,16 @@ def _solve_batch(
     of ``_checked_state``, Gaussian pulses run DOP853
     (``_integrate_gaussian``) and flat trains exact exponentials
     (``_propagate_train``), both on the generators of ``model.flow`` at
-    the pulse's detuning and ``omega0``.  Returns (times,
-    states (n_t, n, size, size), overlaps (n,)), with full density
-    matrices only at the ``t_eval`` times that fall inside a segment (at
-    the end of the pulse when none does).
+    the pulse's detuning and ``omega0``.  ``t_eval`` must hold a time
+    inside a segment.  Returns (times, states (n_t, n, size, size),
+    overlaps (n,)), with full density matrices only at the ``t_eval``
+    times that fall inside a segment.
     """
     rho0 = _checked_state(model, rho0)
     flow = model.flow(rho0)
     r0, r1, d = flow.generators(pulse.detuning, omega0)
     solve = _integrate_gaussian if pulse.shape == "gaussian" else _propagate_train
     times, stored, final = solve(flow.coords.initial(rho0), r0, r1, d, amplitudes, pulse, t_eval)
-    if not times:
-        times, stored = [pulse.window()[1]], final[None]
     return np.asarray(times), flow.coords.states(stored), flow.coords.decode(final)[:, -1]
 
 

@@ -140,17 +140,6 @@ class CloudGeometry:
     def __post_init__(self):
         check_fields(self)
 
-    def density(self, r, z):
-        """Atoms per unit volume at radius r, axial position z."""
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
-        norm = np.pi**1.5 * self.sigma_long * self.sigma_trans**2
-        return (
-            self.n_atoms
-            / norm
-            * np.exp(-(r**2) / self.sigma_trans**2 - z**2 / self.sigma_long**2)
-        )
-
 
 @dataclass(frozen=True)
 class QuadratureGrid:

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -400,6 +401,41 @@ def test_exit_2_removes_the_parents_it_created(tmp_path):
     (work / "a" / "kept.txt").write_text("kept\n")
     assert cli.main(["campaign", "--config", str(bad), "--out", str(work / "a" / "b" / "out")]) == cli.EXIT_CONFIG
     assert sorted(path.name for path in work.rglob("*")) == ["a", "kept.txt"]
+
+
+def test_a_run_makes_the_missing_parents_of_out_when_it_publishes(tmp_path):
+    work = tmp_path / "work"
+    work.mkdir()
+    out = work / "a" / "b" / "out"
+    assert cli.main(["control-run", "--out", str(out)]) == cli.EXIT_OK
+    assert sorted(path.name for path in out.iterdir()) == [
+        "control.csv", "control_report.txt", "manifest.txt", "run.log",
+    ]
+    assert [path.name for path in work.iterdir()] == ["a"]
+    assert list(work.rglob("*.stage")) == []
+
+
+def test_exit_3_publishes_into_the_missing_parents_of_out(tmp_path, monkeypatch):
+    from nlfaraday import _dop853
+
+    monkeypatch.setattr(_dop853, "MAX_STEPS", 5)
+    out = tmp_path / "a" / "b" / "out"
+    assert cli.main(["simulate", "--n-photons", "1e4", "--out", str(out)]) == cli.EXIT_NUMERICAL
+    assert sorted(path.name for path in out.iterdir()) == ["manifest.txt", "run.log"]
+    assert [path.name for path in tmp_path.iterdir()] == ["a"]
+
+
+def test_a_publish_that_fails_exits_2_and_leaves_no_stage(tmp_path, capsys, monkeypatch):
+    def refused(self, target):
+        raise PermissionError(13, "Permission denied", str(target))
+
+    monkeypatch.setattr(Path, "rename", refused)
+    out = tmp_path / "out"
+    assert cli.main(["control-run", "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot write outputs to {out}: " in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_out_holding_a_directory_named_like_an_output_exits_2(tmp_path, capsys, monkeypatch):

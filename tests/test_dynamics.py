@@ -739,6 +739,29 @@ def test_production_pulses_need_no_more_rhs_calls(monkeypatch, ops, beam, cloud)
         assert call[4].nfev <= bound, (mhz, n_photons)
 
 
+def test_flat_trains_need_no_more_exponentials(monkeypatch, ops, beam, cloud):
+    # the work of a flat train, counted through the dynamics.expm seam: one
+    # exponential per level and interval length inside a segment, and one
+    # undriven gap shared by every level; a change that costs more fails here
+    own = dyn.expm
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return own(a)
+
+    monkeypatch.setattr(dyn, "expm", counting)
+    single = PulseSpec(shape="flat-train", fwhm=75e-9, n_photons=2e6, detuning=2 * np.pi * 1.5e9)
+    train = dataclasses.replace(single, fwhm=37.5e-9, train_count=2, train_period=137.5e-9)
+    # (pulse, nodes per cloud axis) -> (intensity levels, most expm calls)
+    cases = {(single, 9): (12, 12), (single, 3): (6, 6), (train, 9): (12, 13), (train, 3): (6, 7)}
+    for (pulse, nodes), (levels, bound) in cases.items():
+        calls.clear()
+        res = dyn.detected_stokes(pulse, beam, cloud, ops, n_radial=nodes, n_long=nodes)
+        assert res.levels == levels, (pulse.train_count, nodes)
+        assert 0 < len(calls) <= bound, (pulse.train_count, nodes)
+
+
 def test_step_budget_ends_a_solve_as_a_step_failure(monkeypatch, ops, beam, cloud):
     # a real pulse needs more than 5 steps; the work bound ends the solve
     from nlfaraday import _dop853
