@@ -43,12 +43,16 @@ the mask of admissible initial entries are built once per operator
 set, and the coordinates, R0(0), K, R1(1) and D once per support of
 the initial state (``_Operators.flow``, which keeps the last support's);
 a solve forms only R0 + delta K and each level's drive B = a omega0 R1
-+ D.  Under a flat-train segment the envelope is constant, so each
-segment and each gap is advanced by exact matrix exponentials of R0 +
-T B.  A Gaussian pulse is integrated with the package's DOP853
-(``_dop853``, SciPy's algorithm step for step) on one level-major
-state, by products with blockdiag(B) and blockdiag(R0) in SciPy's CSR
-kernel (``_linear_rhs``); it is the only use of the adaptive integrator.
++ D.  Both solvers advance every level at once, on one level-major
+(levels, n) state, and store the same times: the requested times that
+fall inside a segment, each once.  Under a flat-train segment the
+envelope is constant, so a train is walked over one sorted list of
+edges, the segment ends and the stored times; each interval is one
+product with the exact exponential of the stack R0 + T B, or of R0 in
+a gap.  A Gaussian pulse is integrated with the package's DOP853
+(``_dop853``, SciPy's algorithm step for step), by products with
+blockdiag(B) and blockdiag(R0) in SciPy's CSR kernel
+(``_linear_rhs``); it is the only use of the adaptive integrator.
 
 Drive normalization: a pulse of N photons in beam mode M(r, z) with
 envelope T(t) produces the local Rabi amplitude
@@ -381,8 +385,9 @@ def _block_csr(rows, cols, data, n: int):
 def _linear_rhs(r0, r1, d, amplitudes: np.ndarray, envelope):
     """Vector field of every level's coordinates, stacked level-major (level, coordinate).
 
-    Level j evolves as dx/dt = R0 x + T(t) B_j x, with B_j = a_j R1 + D
-    as ``_propagate_train`` forms it (real a_j: see the module docstring).
+    Level j evolves as dx/dt = R0 x + T(t) B_j x, with B_j = a_j R1 + D,
+    the drive of the stack ``_propagate_train`` exponentiates (real a_j:
+    see the module docstring).
     Each call is two products, with blockdiag(B_j) and blockdiag(R0), in
     SciPy's CSR kernel ``_sparsetools.csr_matvec``, the one ``csr_matrix
     @ y`` ends in, called directly on arrays built once per solve: at
@@ -477,39 +482,41 @@ def _solve_batch(
 
     Each amplitude is a local |M| = sqrt(s / A0): an intensity level of
     the cloud, or the single node of ``integrate_node``.  After the checks
-    of ``_checked_state``, Gaussian pulses run DOP853
+    of ``_checked_state``, the initial coordinates are tiled into one
+    (levels, n) state, and Gaussian pulses run DOP853
     (``_integrate_gaussian``) and flat trains exact exponentials
     (``_propagate_train``), both on the generators of ``model.flow`` at
-    the pulse's detuning and ``omega0``.  ``t_eval`` must hold a time
-    inside a segment.  Returns (times, states (n_t, n, size, size),
-    overlaps (n,)), with full density matrices only at the ``t_eval``
-    times that fall inside a segment.
+    the pulse's detuning and ``omega0``.  The stored times are the
+    ``t_eval`` times inside a segment, sorted and each once; one at least
+    must be.  Returns (times, states (n_t, n, size, size), overlaps (n,)),
+    with full density matrices only at the stored times.
     """
     rho0 = _checked_state(model, rho0)
     flow = model.flow(rho0)
     r0, r1, d = flow.generators(pulse.detuning, omega0)
+    segments = pulse.segment_windows()
+    times = sorted({t for t in t_eval if any(t0 <= t <= t1 for t0, t1 in segments)})
+    x0 = np.tile(flow.coords.initial(rho0), (amplitudes.size, 1))
     solve = _integrate_gaussian if pulse.shape == "gaussian" else _propagate_train
-    times, stored, final = solve(flow.coords.initial(rho0), r0, r1, d, amplitudes, pulse, t_eval)
+    stored, final = solve(x0, r0, r1, d, amplitudes, pulse, times)
     return np.asarray(times), flow.coords.states(stored), flow.coords.decode(final)[:, -1]
 
 
-def _integrate_gaussian(x0, r0, r1, d, amplitudes, pulse, t_eval):
-    """DOP853 (``solve_ivp``) through the Gaussian window, all levels in one level-major state.
+def _integrate_gaussian(x0, r0, r1, d, amplitudes, pulse, times):
+    """DOP853 (``solve_ivp``) through the Gaussian window on the level-major state ``x0``.
 
-    Returns (stored times, coordinates (n_t, levels, n) at each, final
+    Returns (coordinates (n_t, levels, n) at the stored ``times``, final
     coordinates (levels, n)).
     """
     t0, t1 = pulse.window()
-    inside = {t for t in t_eval if t0 <= t <= t1}
     sol = solve_ivp(
         _linear_rhs(r0, r1, d, amplitudes, _gaussian_envelope(pulse)), (t0, t1),
-        np.tile(x0, amplitudes.size), rtol=_RTOL, atol=_ATOL, t_eval=sorted(inside | {t1}),
+        x0.ravel(), rtol=_RTOL, atol=_ATOL, t_eval=sorted({*times, t1}),
     )
     if not sol.success:
         raise StepFailure(f"integrator failed: {sol.message}")
-    x = sol.y.T.reshape(-1, amplitudes.size, x0.size)
-    stored = [k for k, tk in enumerate(sol.t) if tk in inside]
-    return [float(sol.t[k]) for k in stored], x[stored], x[-1]
+    x = sol.y.T.reshape(-1, *x0.shape)
+    return x[: len(times)], x[-1]
 
 
 def _gaussian_envelope(pulse: PulseSpec):
@@ -535,7 +542,7 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def _propagator(cache: dict, generator: np.ndarray, dt: float) -> np.ndarray:
-    """expm(generator * dt), computed once per interval length.
+    """expm(generator * dt) of a matrix or a stack, computed once per interval length.
 
     Lengths within ``_SAME_INTERVAL`` of each other share one propagator:
     differences of stored times that are equal in exact arithmetic come
@@ -548,40 +555,29 @@ def _propagator(cache: dict, generator: np.ndarray, dt: float) -> np.ndarray:
     return p
 
 
-def _propagate_train(x0, r0, r1, d, amplitudes, pulse, t_eval):
-    """Exact propagation of a flat train, one level at a time.
+def _propagate_train(x0, r0, r1, d, amplitudes, pulse, times):
+    """Exact propagation of a flat train, every level at once.
 
-    Inside a segment the generator R0 + height (a R1 + D) is constant, so
-    each interval between the segment start, the stored times and the
-    segment end is one matrix exponential; a gap is the undriven,
-    undetected R0, with a propagator shared by every level.  Same return
+    The edges are the segment ends and the stored ``times``.  Inside a
+    segment the generator of level j is R0 + height (a_j R1 + D), in a
+    gap it is the undriven, undetected R0; both are constant, so each
+    interval between two edges is one product of the (levels, n, 1) state
+    with the exponential of the stack, or of the shared R0.  Same return
     value as ``_integrate_gaussian``.
     """
     height = 1.0 / math.sqrt(pulse.train_count * pulse.fwhm)
+    lit = amplitudes[:, None, None] * r1
+    lit += d
+    lit *= height
+    lit += r0
     segments = pulse.segment_windows()
-    marks = [sorted({t for t in t_eval if t0 <= t <= t1}) for t0, t1 in segments]
-    times = [float(t) for m in marks for t in m]
-
-    stored = np.zeros((len(times), amplitudes.size, x0.size))
-    final = np.zeros((amplitudes.size, x0.size))
-    gaps = {}
-    for j, a in enumerate(amplitudes):
-        lit = r0 + height * (a * r1 + d)
-        steps = {}
-        x, t, k = x0, segments[0][0], 0
-        for (t0, t1), inside in zip(segments, marks):
-            if t0 > t:
-                x = _propagator(gaps, r0, t0 - t) @ x
-            t = t0
-            for i, tk in enumerate(inside + [t1]):
-                if tk > t:
-                    x = _propagator(steps, lit, tk - t) @ x
-                    t = tk
-                if i < len(inside):
-                    stored[k, j] = x
-                    k += 1
-        final[j] = x
-    return times, stored, final
+    edges = sorted({*times, *(t for window in segments for t in window)})
+    caches = {True: {}, False: {}}
+    walk = [x0[..., None]]
+    for t, u in zip(edges, edges[1:]):
+        driven = any(t0 <= t < t1 for t0, t1 in segments)
+        walk.append(_propagator(caches[driven], lit if driven else r0, u - t) @ walk[-1])
+    return np.stack(walk)[np.searchsorted(edges, times), ..., 0], walk[-1][..., 0]
 
 
 def _default_beam(scheme: LevelScheme) -> BeamGeometry:
@@ -599,6 +595,9 @@ def integrate_node(
 ) -> Trajectory:
     """Integrate one spatial node through a pulse and store its history.
 
+    Of ``n_stored`` times spread evenly over the pulse window, the
+    trajectory stores those inside a segment, each once: at most
+    ``n_stored``, strictly increasing, the first at the window start.
     ``local_intensity_scale`` is the dimensionless local intensity
     relative to the on-axis focus of ``beam`` (default beam if omitted);
     1.0 means the node sits at the focus on axis.  Raises InvalidConfig

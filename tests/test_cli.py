@@ -389,8 +389,9 @@ def test_every_exit_leaves_no_staging_directory(tmp_path, argv, code, published)
 
 
 def test_exit_2_removes_the_parents_it_created(tmp_path):
-    # refused after staging under a/b/, which the run created; an
-    # ancestor that now holds something else is kept
+    # refused after staging in the nearest existing ancestor of --out;
+    # no parent of --out is made before publishing, so nothing is left,
+    # and an existing ancestor keeps what it holds
     bad = tmp_path / "bad.cfg"
     bad.write_text("atom_lo = 5e5\n")
     work = tmp_path / "work"

@@ -6,6 +6,7 @@ session fixtures (see conftest) because the acceptance tests reuse them.
 
 import dataclasses
 import gc
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -495,6 +496,30 @@ def test_node_matches_full_lindblad_reference(monkeypatch, scheme, ops, pulse):
     assert traj.manifold_population(2)[-1] > 1e-6
 
 
+@pytest.mark.parametrize("pulse", [
+    PulseSpec(),
+    PulseSpec(
+        shape="flat-train", fwhm=50e-9, n_photons=2e6, detuning=2 * np.pi * 1.5e9,
+        train_count=2, train_period=50e-9,
+    ),
+], ids=["gaussian", "abutting-flat-train"])
+def test_few_stored_times_are_distinct_and_keep_the_overlap(scheme, ops, pulse):
+    # n_stored = 3 puts a stored time on the edge the two segments share,
+    # which is stored once; how many times are stored does not change the
+    # overlap (DOP853 takes the same steps; the train's intervals split
+    # differently, so it agrees to rounding)
+    rho0 = initial_state(scheme)
+    dense = dyn.integrate_node(rho0, pulse, 1.0, ops, n_stored=200)
+    for n_stored in (1, 2, 3):
+        traj = dyn.integrate_node(rho0, pulse, 1.0, ops, n_stored=n_stored)
+        assert 0 < traj.times.size <= n_stored and np.all(np.diff(traj.times) > 0), n_stored
+        assert np.array_equal(traj.states[0], rho0), n_stored
+        if pulse.shape == "gaussian":
+            assert traj.overlap == dense.overlap, n_stored
+        else:
+            assert traj.overlap == pytest.approx(dense.overlap, rel=1e-12), n_stored
+
+
 def _train(segments, n_photons=2e6, ghz=1.5):
     """The 75 ns of light of the linear probe, in 1 or 2 segments 100 ns apart."""
     width = 75e-9 / segments
@@ -741,8 +766,10 @@ def test_production_pulses_need_no_more_rhs_calls(monkeypatch, ops, beam, cloud)
 
 def test_flat_trains_need_no_more_exponentials(monkeypatch, ops, beam, cloud):
     # the work of a flat train, counted through the dynamics.expm seam: one
-    # exponential per level and interval length inside a segment, and one
-    # undriven gap shared by every level; a change that costs more fails here
+    # call per distinct interval length inside a segment, on the stack of
+    # every level's generator, and one per gap length, on the shared
+    # undriven generator; a change that costs more calls, or exponentiates
+    # more matrices, fails here
     own = dyn.expm
     calls = []
 
@@ -753,13 +780,17 @@ def test_flat_trains_need_no_more_exponentials(monkeypatch, ops, beam, cloud):
     monkeypatch.setattr(dyn, "expm", counting)
     single = PulseSpec(shape="flat-train", fwhm=75e-9, n_photons=2e6, detuning=2 * np.pi * 1.5e9)
     train = dataclasses.replace(single, fwhm=37.5e-9, train_count=2, train_period=137.5e-9)
-    # (pulse, nodes per cloud axis) -> (intensity levels, most expm calls)
-    cases = {(single, 9): (12, 12), (single, 3): (6, 6), (train, 9): (12, 13), (train, 3): (6, 7)}
-    for (pulse, nodes), (levels, bound) in cases.items():
+    # (pulse, nodes per cloud axis) -> (intensity levels, most expm calls, most matrices)
+    cases = {
+        (single, 9): (12, 1, 12), (single, 3): (6, 1, 6),
+        (train, 9): (12, 2, 13), (train, 3): (6, 2, 7),
+    }
+    for (pulse, nodes), (levels, bound, matrices) in cases.items():
         calls.clear()
         res = dyn.detected_stokes(pulse, beam, cloud, ops, n_radial=nodes, n_long=nodes)
         assert res.levels == levels, (pulse.train_count, nodes)
         assert 0 < len(calls) <= bound, (pulse.train_count, nodes)
+        assert sum(math.prod(shape[:-2]) for shape in calls) <= matrices, (pulse.train_count, nodes)
 
 
 def test_step_budget_ends_a_solve_as_a_step_failure(monkeypatch, ops, beam, cloud):
